@@ -34,7 +34,8 @@ RECORDS = """year,reporter,partner,exports,imports
 2000,JPN,CHE,8,8
 """
 
-parsed = parse_dyadic_records(RECORDS)
+# Readers take a path or an open file object, never a string of content.
+parsed = parse_dyadic_records(io.StringIO(RECORDS))
 print(f"parsed {len(parsed.records)} records, {len(parsed.dropped)} dropped")
 
 # Each flow is claimed twice (A's export report, B's import report) and the

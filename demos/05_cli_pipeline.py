@@ -27,18 +27,23 @@ def run(*args):
 with tempfile.TemporaryDirectory() as scratch:
     scratch = Path(scratch)
 
-    # fabricate double-reported records for one year, N countries
+    # fabricate double-reported records for one year, N countries: each
+    # reporter states its exports to and its imports from every partner in
+    # one row, each claim with 2% reporting noise
     n = 40
     codes = [f"C{i:02d}" for i in range(n)]
+    flows = np.where(rng.random((n, n)) < 0.3, rng.lognormal(3.0, 1.4, (n, n)), 0.0)
+    np.fill_diagonal(flows, 0.0)
+
+    def claim(flow):
+        return f"{flow * (1 + 0.02 * rng.standard_normal()):.3f}" if flow > 0 else ""
+
     lines = ["year,reporter,partner,exports,imports"]
     for i in range(n):
         for j in range(n):
-            if i == j or rng.random() > 0.3:
-                continue
-            true_flow = rng.lognormal(3.0, 1.4)
-            noisy = true_flow * (1 + 0.02 * rng.standard_normal())
-            lines.append(f"2000,{codes[i]},{codes[j]},{true_flow:.3f},")
-            lines.append(f"2000,{codes[j]},{codes[i]},,{noisy:.3f}")
+            if i != j and (flows[i, j] > 0 or flows[j, i] > 0):
+                lines.append(f"2000,{codes[i]},{codes[j]},"
+                             f"{claim(flows[i, j])},{claim(flows[j, i])}")
     records = scratch / "records.csv"
     records.write_text("\n".join(lines) + "\n")
     print(f"wrote {records} ({len(lines) - 1} rows)")

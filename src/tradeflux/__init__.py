@@ -13,7 +13,7 @@ The per-node concentration statistic itself lives at
 submodule importable under its own name).
 """
 
-from . import backbone, cli, diffusion, disparity, ingest, network
+from . import backbone, diffusion, disparity, ingest, network
 from .backbone import (
     BackboneNetwork,
     BackboneStats,

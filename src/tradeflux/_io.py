@@ -1,0 +1,30 @@
+"""The one rule for file arguments shared by every reader and writer.
+
+A file argument is either an open file object, used as given, or a path
+(``str`` or ``os.PathLike``), opened here. A string is never file content.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+
+
+@contextlib.contextmanager
+def opened(file, mode: str = "r"):
+    """Yield ``file`` unchanged if it is a file object, else open it as a path.
+
+    Text modes use UTF-8; writing emits ``\\n`` line ends and reading leaves
+    line ends untranslated, as the csv module expects. Binary modes
+    (``"rb"``, ``"wb"``) open the path as bytes. A path opened here is
+    closed on exit; a file object passed in is left open.
+    """
+    if not isinstance(file, (str, os.PathLike)):
+        yield file
+        return
+    if "b" in mode:
+        handle = open(file, mode)
+    else:
+        handle = open(file, mode, encoding="utf-8", newline="\n" if "w" in mode else "")
+    with handle:
+        yield handle

@@ -21,8 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
+from ._io import opened
 from .network import ImbalanceNetwork, write_graphml
+
+
+def _significance(p, k):
+    """alpha(p, k) elementwise, fixed at 1 for degree-1 endpoints."""
+    return np.where(k == 1, 1.0, (1.0 - p) ** (k - 1))
 
 
 def edge_significance_value(p: float, k: int) -> float:
@@ -31,21 +39,17 @@ def edge_significance_value(p: float, k: int) -> float:
         raise ValueError(f"share must lie in [0, 1], got {p}")
     if k < 1:
         raise ValueError("degree must be >= 1")
-    if k == 1:
-        return 1.0
-    return float((1.0 - p) ** (k - 1))
+    return float(_significance(np.float64(p), np.int64(k)))
 
 
 def _edge_alphas(net: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge significance at the source (out-share) and target (in-share)."""
     p_out = np.clip(net.weight / net.s_out[net.src], 0.0, 1.0)
     p_in = np.clip(net.weight / net.s_in[net.dst], 0.0, 1.0)
-    k_out = net.k_out[net.src]
-    k_in = net.k_in[net.dst]
-    with np.errstate(divide="ignore"):
-        a_src = np.where(k_out == 1, 1.0, (1.0 - p_out) ** (k_out - 1))
-        a_dst = np.where(k_in == 1, 1.0, (1.0 - p_in) ** (k_in - 1))
-    return a_src, a_dst
+    return (
+        _significance(p_out, net.k_out[net.src]),
+        _significance(p_in, net.k_in[net.dst]),
+    )
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,24 @@ class BackboneNetwork:
         )
 
 
+def _backbones(net: ImbalanceNetwork, alphas) -> list[BackboneNetwork]:
+    """One backbone per threshold, in the order given, over shared scores."""
+    alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValueError("alphas must be non-empty")
+    if len(set(alphas)) != len(alphas):
+        raise ValueError("alphas must be distinct")
+    for a in alphas:
+        if not 0.0 < a <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {a}")
+    a_src, a_dst = _edge_alphas(net)
+    out = []
+    for a in alphas:
+        kept = np.flatnonzero((a_src < a) | (a_dst < a))
+        out.append(BackboneNetwork(net, a, kept, a_src[kept], a_dst[kept]))
+    return out
+
+
 def extract_backbone(net: ImbalanceNetwork, alpha: float) -> BackboneNetwork:
     """Keep every edge significant at level ``alpha`` for either endpoint.
 
@@ -114,17 +136,7 @@ def extract_backbone(net: ImbalanceNetwork, alpha: float) -> BackboneNetwork:
     edges with at least one endpoint of degree >= 2 and a nonzero share
     margin, and thresholds nest monotonically.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    a_src, a_dst = _edge_alphas(net)
-    kept = np.flatnonzero((a_src < alpha) | (a_dst < alpha))
-    return BackboneNetwork(
-        base=net,
-        threshold=alpha,
-        edge_index=kept,
-        alpha_at_source=a_src[kept],
-        alpha_at_target=a_dst[kept],
-    )
+    return _backbones(net, [alpha])[0]
 
 
 @dataclass(frozen=True)
@@ -164,27 +176,7 @@ def backbone_sweep(
     ``alphas`` must be distinct values in (0, 1]; they are processed in
     the order given.
     """
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ValueError("alphas must be non-empty")
-    if len(set(alphas)) != len(alphas):
-        raise ValueError("alphas must be distinct")
-    for a in alphas:
-        if not 0.0 < a <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {a}")
-    a_src, a_dst = _edge_alphas(net)
-    out = []
-    for a in alphas:
-        kept = np.flatnonzero((a_src < a) | (a_dst < a))
-        bb = BackboneNetwork(
-            base=net,
-            threshold=a,
-            edge_index=kept,
-            alpha_at_source=a_src[kept],
-            alpha_at_target=a_dst[kept],
-        )
-        out.append((bb, backbone_stats(bb)))
-    return out
+    return [(bb, backbone_stats(bb)) for bb in _backbones(net, alphas)]
 
 
 def connected_components(
@@ -195,44 +187,28 @@ def connected_components(
     Nodes without edges are skipped unless ``include_isolated`` is set,
     in which case they appear as trailing singletons.
     """
-    parent = list(range(net.n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _ in net.iter_edges():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
+    adjacency = scipy.sparse.coo_matrix(
+        (np.ones(net.n_edges), (net.src, net.dst)), shape=(net.n_nodes, net.n_nodes)
+    )
+    _, labels = csgraph.connected_components(adjacency, connection="weak")
     groups: dict[int, list[int]] = {}
     active = net.k_in + net.k_out > 0
-    for node in range(net.n_nodes):
-        if active[node] or include_isolated:
-            groups.setdefault(find(node), []).append(node)
-    comps = sorted(groups.values(), key=lambda g: (-len(g), g[0]))
-    return comps
+    for node in np.flatnonzero(active | include_isolated):
+        groups.setdefault(labels[node], []).append(int(node))
+    return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
 
 
 def write_backbone_tsv(backbone: BackboneNetwork, stream) -> None:
-    """Tab-separated retained edges with both endpoint scores."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    """Tab-separated retained edges with both endpoint scores.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write("src\tdst\tweight\talpha_at_source\talpha_at_target\n")
         for e in backbone.edges():
             stream.write(
                 f"{e.source}\t{e.target}\t{e.weight!r}\t"
                 f"{e.alpha_at_source!r}\t{e.alpha_at_target!r}\n"
             )
-    finally:
-        if close:
-            stream.close()
 
 
 def write_backbone_graphml(backbone: BackboneNetwork, stream) -> None:
@@ -252,14 +228,10 @@ def write_backbone_graphml(backbone: BackboneNetwork, stream) -> None:
 
 
 def write_stats_csv(stats: list[BackboneStats], stream) -> None:
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    """One ``alpha,pct_flux,pct_nodes,pct_edges`` row per threshold.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write("alpha,pct_flux,pct_nodes,pct_edges\n")
         for s in stats:
             stream.write(f"{s.alpha!r},{s.pct_flux!r},{s.pct_nodes!r},{s.pct_edges!r}\n")
-    finally:
-        if close:
-            stream.close()

@@ -3,7 +3,8 @@
 Each stage reads and writes plain files so runs can be scripted and
 diffed. All outputs are written atomically (temp file + rename) and all
 randomness flows from an explicit --seed, so a repeated invocation is
-byte-identical. Usage errors exit 2, data errors exit 1.
+byte-identical. Usage errors exit 2; data errors and unreadable paths exit 1
+with a one-line message.
 """
 
 from __future__ import annotations
@@ -20,22 +21,19 @@ from . import diffusion as dif
 from . import disparity as disp
 from . import ingest
 from . import network as nw
+from ._io import opened
 from .errors import ConfigurationError, InsufficientDataError, NoConvergenceError
 
 DEFAULT_ALPHAS = (0.2, 0.1, 0.05, 0.01)
 
 
-def _atomic_write(path: str, writer, binary: bool = False) -> None:
-    """Run ``writer(handle)`` into a temp file, then rename over ``path``."""
+def _atomic_write(path: str, writer) -> None:
+    """Run ``writer(temp_path)`` on a temp file, then rename it over ``path``."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    os.close(fd)
     try:
-        if binary:
-            handle = os.fdopen(fd, "wb")
-        else:
-            handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
-        with handle:
-            writer(handle)
+        writer(tmp)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -54,11 +52,6 @@ def _err(message: str) -> None:
     print(f"tradeflux: {message}", file=sys.stderr)
 
 
-def _load_network(path: str) -> nw.ImbalanceNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return nw.read_edge_list(fh)
-
-
 def _safe_token(code: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", code)
 
@@ -73,7 +66,7 @@ def _cmd_build(args) -> int:
     if args.format_map:
         raw = args.format_map
         if not raw.lstrip().startswith("{"):
-            with open(raw, "r", encoding="utf-8") as fh:
+            with opened(raw) as fh:
                 raw = fh.read()
         try:
             columns = ingest.ColumnMap.from_dict(json.loads(raw))
@@ -81,12 +74,7 @@ def _cmd_build(args) -> int:
             _err(f"bad --format-map: {exc}")
             return 2
 
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            parsed = ingest.parse_dyadic_records(fh, columns=columns)
-    except (OSError, ConfigurationError) as exc:
-        _err(str(exc))
-        return 1
+    parsed = ingest.parse_dyadic_records(args.input, columns=columns)
 
     for where, reason in parsed.dropped:
         _err(f"dropped {where}: {reason}")
@@ -109,16 +97,17 @@ def _cmd_build(args) -> int:
     out = _outdir(args)
 
     _atomic_write(
-        os.path.join(out, "network.tsv"), lambda fh: nw.write_edge_list(net, fh)
+        os.path.join(out, "network.tsv"), lambda tmp: nw.write_edge_list(net, tmp)
     )
 
-    def write_accounts(fh):
-        fh.write("country,k_in,k_out,s_in,s_out,delta_s,class\n")
-        for a in accounts:
-            fh.write(
-                f"{a.country},{a.k_in},{a.k_out},{a.s_in!r},{a.s_out!r},"
-                f"{a.delta_s!r},{a.classification}\n"
-            )
+    def write_accounts(path):
+        with opened(path, "w") as fh:
+            fh.write("country,k_in,k_out,s_in,s_out,delta_s,class\n")
+            for a in accounts:
+                fh.write(
+                    f"{a.country},{a.k_in},{a.k_out},{a.s_in!r},{a.s_out!r},"
+                    f"{a.delta_s!r},{a.classification}\n"
+                )
 
     _atomic_write(os.path.join(out, "accounts.csv"), write_accounts)
     _err(
@@ -135,46 +124,26 @@ def _cmd_build(args) -> int:
 
 def _cmd_disparity(args) -> int:
     directions = ("in", "out") if args.direction == "both" else (args.direction,)
-    net = _load_network(args.network)
-    profiles = {}
-    for direction in directions:
-        try:
-            profiles[direction] = disp.disparity_profile(net, direction)
-        except ValueError as exc:
-            _err(str(exc))
-            return 1
+    net = nw.read_edge_list(args.network)
+    profiles = {d: disp.disparity_profile(net, d) for d in directions}
 
     out = _outdir(args)
+    _atomic_write(
+        os.path.join(out, "disparity_profile.csv"),
+        lambda tmp: disp.write_profile_csv(profiles.values(), tmp),
+    )
 
-    def write_profiles(fh):
-        fh.write("direction,k,mean_kY,null_mean,null_p2sigma,n_nodes\n")
-        for direction in directions:
-            for r in profiles[direction].rows:
-                fh.write(
-                    f"{direction},{r.k},{r.mean_ky!r},{r.null_mean!r},"
-                    f"{r.null_p2sigma!r},{r.n_nodes}\n"
-                )
-
-    _atomic_write(os.path.join(out, "disparity_profile.csv"), write_profiles)
-
-    fits = {}
-    for direction in directions:
+    fits = []
+    for direction, profile in profiles.items():
         try:
-            fit = disp.fit_scaling_exponent(profiles[direction], k_min=args.k_min)
+            fit = disp.fit_scaling_exponent(profile, k_min=args.k_min)
         except InsufficientDataError as exc:
             _err(f"{direction}: {exc}")
             return 1
-        fits[direction] = {
-            "beta": fit.beta,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "k_range": list(fit.k_range),
-            "n_points": fit.n_points,
-        }
+        fits.append(fit)
         _err(f"{direction}: beta = {fit.beta:.4f} (r^2 = {fit.r_squared:.4f})")
     _atomic_write(
-        os.path.join(out, "scaling_fit.json"),
-        lambda fh: (json.dump(fits, fh, indent=2), fh.write("\n")),
+        os.path.join(out, "scaling_fit.json"), lambda tmp: disp.write_fit_json(fits, tmp)
     )
     return 0
 
@@ -205,7 +174,7 @@ def _cmd_backbone(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    net = _load_network(args.network)
+    net = nw.read_edge_list(args.network)
     if net.n_edges == 0:
         _err("network has no edges")
         return 1
@@ -215,21 +184,17 @@ def _cmd_backbone(args) -> int:
         tag = f"{backbone.threshold:g}"
         if args.format == "graphml":
             path = os.path.join(out, f"backbone_a{tag}.graphml")
-            _atomic_write(
-                path,
-                lambda fh, b=backbone: bb.write_backbone_graphml(b, fh),
-                binary=True,
-            )
+            _atomic_write(path, lambda tmp, b=backbone: bb.write_backbone_graphml(b, tmp))
         else:
             path = os.path.join(out, f"backbone_a{tag}.tsv")
-            _atomic_write(path, lambda fh, b=backbone: bb.write_backbone_tsv(b, fh))
+            _atomic_write(path, lambda tmp, b=backbone: bb.write_backbone_tsv(b, tmp))
         _err(
             f"alpha {tag}: kept {stats.pct_edges:.1f}% edges, "
             f"{stats.pct_nodes:.1f}% nodes, {stats.pct_flux:.1f}% flux"
         )
     _atomic_write(
         os.path.join(out, "backbone_stats.csv"),
-        lambda fh: bb.write_stats_csv([s for _, s in results], fh),
+        lambda tmp: bb.write_stats_csv([s for _, s in results], tmp),
     )
     return 0
 
@@ -240,7 +205,7 @@ def _cmd_backbone(args) -> int:
 
 
 def _cmd_dollar(args) -> int:
-    net = _load_network(args.network)
+    net = nw.read_edge_list(args.network)
     focal = args.focal
     if focal not in net.index:
         _err(f"unknown country {focal!r}")
@@ -307,12 +272,15 @@ def _cmd_dollar(args) -> int:
     out = _outdir(args)
     name = f"ranking_{_safe_token(focal)}_{args.direction}.csv"
     _atomic_write(
-        os.path.join(out, name), lambda fh: dif.write_ranking_csv(ranking, fh)
+        os.path.join(out, name), lambda tmp: dif.write_ranking_csv(ranking, tmp)
     )
-    _atomic_write(
-        os.path.join(out, "dollar_diagnostics.json"),
-        lambda fh: (json.dump(diagnostics, fh, indent=2), fh.write("\n")),
-    )
+
+    def write_diagnostics(path):
+        with opened(path, "w") as fh:
+            json.dump(diagnostics, fh, indent=2)
+            fh.write("\n")
+
+    _atomic_write(os.path.join(out, "dollar_diagnostics.json"), write_diagnostics)
     for r in ranking:
         mark = "direct" if r.direct else "indirect"
         _err(
@@ -328,14 +296,14 @@ def _cmd_dollar(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    net = _load_network(args.network)
+    net = nw.read_edge_list(args.network)
     out = _outdir(args)
     if args.format == "graphml":
         path = os.path.join(out, "network.graphml")
-        _atomic_write(path, lambda fh: nw.write_graphml(net, fh), binary=True)
+        _atomic_write(path, lambda tmp: nw.write_graphml(net, tmp))
     else:
         path = os.path.join(out, "network.tsv")
-        _atomic_write(path, lambda fh: nw.write_edge_list(net, fh))
+        _atomic_write(path, lambda tmp: nw.write_edge_list(net, tmp))
     _err(f"wrote {path}")
     return 0
 
@@ -419,8 +387,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        _err(f"{exc.filename}: no such file")
+    except OSError as exc:
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        _err(f"{exc.filename}: {reason}" if exc.filename and reason else str(exc))
         return 1
     except ValueError as exc:
         _err(str(exc))

@@ -26,23 +26,17 @@ are always full absorbers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse import csgraph
 
+from ._io import opened
 from .errors import NoConvergenceError
 from .network import ImbalanceNetwork, NodeAccount
 
 DIRECTIONS = ("forward", "backward")
-
-#: Dense linear solves are used up to this many participating nodes.
-DENSE_NODE_LIMIT = 2000
-
-#: Residual tolerance for the iterative solver, relative to the RHS norm.
-ITERATIVE_RTOL = 1e-12
 
 #: Fraction of walkers allowed to hit the step cap before a warning is issued.
 NON_ABSORBED_WARNING = 0.01
@@ -91,8 +85,8 @@ class AbsorptionMatrix:
 
     ``shares[i, j]`` is the probability that a walker launched at
     ``starts[i]`` is absorbed at ``targets[j]``; rows sum to one minus
-    ``non_absorbed[i]``. ``method`` records how the numbers were produced
-    (``monte-carlo``, ``dense``, or ``iterative``).
+    ``non_absorbed[i]``. ``method`` records how the numbers were produced:
+    ``monte-carlo`` or ``dense`` (the exact solve).
     """
 
     direction: str
@@ -221,60 +215,34 @@ def backward_walk_mc(
 
 
 def _reaches(work: ImbalanceNetwork, seed_mask: np.ndarray) -> np.ndarray:
-    """Mask of nodes from which some seed node is reachable."""
-    reach = seed_mask.copy()
-    stack = list(np.flatnonzero(seed_mask))
-    while stack:
-        v = stack.pop()
-        srcs, _ = work.in_edges(v)
-        for u in srcs:
-            if not reach[u]:
-                reach[u] = True
-                stack.append(int(u))
-    return reach
+    """Mask of nodes from which some seed node is reachable.
+
+    A breadth-first search over the reversed edges, started at an extra
+    node with one edge into every seed.
+    """
+    n = work.n_nodes
+    seeds = np.flatnonzero(seed_mask)
+    rows = np.concatenate([work.dst, np.full(seeds.size, n)])
+    cols = np.concatenate([work.src, seeds])
+    reversed_graph = scipy.sparse.csr_matrix(
+        (np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1)
+    )
+    found = csgraph.breadth_first_order(reversed_graph, n, return_predecessors=False)
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[found] = True
+    return reach[:n]
 
 
-def _solve_iterative(A, B: np.ndarray) -> np.ndarray:
-    A = scipy.sparse.csc_matrix(A)
-    F = np.empty_like(B)
-    for t in range(B.shape[1]):
-        b = B[:, t]
-        try:
-            x, info = scipy.sparse.linalg.lgmres(
-                A, b, rtol=ITERATIVE_RTOL, atol=ITERATIVE_RTOL * max(np.linalg.norm(b), 1e-300)
-            )
-        except TypeError:  # scipy < 1.12 spells the kwarg "tol"
-            x, info = scipy.sparse.linalg.lgmres(
-                A, b, tol=ITERATIVE_RTOL, atol=ITERATIVE_RTOL * max(np.linalg.norm(b), 1e-300)
-            )
-        if info != 0:
-            raise NoConvergenceError(
-                f"iterative solve did not converge for absorbing column {t} (info={info})"
-            )
-        residual = np.linalg.norm(A @ x - b)
-        if residual > 1e-9 * max(np.linalg.norm(b), 1.0):
-            raise NoConvergenceError(
-                f"iterative solve left residual {residual:.3e} on column {t}"
-            )
-        F[:, t] = x
-    return F
-
-
-def exact_absorption(
-    net: ImbalanceNetwork, direction: str = "forward", method: str = "auto"
-) -> AbsorptionMatrix:
+def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
     """Absorption shares for every start node by solving the hitting system.
 
     With hop matrix P and per-node absorption vector a, the absorbed-at-t
     probabilities f satisfy f = P (a 1_t + (1 - a) f); the solve inverts
-    ``I - P diag(1 - a)`` restricted to nodes that can reach an absorber.
-    ``method`` is ``dense`` (LAPACK), ``iterative`` (sparse LGMRES per
-    column), or ``auto`` to pick by system size.
+    ``I - P diag(1 - a)`` restricted to nodes that can reach an absorber,
+    by one dense LAPACK solve for all absorbers at once.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     work = net if direction == "forward" else net.reverse()
 
     starts = np.flatnonzero(work.delta_s < 0)
@@ -328,19 +296,12 @@ def exact_absorption(
     hits = sink_pos[ed] >= 0
     np.add.at(B, (pos[es[hits]], sink_pos[ed[hits]]), hop[hits] * absorb_p[ed[hits]])
 
-    if method == "auto":
-        method = "dense" if m <= DENSE_NODE_LIMIT else "iterative"
-    if method == "dense":
-        A = np.eye(m)
-        A[rows, cols] -= vals
-        try:
-            F = np.linalg.solve(A, B)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
-    else:
-        M = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, m))
-        A = scipy.sparse.identity(m, format="csc") - M.tocsc()
-        F = _solve_iterative(A, B)
+    A = np.eye(m)
+    A[rows, cols] -= vals
+    try:
+        F = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
 
     shares = np.clip(F[pos[starts], :], 0.0, 1.0)
     non_absorbed = np.maximum(1.0 - shares.sum(axis=1), 0.0)
@@ -350,7 +311,7 @@ def exact_absorption(
         targets=tuple(work.countries[i] for i in sinks),
         shares=shares,
         non_absorbed=non_absorbed,
-        method=method,
+        method="dense",
         n_walkers=None,
         warnings=warnings,
     )
@@ -473,62 +434,25 @@ def rank_partners(
 
 
 def write_absorption_csv(matrix: AbsorptionMatrix, stream) -> None:
-    """One row per (start, target) cell: ``start,end,share,non_absorbed``."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    """One row per (start, target) cell: ``start,end,share,non_absorbed``.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write("start,end,share,non_absorbed\n")
         for i, start in enumerate(matrix.starts):
             lost = float(matrix.non_absorbed[i])
             for j, target in enumerate(matrix.targets):
                 stream.write(f"{start},{target},{float(matrix.shares[i, j])!r},{lost!r}\n")
-    finally:
-        if close:
-            stream.close()
-
-
-def write_diagnostics_json(matrix: AbsorptionMatrix, stream) -> None:
-    """Run metadata: direction, method, walker count, losses, warnings."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        json.dump(
-            {
-                "direction": matrix.direction,
-                "method": matrix.method,
-                "n_walkers": matrix.n_walkers,
-                "n_starts": len(matrix.starts),
-                "n_targets": len(matrix.targets),
-                "non_absorbed": {
-                    c: float(v) for c, v in zip(matrix.starts, matrix.non_absorbed)
-                },
-                "warnings": list(matrix.warnings),
-            },
-            stream,
-            indent=2,
-        )
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def write_ranking_csv(rows: list[PartnerRank], stream) -> None:
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    """One ``rank,partner,global_share_pct,local_share_pct,direct`` row per partner.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write("rank,partner,global_share_pct,local_share_pct,direct\n")
         for r in rows:
             stream.write(
                 f"{r.rank},{r.partner},{r.global_share_pct!r},"
                 f"{r.local_share_pct!r},{'true' if r.direct else 'false'}\n"
             )
-    finally:
-        if close:
-            stream.close()

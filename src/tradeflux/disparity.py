@@ -16,10 +16,12 @@ exceedance without simulation.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import opened
 from .errors import InsufficientDataError
 from .network import ImbalanceNetwork
 
@@ -244,43 +246,35 @@ def fit_scaling_exponent(profile: DisparityProfile, k_min: int = 2) -> ScalingFi
     )
 
 
-def write_profile_csv(profile: DisparityProfile, stream) -> None:
-    """Write rows as ``direction,k,mean_kY,null_mean,null_p2sigma,n_nodes``."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+def write_profile_csv(profiles: Sequence[DisparityProfile], stream) -> None:
+    """Write one header, then ``direction,k,mean_kY,null_mean,null_p2sigma,n_nodes``
+    rows for each profile in turn.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write("direction,k,mean_kY,null_mean,null_p2sigma,n_nodes\n")
-        for r in profile.rows:
-            stream.write(
-                f"{profile.direction},{r.k},{r.mean_ky!r},{r.null_mean!r},"
-                f"{r.null_p2sigma!r},{r.n_nodes}\n"
-            )
-    finally:
-        if close:
-            stream.close()
+        for profile in profiles:
+            for r in profile.rows:
+                stream.write(
+                    f"{profile.direction},{r.k},{r.mean_ky!r},{r.null_mean!r},"
+                    f"{r.null_p2sigma!r},{r.n_nodes}\n"
+                )
 
 
-def write_fit_json(fit: ScalingFit, stream) -> None:
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        json.dump(
-            {
-                "direction": fit.direction,
-                "beta": fit.beta,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "k_range": list(fit.k_range),
-                "n_points": fit.n_points,
-            },
-            stream,
-            indent=2,
-        )
+def write_fit_json(fits: Sequence[ScalingFit], stream) -> None:
+    """Write a JSON object keyed by each fit's direction, in the order given.
+
+    ``stream`` is a path or an open text file object."""
+    payload = {
+        fit.direction: {
+            "beta": fit.beta,
+            "intercept": fit.intercept,
+            "r_squared": fit.r_squared,
+            "k_range": list(fit.k_range),
+            "n_points": fit.n_points,
+        }
+        for fit in fits
+    }
+    with opened(stream, "w") as stream:
+        json.dump(payload, stream, indent=2)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()

@@ -15,12 +15,12 @@ validation is attempted.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -177,8 +177,8 @@ def _parse_flow(token: str, name: str) -> float | None:
 def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResult:
     """Parse dyadic records from delimited text with a header row.
 
-    ``stream`` is a text file object, a path-like, or a string of file
-    content. The delimiter (comma or tab) is detected from the header row.
+    ``stream`` is a path or an open text file object, never file content.
+    The delimiter (comma or tab) is detected from the header row.
     Malformed rows are collected in ``ParseResult.dropped`` with their line
     numbers, never silently skipped.
 
@@ -186,16 +186,7 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     ``columns`` is absent from the header.
     """
     columns = columns or ColumnMap()
-    close = False
-    if hasattr(stream, "read"):
-        pass
-    elif isinstance(stream, str) and any(ch in stream for ch in "\n,\t"):
-        stream = io.StringIO(stream)
-    else:
-        stream = open(stream, "r", encoding="utf-8", newline="")
-        close = True
-
-    try:
+    with opened(stream) as stream:
         header_line = stream.readline()
         if not header_line:
             return ParseResult()
@@ -238,9 +229,6 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
                 continue
             result.records.append(record)
         return result
-    finally:
-        if close:
-            stream.close()
 
 
 def _resolve(exp_side: float | None, imp_side: float | None, policy: str) -> float:
@@ -374,36 +362,26 @@ def _format_matrix_value(value: float) -> str:
 
 def write_trade_matrix(tm: TradeMatrix, stream) -> None:
     """Write the canonical matrix file: a year header, a country header, and
-    one ``source destination value`` triple per nonzero entry."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    one ``source destination value`` triple per nonzero entry.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write(f"#year {tm.year}\n")
         stream.write("#countries " + " ".join(tm.countries) + "\n")
         rows, cols = np.nonzero(tm.exports)
         for i, j in zip(rows, cols):
             value = _format_matrix_value(tm.exports[i, j])
             stream.write(f"{tm.countries[i]} {tm.countries[j]} {value}\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def read_trade_matrix(stream) -> TradeMatrix:
     """Parse a canonical matrix file written by :func:`write_trade_matrix`.
 
+    ``stream`` is a path or an open text file object, never file content.
     The ``#countries`` header is optional; without it the country set is
     recovered from the triples (isolated countries are then lost).
     """
-    close = False
-    if isinstance(stream, str) and "\n" not in stream:
-        stream = open(stream, "r", encoding="utf-8")
-        close = True
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    try:
+    with opened(stream) as stream:
         year = None
         countries: tuple[str, ...] | None = None
         triples = []
@@ -420,15 +398,12 @@ def read_trade_matrix(stream) -> TradeMatrix:
             else:
                 source, destination, value = line.split()
                 triples.append((source, destination, float(value)))
-        if year is None:
-            raise ValueError("missing '#year' header line")
-        if countries is None:
-            countries = tuple(sorted({c for s, d, _ in triples for c in (s, d)}))
-        index = {code: i for i, code in enumerate(countries)}
-        exports = np.zeros((len(countries), len(countries)))
-        for source, destination, value in triples:
-            exports[index[source], index[destination]] = value
-        return TradeMatrix(year, countries, exports)
-    finally:
-        if close:
-            stream.close()
+    if year is None:
+        raise ValueError("missing '#year' header line")
+    if countries is None:
+        countries = tuple(sorted({c for s, d, _ in triples for c in (s, d)}))
+    index = {code: i for i, code in enumerate(countries)}
+    exports = np.zeros((len(countries), len(countries)))
+    for source, destination, value in triples:
+        exports[index[source], index[destination]] = value
+    return TradeMatrix(year, countries, exports)

@@ -13,12 +13,13 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
-import io
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._io import opened
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -68,10 +69,6 @@ class ImbalanceNetwork:
         self._out_ptr = np.searchsorted(self.src, np.arange(n + 1))
         self._in_order = np.argsort(self.dst, kind="stable")
         self._in_ptr = np.searchsorted(self.dst[self._in_order], np.arange(n + 1))
-        self._pair_weight = {
-            (int(i), int(j)): float(w)
-            for i, j, w in zip(self.src, self.dst, self.weight)
-        }
 
     def _check_invariants(self):
         n = len(self.countries)
@@ -84,17 +81,25 @@ class ImbalanceNetwork:
             raise ValueError("self-loops are not allowed")
         if not np.all(np.isfinite(self.weight)) or np.any(self.weight <= 0):
             raise ValueError("edge weights must be strictly positive and finite")
-        seen = set()
-        for i, j in zip(self.src, self.dst):
-            pair = (int(i), int(j))
-            if pair in seen:
+        # Report the first edge, in canonical order, repeating an earlier
+        # pair or reversing one. Keys sort like canonical order, so repeats
+        # are adjacent and a reversal (j, i) precedes (i, j) exactly when j < i.
+        keys = self.src * n + self.dst
+        duplicate = np.zeros(keys.size, dtype=bool)
+        duplicate[1:] = keys[1:] == keys[:-1]
+        flipped = self.dst * n + self.src
+        at = np.minimum(np.searchsorted(keys, flipped), max(keys.size - 1, 0))
+        reciprocal = (self.dst < self.src) & (keys[at] == flipped)
+        bad = np.flatnonzero(duplicate | reciprocal)
+        if bad.size:
+            e = bad[0]
+            i, j = self.src[e], self.dst[e]
+            if duplicate[e]:
                 raise ValueError(f"duplicate edge {self.countries[i]}->{self.countries[j]}")
-            if (pair[1], pair[0]) in seen:
-                raise ValueError(
-                    f"reciprocal edges for pair {self.countries[i]}/{self.countries[j]}: "
-                    "an imbalance network carries at most one direction per pair"
-                )
-            seen.add(pair)
+            raise ValueError(
+                f"reciprocal edges for pair {self.countries[i]}/{self.countries[j]}: "
+                "an imbalance network carries at most one direction per pair"
+            )
 
     @classmethod
     def from_edges(cls, edges, countries=None) -> "ImbalanceNetwork":
@@ -138,7 +143,9 @@ class ImbalanceNetwork:
 
     def weight_between(self, source: int, target: int) -> float:
         """Edge weight for source->target, or 0.0 when absent."""
-        return self._pair_weight.get((source, target), 0.0)
+        lo, hi = self._out_ptr[source], self._out_ptr[source + 1]
+        e = lo + np.searchsorted(self.dst[lo:hi], target)
+        return float(self.weight[e]) if e < hi and self.dst[e] == target else 0.0
 
     def reverse(self) -> "ImbalanceNetwork":
         """The same network with every edge flipped (weights kept)."""
@@ -258,34 +265,24 @@ def flux_histogram(
 
 
 def write_edge_list(net: ImbalanceNetwork, stream) -> None:
-    """Write the tab-separated edge list ``src dst weight`` with a header."""
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    """Write the tab-separated edge list ``src dst weight`` with a header.
+
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
         stream.write("src\tdst\tweight\n")
         for i, j, w in net.iter_edges():
             stream.write(f"{net.countries[i]}\t{net.countries[j]}\t{w!r}\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def read_edge_list(stream) -> ImbalanceNetwork:
     """Parse an edge-list file (tab- or space-separated, optional header).
 
+    ``stream`` is a path or an open text file object, never file content.
     Node identity is recovered from the edge endpoints; countries isolated
     in the original network are not representable in this format.
     """
-    close = False
-    if isinstance(stream, str) and "\n" not in stream:
-        stream = open(stream, "r", encoding="utf-8")
-        close = True
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    try:
-        edges = []
+    edges = []
+    with opened(stream) as stream:
         for line_no, line in enumerate(stream, start=1):
             parts = line.split()
             if not parts or line.lstrip().startswith("#"):
@@ -299,10 +296,7 @@ def read_edge_list(stream) -> ImbalanceNetwork:
                     continue  # header row
                 raise ValueError(f"line {line_no}: bad weight {parts[2]!r}") from None
             edges.append((parts[0], parts[1], w))
-        return ImbalanceNetwork.from_edges(edges)
-    finally:
-        if close:
-            stream.close()
+    return ImbalanceNetwork.from_edges(edges)
 
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -313,6 +307,7 @@ def write_graphml(
 ) -> None:
     """Write GraphML with edge weights and per-node strength attributes.
 
+    ``stream`` is a path or an open binary file object.
     ``edge_attrs`` maps extra attribute names to per-edge value arrays in
     canonical edge order (used for backbone significance exports).
     """
@@ -367,12 +362,5 @@ def write_graphml(
 
     tree = ET.ElementTree(root)
     ET.indent(tree)
-    close = False
-    if isinstance(stream, str):
-        stream = open(stream, "wb")
-        close = True
-    try:
+    with opened(stream, "wb") as stream:
         tree.write(stream, encoding="utf-8", xml_declaration=True)
-    finally:
-        if close:
-            stream.close()

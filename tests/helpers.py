@@ -84,3 +84,35 @@ def reference_walk(net: ImbalanceNetwork, start: int, n_walkers: int, seed: int)
                 counts[cur] += 1
                 break
     return counts
+
+
+def first_pair_violation(countries, edges) -> str | None:
+    """Message for the first edge, in canonical order, that repeats an
+    earlier pair or reverses one; a plain set-based loop over the edges."""
+    seen = set()
+    for i, j in sorted(edges):
+        if (i, j) in seen:
+            return f"duplicate edge {countries[i]}->{countries[j]}"
+        if (j, i) in seen:
+            return f"reciprocal edges for pair {countries[i]}/{countries[j]}"
+        seen.add((i, j))
+    return None
+
+
+def weak_components(n: int, edges, include_isolated: bool) -> list[list[int]]:
+    """Weakly connected components by repeated flooding, largest first."""
+    neighbours = {v: set() for v in range(n)}
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    unseen = {v for v in range(n) if neighbours[v] or include_isolated}
+    comps = []
+    while unseen:
+        frontier = {min(unseen)}
+        comp = set()
+        while frontier:
+            comp |= frontier
+            frontier = {u for v in frontier for u in neighbours[v]} - comp
+        unseen -= comp
+        comps.append(sorted(comp))
+    return sorted(comps, key=lambda c: (-len(c), c[0]))

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import random_network
+from helpers import random_network, weak_components
 from tradeflux.backbone import (
     backbone_stats,
     backbone_sweep,
@@ -190,3 +190,14 @@ def test_stats_csv_format(net3):
     assert lines[0] == "alpha,pct_flux,pct_nodes,pct_edges"
     assert len(lines) == 3
     assert [float(x) for x in lines[2].split(",")][0] == 0.5
+
+
+def test_connected_components_match_flooding():
+    rng = np.random.default_rng(23)
+    for include_isolated in (False, True):
+        for _ in range(10):
+            net = random_network(rng, n=30, density=0.04)
+            edges = list(zip(net.src.tolist(), net.dst.tolist()))
+            assert connected_components(net, include_isolated) == weak_components(
+                net.n_nodes, edges, include_isolated
+            )

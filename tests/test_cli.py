@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tradeflux
 from helpers import random_network
 from tradeflux.cli import main
 from tradeflux.network import write_edge_list
@@ -215,3 +220,26 @@ def test_export_graphml(net3_file, tmp_path):
 def test_missing_input_file(tmp_path, capsys):
     assert main(["export", str(tmp_path / "nope.tsv"), "-o", str(tmp_path)]) == 1
     assert "no such file" in capsys.readouterr().err
+
+
+def test_directory_arguments_end_in_one_line(tmp_path, capsys):
+    assert main(["disparity", str(tmp_path), "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"tradeflux: {tmp_path}: Is a directory\n"
+    src = tmp_path / "records.csv"
+    src.write_text(TWO_COUNTRY)
+    code = main(["build", str(src), "--year", "2000", "--format-map", str(tmp_path),
+                 "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"tradeflux: {tmp_path}: Is a directory\n"
+
+
+def test_module_entry_point_prints_no_runpy_warning(tmp_path):
+    src_root = Path(tradeflux.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src_root), PYTHONWARNINGS="default")
+    result = subprocess.run(
+        [sys.executable, "-m", "tradeflux.cli", "export", str(tmp_path / "nope.tsv"),
+         "-o", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"tradeflux: {tmp_path / 'nope.tsv'}: no such file\n"

@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from tradeflux.diffusion import (
     imbalance_reconstruction,
     rank_partners,
     write_absorption_csv,
-    write_diagnostics_json,
     write_ranking_csv,
 )
 from tradeflux.network import ImbalanceNetwork, node_accounts, total_flux
@@ -141,15 +139,6 @@ def test_exact_identities_on_random_networks():
             assert value == pytest.approx(-delta[country], rel=1e-9)
 
 
-def test_iterative_solver_matches_dense():
-    rng = np.random.default_rng(31)
-    net = random_network(rng, n=40, density=0.3)
-    dense = exact_absorption(net, "forward", method="dense")
-    iterative = exact_absorption(net, "forward", method="iterative")
-    assert iterative.method == "iterative"
-    np.testing.assert_allclose(iterative.shares, dense.shares, atol=1e-8)
-
-
 def test_exact_requires_both_roles():
     cycle = ImbalanceNetwork.from_edges(
         [("A", "B", 1.0), ("B", "C", 1.0), ("C", "A", 1.0)]
@@ -158,8 +147,6 @@ def test_exact_requires_both_roles():
         exact_absorption(cycle, "forward")
     with pytest.raises(ValueError, match="direction"):
         exact_absorption(cycle, "up")
-    with pytest.raises(ValueError, match="method"):
-        exact_absorption(cycle, "forward", method="magic")
 
 
 def test_unreachable_neutral_cycle_is_excluded(net3):
@@ -251,7 +238,7 @@ def test_rank_partners_validation(net3):
         rank_partners(net3, matrix, "A")
 
 
-def test_absorption_csv_and_diagnostics_json(net3):
+def test_absorption_csv_format(net3):
     matrix = exact_absorption(net3, "forward")
     buf = io.StringIO()
     write_absorption_csv(matrix, buf)
@@ -260,14 +247,6 @@ def test_absorption_csv_and_diagnostics_json(net3):
     cells = {(r[0], r[1]): float(r[2]) for r in (line.split(",") for line in lines[1:])}
     assert cells[("S", "A")] == pytest.approx(1.0 / 3.0)
     assert cells[("S", "B")] == pytest.approx(2.0 / 3.0)
-
-    buf = io.StringIO()
-    write_diagnostics_json(matrix, buf)
-    payload = json.loads(buf.getvalue())
-    assert payload["direction"] == "forward"
-    assert payload["method"] == "dense"
-    assert payload["n_walkers"] is None
-    assert payload["non_absorbed"]["S"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ranking_csv_format(net3):

@@ -188,24 +188,26 @@ def test_fit_needs_three_degree_classes():
 
 
 def test_profile_csv_round_trip_textually(net3):
-    profile = disparity_profile(net3, "in")
+    profiles = [disparity_profile(net3, "in"), disparity_profile(net3, "out")]
     buf = io.StringIO()
-    write_profile_csv(profile, buf)
+    write_profile_csv(profiles, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "direction,k,mean_kY,null_mean,null_p2sigma,n_nodes"
-    assert len(lines) == 1 + len(profile.rows)
+    assert len(lines) == 1 + sum(len(p.rows) for p in profiles)
     direction, k, mean_ky, *_ = lines[1].split(",")
-    assert direction == "in" and int(k) == profile.rows[0].k
-    assert float(mean_ky) == profile.rows[0].mean_ky
+    assert direction == "in" and int(k) == profiles[0].rows[0].k
+    assert float(mean_ky) == profiles[0].rows[0].mean_ky
+    assert lines[-1].split(",")[0] == "out"
 
 
 def test_fit_json_fields():
     fit = fit_scaling_exponent(_synthetic_profile(1.0, range(2, 10)))
     buf = io.StringIO()
-    write_fit_json(fit, buf)
+    write_fit_json([fit], buf)
     payload = json.loads(buf.getvalue())
-    assert payload["beta"] == pytest.approx(1.0)
-    assert payload["k_range"] == [2, 9]
-    assert set(payload) == {
-        "direction", "beta", "intercept", "r_squared", "k_range", "n_points"
+    assert list(payload) == [fit.direction]
+    assert payload[fit.direction]["beta"] == pytest.approx(1.0)
+    assert payload[fit.direction]["k_range"] == [2, 9]
+    assert set(payload[fit.direction]) == {
+        "beta", "intercept", "r_squared", "k_range", "n_points"
     }

@@ -32,9 +32,9 @@ def test_parse_basic_csv():
     assert first == DyadicRecord(2000, "USA", "JPN", 60.5, 110.0)
 
 
-def test_parse_accepts_content_string_and_tabs():
+def test_parse_accepts_tabs():
     tsv = CSV.replace(",", "\t")
-    result = parse_dyadic_records(tsv)
+    result = parse_dyadic_records(io.StringIO(tsv))
     assert len(result.records) == 2
     assert result.records[1].reporter == "JPN"
 
@@ -46,9 +46,19 @@ def test_parse_path_input(tmp_path):
     assert len(result.records) == 2
 
 
+def test_path_with_comma_is_a_path_not_content(tmp_path):
+    # a str argument is always a path, whatever characters it contains
+    path = tmp_path / "x,y.csv"
+    path.write_text(CSV)
+    assert len(parse_dyadic_records(str(path)).records) == 2
+    assert len(parse_dyadic_records(path).records) == 2
+    with pytest.raises(FileNotFoundError):
+        parse_dyadic_records(CSV)
+
+
 def test_parse_case_insensitive_header_fallback():
     text = CSV.replace("year,reporter", "Year,Reporter")
-    result = parse_dyadic_records(text)
+    result = parse_dyadic_records(io.StringIO(text))
     assert len(result.records) == 2
 
 
@@ -58,7 +68,7 @@ def test_parse_custom_column_map():
         {"year": "yr", "reporter": "a", "partner": "b",
          "exports": "flow_ab", "imports": "flow_ba"}
     )
-    result = parse_dyadic_records(text, columns=columns)
+    result = parse_dyadic_records(io.StringIO(text), columns=columns)
     assert result.records == [DyadicRecord(1995, "AA", "BB", 1.0, 2.0)]
 
 
@@ -69,12 +79,12 @@ def test_parse_unknown_map_key_rejected():
 
 def test_parse_missing_column_raises():
     with pytest.raises(ConfigurationError, match="'imports' not found"):
-        parse_dyadic_records("year,reporter,partner,exports\n2000,A,B,1\n")
+        parse_dyadic_records(io.StringIO("year,reporter,partner,exports\n2000,A,B,1\n"))
 
 
 def test_parse_missing_value_tokens_become_none():
     text = "year,reporter,partner,exports,imports\n2000,A,B,NA,\n2000,B,A,3.5,n/a\n"
-    result = parse_dyadic_records(text)
+    result = parse_dyadic_records(io.StringIO(text))
     assert result.records[0].exports is None
     assert result.records[0].imports is None
     assert result.records[1] == DyadicRecord(2000, "B", "A", 3.5, None)
@@ -90,7 +100,7 @@ def test_parse_malformed_rows_dropped_with_line_numbers():
         "noyear,A,E,1,2\n"        # bad year
         "2000,A\n"                # short row
     )
-    result = parse_dyadic_records(text)
+    result = parse_dyadic_records(io.StringIO(text))
     assert len(result.records) == 1
     where = [w for w, _ in result.dropped]
     assert where == ["line 3", "line 4", "line 5", "line 6", "line 7"]
@@ -249,7 +259,8 @@ def test_matrix_file_round_trip_preserves_everything():
     tm = TradeMatrix(1984, ("A", "B", "ISOLATED"), exports)
     buf = io.StringIO()
     write_trade_matrix(tm, buf)
-    back = read_trade_matrix(buf.getvalue())
+    buf.seek(0)
+    back = read_trade_matrix(buf)
     assert back.year == 1984
     assert back.countries == tm.countries
     np.testing.assert_array_equal(back.exports, tm.exports)
@@ -266,11 +277,11 @@ def test_matrix_file_uses_short_decimals_when_exact():
 
 
 def test_matrix_file_without_country_header():
-    back = read_trade_matrix("#year 2000\nB A 2\nA B 5\n")
+    back = read_trade_matrix(io.StringIO("#year 2000\nB A 2\nA B 5\n"))
     assert back.countries == ("A", "B")
     assert back.exports[0, 1] == 5.0
     with pytest.raises(ValueError, match="#year"):
-        read_trade_matrix("A B 5\n")
+        read_trade_matrix(io.StringIO("A B 5\n"))
 
 
 @given(
@@ -288,5 +299,6 @@ def test_matrix_round_trip_is_exact_for_arbitrary_floats(values):
     tm = TradeMatrix(2000, ("A", "B", "C"), exports)
     buf = io.StringIO()
     write_trade_matrix(tm, buf)
-    back = read_trade_matrix(buf.getvalue())
+    buf.seek(0)
+    back = read_trade_matrix(buf)
     np.testing.assert_array_equal(back.exports, tm.exports)

@@ -4,7 +4,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import bruteforce_imbalance_edges, random_network, random_trade_matrix
+from helpers import (
+    bruteforce_imbalance_edges,
+    first_pair_violation,
+    random_network,
+    random_trade_matrix,
+)
 from tradeflux.ingest import TradeMatrix
 from tradeflux.network import (
     ImbalanceNetwork,
@@ -106,6 +111,25 @@ def test_from_edges_validation():
         ImbalanceNetwork(("A", "A"), [], [], [])
 
 
+def test_pair_checks_report_the_same_edge_as_a_loop():
+    rng = np.random.default_rng(17)
+    countries = tuple(f"N{i}" for i in range(6))
+    for _ in range(300):
+        edges = [
+            (int(i), int(j))
+            for i, j in rng.integers(0, 6, size=(rng.integers(1, 12), 2))
+            if i != j
+        ]
+        src, dst = zip(*edges) if edges else ((), ())
+        expected = first_pair_violation(countries, edges)
+        if expected is None:
+            ImbalanceNetwork(countries, src, dst, np.ones(len(edges)))
+            continue
+        with pytest.raises(ValueError) as caught:
+            ImbalanceNetwork(countries, src, dst, np.ones(len(edges)))
+        assert str(caught.value).startswith(expected)
+
+
 def test_isolated_countries_keep_zero_accounts():
     net = ImbalanceNetwork.from_edges([("A", "B", 1.0)], countries=("A", "B", "Z"))
     accounts = {a.country: a for a in node_accounts(net)}
@@ -170,12 +194,12 @@ def test_edge_list_round_trip(net3):
 
 
 def test_edge_list_reader_tolerates_headerless_and_spaces():
-    back = read_edge_list("S A 2.0\nS B 1.0\nA B 1.0\n")
+    back = read_edge_list(io.StringIO("S A 2.0\nS B 1.0\nA B 1.0\n"))
     assert back.n_edges == 3
     with pytest.raises(ValueError, match="expected"):
-        read_edge_list("S A\n")
+        read_edge_list(io.StringIO("S A\n"))
     with pytest.raises(ValueError, match="bad weight"):
-        read_edge_list("src dst weight\nS A x\n")
+        read_edge_list(io.StringIO("src dst weight\nS A x\n"))
 
 
 def test_edge_list_round_trip_exact_weights():
