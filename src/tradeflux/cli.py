@@ -28,12 +28,19 @@ DEFAULT_ALPHAS = (0.2, 0.1, 0.05, 0.01)
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Run ``writer(temp_path)`` on a temp file, then rename it over ``path``."""
+    """Run ``writer(temp_path)`` on a temp file, then rename it over ``path``.
+
+    The temp file is created private; before the rename it gets the mode a
+    plain ``open`` would have given it, ``0o666`` less the umask.
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
     os.close(fd)
     try:
         writer(tmp)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -127,12 +134,7 @@ def _cmd_disparity(args) -> int:
     net = nw.read_edge_list(args.network)
     profiles = {d: disp.disparity_profile(net, d) for d in directions}
 
-    out = _outdir(args)
-    _atomic_write(
-        os.path.join(out, "disparity_profile.csv"),
-        lambda tmp: disp.write_profile_csv(profiles.values(), tmp),
-    )
-
+    # fit every direction before writing anything, so a failed fit leaves no output
     fits = []
     for direction, profile in profiles.items():
         try:
@@ -142,6 +144,12 @@ def _cmd_disparity(args) -> int:
             return 1
         fits.append(fit)
         _err(f"{direction}: beta = {fit.beta:.4f} (r^2 = {fit.r_squared:.4f})")
+
+    out = _outdir(args)
+    _atomic_write(
+        os.path.join(out, "disparity_profile.csv"),
+        lambda tmp: disp.write_profile_csv(profiles.values(), tmp),
+    )
     _atomic_write(
         os.path.join(out, "scaling_fit.json"), lambda tmp: disp.write_fit_json(fits, tmp)
     )

@@ -16,6 +16,13 @@ Monte Carlo estimators and as exact linear solves; the two satisfy a
 detailed-balance identity and each reconstructs the opposite side's
 imbalances, which is what the test suite leans on.
 
+The Monte Carlo walker samples each hop from per-node Walker/Vose alias
+tables (Walker 1977, ACM TOMS 3(3):253; Vose 1991, IEEE TSE 17(9):972),
+built once per walk in O(edges): one uniform draw picks a column of the
+node's row and the edge it leads to, exactly and in O(1) per hop whatever
+the node's degree. Walkers run in lock-step blocks of fixed size, so the
+walker's memory is bounded by the block size, not by the walker count.
+
 Every absorbing system here terminates with probability one: accounts are
 derived from the edge list, so any set of nodes closed under outgoing
 edges has non-negative total imbalance and, once it contains a net
@@ -40,6 +47,9 @@ DIRECTIONS = ("forward", "backward")
 
 #: Fraction of walkers allowed to hit the step cap before a warning is issued.
 NON_ABSORBED_WARNING = 0.01
+
+#: Walkers simulated together in lock-step; bounds the walker's memory.
+_WALKER_BLOCK = 1 << 16
 
 
 def absorption_probability(account: NodeAccount, direction: str) -> float:
@@ -110,49 +120,126 @@ def _absorb_vector(work: ImbalanceNetwork) -> np.ndarray:
     return np.where(work.delta_s > 0, work.delta_s / denom, 0.0)
 
 
-def _hop_table(work: ImbalanceNetwork) -> np.ndarray:
-    """Concatenated per-node cumulative hop shares, offset by node index.
+def _row_cumsum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Running sums of ``values`` that restart wherever the sorted ``rows`` changes.
 
-    Entry e of the table is ``src[e] + cum_share`` where cum_share runs up
-    a node's outgoing edges in canonical order and is clamped to exactly
-    1.0 at the last edge. A walker at node v with uniform draw u lands on
-    edge ``searchsorted(table, v + u, side="right")``: one vectorised
-    lookup replaces per-node distributions.
+    Each row's total is taken off at the next row's first entry, so the
+    running sum never grows past one row's total and rounding stays about
+    as small as in a separate cumsum per row.
     """
-    shares = work.weight / work.s_out[work.src]
-    cum = np.cumsum(shares)
-    ptr = work._out_ptr
-    before_row = np.concatenate([[0.0], cum])[ptr[work.src]]
-    row_cum = cum - before_row
-    last = ptr[1:] - 1
-    row_cum[last[ptr[1:] > ptr[:-1]]] = 1.0
-    return work.src + row_cum
+    if values.size == 0:
+        return values.copy()
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    shifted = values.copy()
+    shifted[first[1:]] -= np.add.reduceat(values, first)[:-1]
+    run = np.cumsum(shifted)
+    carried = run[first] - values[first]
+    return run - np.repeat(carried, np.diff(np.r_[first, values.size]))
+
+
+def _alias_tables(work: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias tables of every node's hop distribution, in CSR edge order.
+
+    Edge e of node v owns column ``e - ptr[v]`` of v's row: a walker that
+    picks that column uniformly takes e with probability ``prob[e]`` and
+    edge ``alias[e]``, always in the same row, otherwise. With k = k_out[v]
+    and scaled shares q = k w / s_out, the columns reproduce the shares
+    exactly: ``(prob[e] + sum over alias[f] == e of (1 - prob[f])) / k ==
+    w[e] / s_out[v]``.
+
+    The tables are those of the sweep construction (Hübschle-Schneider and
+    Sanders, "Parallel Weighted Random Sampling", ESA 2019), computed for
+    all rows at once. Within a row, light edges (q < 1) lay their deficits
+    1 - q end to end and heavy edges lay their excesses q - 1 end to end. A light edge borrows from the first
+    heavy edge whose cumulative excess ends past where its own deficit
+    starts. A heavy edge keeps whatever its excess did not lend to the
+    lights before that point and hands the rest of its column to the
+    next heavy edge; the row's last heavy edge keeps its whole column.
+    """
+    src = work.src
+    q = work.weight * work.k_out[src] / work.s_out[src]
+    light = np.flatnonzero(q < 1.0)
+    heavy = np.flatnonzero(q >= 1.0)
+    deficit = 1.0 - q[light]
+    deficit_end = _row_cumsum(deficit, src[light])
+    excess_end = _row_cumsum(q[heavy] - 1.0, src[heavy])
+
+    # Merge light deficit starts with heavy excess ends, row by row; on a
+    # tie the heavy end comes first, so it does not count as lying past.
+    is_light = np.repeat([False, True], [heavy.size, light.size])
+    order = np.lexsort((
+        is_light,
+        np.concatenate([excess_end, deficit_end - deficit]),
+        src[np.concatenate([heavy, light])],
+    ))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    lights_before = (np.cumsum(is_light[order]) - is_light[order])[rank]
+    heavies_before = rank - lights_before
+
+    n_heavy = np.bincount(src[heavy], minlength=work.n_nodes)
+    heavy_stop = np.cumsum(n_heavy)
+    n_light = np.bincount(src[light], minlength=work.n_nodes)
+    light_start = np.cumsum(n_light) - n_light
+
+    prob = np.ones(work.n_edges)
+    alias = np.arange(work.n_edges)
+
+    # Rounding can leave a light edge past its row's last heavy edge, or a
+    # row of lights only; those go to the last heavy edge, or keep their column.
+    lender = np.minimum(heavies_before[heavy.size:], heavy_stop[src[light]] - 1)
+    lends = n_heavy[src[light]] > 0
+    prob[light[lends]] = q[light[lends]]
+    alias[light[lends]] = heavy[lender[lends]]
+
+    following = np.flatnonzero(np.arange(1, heavy.size + 1) < heavy_stop[src[heavy]])
+    row = src[heavy[following]]
+    seen = lights_before[following]
+    lent = np.where(seen > light_start[row], np.r_[0.0, deficit_end][seen], 0.0)
+    prob[heavy[following]] = np.minimum(1.0, 1.0 + excess_end[following] - lent)
+    alias[heavy[following]] = heavy[following + 1]
+    return prob, alias
 
 
 def _mc_run(
     work: ImbalanceNetwork, start: int, config: WalkConfig
 ) -> tuple[np.ndarray, float]:
-    """Lock-step walker ensemble; returns absorption counts and loss rate."""
+    """Absorption counts per node and the fraction of walkers never absorbed.
+
+    Walkers move in lock-step blocks of at most ``_WALKER_BLOCK``; a block
+    keeps only its live walkers' positions and adds its absorptions to one
+    count per node, so memory does not grow with ``n_walkers``. A hop is
+    one alias-table draw: ``x = u * k_out[v]`` picks column ``floor(x)`` of
+    v's row, and the fraction ``x - floor(x)`` decides between the
+    column's own edge and its alias. That is one uniform draw and one
+    comparison per hop, O(1) whatever the degree, and for every u in
+    [0, 1) the column lies inside v's own row. Blocks draw from one
+    generator in turn, so a seed fixes the whole result.
+    """
     rng = np.random.default_rng(config.seed)
-    table = _hop_table(work)
+    prob, alias = _alias_tables(work)
+    # where a column leads: its alias's target at 2e, its own edge's at 2e + 1
+    dest = np.stack([work.dst[alias], work.dst], axis=1).ravel()
+    row_start = work._out_ptr[:-1]
+    k_out = work.k_out.astype(float)
     absorb_p = _absorb_vector(work)
 
-    cur = np.full(config.n_walkers, start, dtype=np.int64)
-    alive = np.arange(config.n_walkers)
-    absorbed_at = np.full(config.n_walkers, -1, dtype=np.int64)
-
-    for _ in range(config.max_steps):
-        if alive.size == 0:
-            break
-        jump = np.searchsorted(table, cur[alive] + rng.random(alive.size), side="right")
-        landed = work.dst[jump]
-        cur[alive] = landed
-        hit = rng.random(alive.size) < absorb_p[landed]
-        absorbed_at[alive[hit]] = landed[hit]
-        alive = alive[~hit]
-
-    counts = np.bincount(absorbed_at[absorbed_at >= 0], minlength=work.n_nodes)
-    return counts, alive.size / config.n_walkers
+    counts = np.zeros(work.n_nodes, dtype=np.int64)
+    lost = 0
+    for first in range(0, config.n_walkers, _WALKER_BLOCK):
+        at = np.full(min(_WALKER_BLOCK, config.n_walkers - first), start)
+        for _ in range(config.max_steps):
+            if at.size == 0:
+                break
+            x = rng.random(at.size) * k_out[at]
+            column = x.astype(np.int64)
+            e = row_start[at] + column
+            landed = dest[2 * e + (x - column < prob[e])]
+            hit = rng.random(at.size) < absorb_p[landed]
+            counts += np.bincount(np.compress(hit, landed), minlength=work.n_nodes)
+            at = np.compress(~hit, landed)
+        lost += at.size
+    return counts, lost / config.n_walkers
 
 
 def _mc_matrix(

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -40,6 +41,20 @@ def test_build_two_country_sample(tmp_path, capsys):
     assert accounts[1].startswith("C1,1,0,2.0,0.0,2.0,sink")
     assert accounts[2].startswith("C2,0,1,0.0,2.0,-2.0,source")
     assert "0 conflicts" in capsys.readouterr().err
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    src = tmp_path / "records.csv"
+    src.write_text(TWO_COUNTRY)
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
+        assert main(["export", str(out / "network.tsv"), "-o", str(out / "export")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("network.tsv", "accounts.csv", "export/network.graphml"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644, name
 
 
 def test_build_empty_file_fails(tmp_path, capsys):
@@ -123,6 +138,12 @@ def test_disparity_outputs(tmp_path):
 def test_disparity_insufficient_degrees_fails(net3_file, tmp_path, capsys):
     assert main(["disparity", net3_file, "-o", str(tmp_path)]) == 1
     assert "at least 3 degree classes" in capsys.readouterr().err
+
+
+def test_disparity_failed_fit_writes_no_profile(net3_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["disparity", net3_file, "-o", str(out)]) == 1
+    assert not (out / "disparity_profile.csv").exists()
 
 
 def test_backbone_default_ladder(net3_file, tmp_path):

@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_network, reference_walk
 from tradeflux.diffusion import (
+    _alias_tables,
     AbsorptionMatrix,
     WalkConfig,
     absorption_probability,
@@ -169,6 +172,51 @@ def test_step_cap_reports_non_absorbed(net3):
     assert result.non_absorbed[0] == pytest.approx(1.0 / 3.0, abs=0.02)
     assert result.shares[0].sum() + result.non_absorbed[0] == pytest.approx(1.0)
     assert any("not absorbed" in w for w in result.warnings)
+
+
+class _ConstantRng:
+    """Generator stand-in whose every uniform draw is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("draw", [np.nextafter(1.0, 0.0), 0.0], ids=["top", "zero"])
+def test_mc_extreme_draws_stay_in_bounds(net3, monkeypatch, draw):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ConstantRng(draw))
+    config = WalkConfig(n_walkers=8, max_steps=4)
+    for result in (forward_walk_mc(net3, "S", config), backward_walk_mc(net3, "B", config)):
+        assert result.shares.sum() + result.non_absorbed[0] == pytest.approx(1.0)
+
+
+_alias_rows = st.one_of(
+    st.tuples(st.integers(1, 300), st.floats(1e-12, 1e12)).map(lambda kw: [kw[1]] * kw[0]),
+    st.floats(1e-12, 1e12).map(lambda w: [w]),
+    st.lists(st.floats(-12.0, 12.0).map(lambda x: 10.0**x), min_size=1, max_size=300),
+    # a few ulps apart: rounding can leave a light edge past the last heavy one
+    st.lists(st.integers(-4, 4), min_size=2, max_size=300).map(
+        lambda ns: [1.0 + n * 2.0**-52 for n in ns]
+    ),
+)
+
+
+@given(rows=st.lists(_alias_rows, min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_alias_tables_reproduce_hop_shares(rows):
+    # one source node per row, all pointing at a shared pool of targets
+    net = ImbalanceNetwork.from_edges(
+        [(f"R{r}", f"T{j:03d}", w) for r, row in enumerate(rows) for j, w in enumerate(row)]
+    )
+    prob, alias = _alias_tables(net)
+    ptr = net._out_ptr
+    assert np.all((ptr[net.src] <= alias) & (alias < ptr[net.src + 1]))
+    implied = prob + np.bincount(alias, weights=1.0 - prob, minlength=net.n_edges)
+    np.testing.assert_allclose(
+        implied / net.k_out[net.src], net.weight / net.s_out[net.src], rtol=0, atol=1e-12
+    )
 
 
 def test_every_source_agrees_with_exact_small():

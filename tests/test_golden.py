@@ -4,7 +4,9 @@ Every subcommand runs in-process through ``tradeflux.cli.main`` on the same
 40-country record file, and each output file is compared by sha256 against
 hashes recorded from a known-good run. The exact absorbing solve goes
 through LAPACK, whose rounding may differ between builds, so its outputs
-are compared numerically at 1e-12 instead of by hash.
+are compared numerically at 1e-12 instead of by hash. The two Monte Carlo
+rankings are also checked against that exact solve, which holds whatever
+random stream the walker draws.
 """
 
 import hashlib
@@ -14,11 +16,14 @@ import numpy as np
 import pytest
 
 from tradeflux.cli import main
+from tradeflux.diffusion import exact_absorption
+from tradeflux.network import read_edge_list
 
 N_COUNTRIES = 40
 DENSITY = 0.5
 FOCAL_CONSUMER = "C23"
 FOCAL_PRODUCER = "C26"
+MC_WALKERS = 5000
 
 GOLDEN = {
     "backbone_graphml/backbone_a0.05.graphml":
@@ -48,11 +53,11 @@ GOLDEN = {
     "dollar_backward/dollar_diagnostics.json":
         "7c80271aec704d64f7eacb307e32038f4105470d2e63199f390a4190997fcadb",
     "dollar_backward/ranking_C26_backward.csv":
-        "7a60f089c1da623edc3de50abebd0425fa7d61ca086cc814994185184ebb98bc",
+        "a7af84d9e7f2f0b81ff738e648454fba43556ea18a3851e28e579ce33f011fee",
     "dollar_forward/dollar_diagnostics.json":
         "cfddd07a9435932289d72d64e4dae6c31dd89ebf80f82851e8ef90e4a2789953",
     "dollar_forward/ranking_C23_forward.csv":
-        "67ddbb191527bf0cfa205e9b55204ecc16f40558464c4378666f585a626b5f90",
+        "1ca02727c7085c85c448df9a931192019ea5e91d5b1842ffdb7e10b33890881d",
     "export_graphml/network.graphml":
         "726531b28ef3d077664c063a53f824fd5c50caea734e56a959966808a1f047a7",
     "export_tsv/network.tsv":
@@ -114,9 +119,9 @@ def pipeline(tmp_path_factory):
         "backbone_graphml": ["backbone", network, "--alpha", "0.3,0.05",
                              "--format", "graphml"],
         "dollar_forward": ["dollar", network, "--from", FOCAL_CONSUMER,
-                           "--walkers", "5000", "--seed", "3"],
+                           "--walkers", str(MC_WALKERS), "--seed", "3"],
         "dollar_backward": ["dollar", network, "--from", FOCAL_PRODUCER,
-                            "--direction", "backward", "--walkers", "5000",
+                            "--direction", "backward", "--walkers", str(MC_WALKERS),
                             "--seed", "4"],
         "dollar_exact": ["dollar", network, "--from", FOCAL_CONSUMER, "--exact",
                          "--top", "8"],
@@ -164,3 +169,19 @@ def test_exact_dollar_outputs_match_recorded_values(pipeline):
     for key in ("detailed_balance_rel_flux", "reconstruction_rel_err_forward",
                 "reconstruction_rel_err_backward"):
         assert 0.0 <= diag[key] < 1e-12, key
+
+
+@pytest.mark.parametrize("step, focal, direction", [
+    ("dollar_forward", FOCAL_CONSUMER, "forward"),
+    ("dollar_backward", FOCAL_PRODUCER, "backward"),
+])
+def test_mc_rankings_agree_with_exact(pipeline, step, focal, direction):
+    exact = exact_absorption(read_edge_list(pipeline / "build" / "network.tsv"), direction)
+    p_exact = dict(zip(exact.targets, exact.shares[exact.starts.index(focal)]))
+    lines = (pipeline / step / f"ranking_{focal}_{direction}.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows
+    p = np.array([p_exact[row[1]] for row in rows])
+    share = np.array([float(row[2]) / 100.0 for row in rows])
+    se = np.sqrt(p * (1 - p) / MC_WALKERS)
+    assert (np.abs(share - p) > 3 * se).sum() <= 1
