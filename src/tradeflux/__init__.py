@@ -11,9 +11,13 @@ The pipeline runs in four stages, one submodule each:
 The per-node concentration statistic itself lives at
 ``tradeflux.disparity.disparity`` (not re-exported here, to keep the
 submodule importable under its own name).
+
+``diffusion`` and the names re-exported from it are imported on first
+access: it is the only submodule that needs scipy at import time, and of
+the CLI steps only ``dollar`` uses it.
 """
 
-from . import backbone, diffusion, disparity, ingest, network
+from . import backbone, disparity, ingest, network
 from .backbone import (
     BackboneNetwork,
     BackboneStats,
@@ -22,17 +26,6 @@ from .backbone import (
     connected_components,
     edge_significance_value,
     extract_backbone,
-)
-from .diffusion import (
-    AbsorptionMatrix,
-    WalkConfig,
-    absorption_probability,
-    backward_walk_mc,
-    detailed_balance_check,
-    exact_absorption,
-    forward_walk_mc,
-    imbalance_reconstruction,
-    rank_partners,
 )
 from .disparity import (
     DisparityPoint,
@@ -71,3 +64,38 @@ from .network import (
 )
 
 __version__ = "0.1.0"
+
+_DIFFUSION_NAMES = frozenset({
+    "AbsorptionMatrix",
+    "WalkConfig",
+    "absorption_probability",
+    "backward_walk_mc",
+    "detailed_balance_check",
+    "exact_absorption",
+    "forward_walk_mc",
+    "imbalance_reconstruction",
+    "rank_partners",
+})
+
+# star imports also fetch the lazy names, through __getattr__
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")}
+    | _DIFFUSION_NAMES
+    | {"diffusion"}
+)
+
+
+def __getattr__(name):
+    """Import ``diffusion`` when it or a name it exports is first used (PEP 562)."""
+    if name != "diffusion" and name not in _DIFFUSION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    diffusion = importlib.import_module(".diffusion", __name__)
+    value = diffusion if name == "diffusion" else getattr(diffusion, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

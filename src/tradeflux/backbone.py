@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import csgraph
 
 from ._io import opened
 from .network import ImbalanceNetwork, write_graphml
@@ -187,6 +185,10 @@ def connected_components(
     Nodes without edges are skipped unless ``include_isolated`` is set,
     in which case they appear as trailing singletons.
     """
+    # imported here so that importing the package does not load scipy
+    import scipy.sparse
+    from scipy.sparse import csgraph
+
     adjacency = scipy.sparse.coo_matrix(
         (np.ones(net.n_edges), (net.src, net.dst)), shape=(net.n_nodes, net.n_nodes)
     )
@@ -204,11 +206,17 @@ def write_backbone_tsv(backbone: BackboneNetwork, stream) -> None:
     ``stream`` is a path or an open text file object."""
     with opened(stream, "w") as stream:
         stream.write("src\tdst\tweight\talpha_at_source\talpha_at_target\n")
-        for e in backbone.edges():
-            stream.write(
-                f"{e.source}\t{e.target}\t{e.weight!r}\t"
-                f"{e.alpha_at_source!r}\t{e.alpha_at_target!r}\n"
-            )
+        base, kept = backbone.base, backbone.edge_index
+        codes = base.countries
+        rows = zip(
+            base.src[kept].tolist(),
+            base.dst[kept].tolist(),
+            base.weight[kept].tolist(),
+            backbone.alpha_at_source.tolist(),
+            backbone.alpha_at_target.tolist(),
+        )
+        for i, j, w, a_s, a_t in rows:
+            stream.write(f"{codes[i]}\t{codes[j]}\t{w!r}\t{a_s!r}\t{a_t!r}\n")
 
 
 def write_backbone_graphml(backbone: BackboneNetwork, stream) -> None:

@@ -17,7 +17,6 @@ import sys
 import tempfile
 
 from . import backbone as bb
-from . import diffusion as dif
 from . import disparity as disp
 from . import ingest
 from . import network as nw
@@ -213,6 +212,15 @@ def _cmd_backbone(args) -> int:
 
 
 def _cmd_dollar(args) -> int:
+    for flag, value in (
+        ("--top", args.top), ("--walkers", args.walkers), ("--max-steps", args.max_steps)
+    ):
+        if value < 1:
+            _err(f"{flag} must be >= 1, got {value}")
+            return 2
+    # the one step that walks or solves, so the only one that loads scipy
+    from . import diffusion as dif
+
     net = nw.read_edge_list(args.network)
     focal = args.focal
     if focal not in net.index:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,9 @@ CONFLICT_TOLERANCE = 1e-6
 MISSING_TOKENS = frozenset({"", ".", "na", "n/a", "nan", "none", "null"})
 
 RECONCILE_POLICIES = ("average", "prefer-importer", "prefer-exporter", "max")
+
+# matches exactly the characters for which str.isspace() is true
+_has_space = re.compile(r"\s").search
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class DyadicRecord:
     def __post_init__(self):
         if not self.reporter or not self.partner:
             raise ValueError("country codes must be non-empty")
-        if any(ch.isspace() for ch in self.reporter + self.partner):
+        if _has_space(self.reporter) or _has_space(self.partner):
             raise ValueError("country codes must be whitespace-free tokens")
         if self.reporter == self.partner:
             raise ValueError(f"self-trade record for {self.reporter!r}")
@@ -231,26 +235,6 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
         return result
 
 
-def _resolve(exp_side: float | None, imp_side: float | None, policy: str) -> float:
-    if exp_side is None and imp_side is None:
-        return 0.0
-    if exp_side is None:
-        return imp_side
-    if imp_side is None:
-        return exp_side
-    if policy == "average":
-        return 0.5 * (exp_side + imp_side)
-    if policy == "prefer-importer":
-        return imp_side
-    if policy == "prefer-exporter":
-        return exp_side
-    if policy == "max":
-        return max(exp_side, imp_side)
-    raise ConfigurationError(
-        f"unknown reconcile policy {policy!r}; expected one of {RECONCILE_POLICIES}"
-    )
-
-
 def reconcile_flows(
     records: list[DyadicRecord], year: int, policy: str = "average"
 ) -> tuple[TradeMatrix, ValidationReport]:
@@ -261,57 +245,69 @@ def reconcile_flows(
     ``prefer-importer``, ``prefer-exporter``, ``max``); a single claim is
     taken as-is and no claim at all means zero flow. Claims disagreeing by
     more than ``CONFLICT_TOLERANCE`` relative are counted as conflicts.
+    Only the first report of each (reporter, partner) pair is used; later
+    ones are listed in the report's ``dropped``.
     """
     if policy not in RECONCILE_POLICIES:
         raise ConfigurationError(
             f"unknown reconcile policy {policy!r}; expected one of {RECONCILE_POLICIES}"
         )
+    first: dict[tuple[str, str], DyadicRecord] = {}
+    dropped: list[tuple[str, str]] = []
     for record in records:
         if record.year != year:
             raise ValueError(
                 f"record for year {record.year} passed to reconcile_flows({year})"
             )
-
-    dropped: list[tuple[str, str]] = []
-    by_pair: dict[tuple[str, str], DyadicRecord] = {}
-    for record in records:
-        key = (record.reporter, record.partner)
-        if key in by_pair:
+        if first.setdefault((record.reporter, record.partner), record) is not record:
             dropped.append(
                 (f"{record.reporter}->{record.partner}", "duplicate report for pair")
             )
-            continue
-        by_pair[key] = record
 
-    countries = tuple(sorted({c for pair in by_pair for c in pair}))
+    countries = tuple(sorted({c for pair in first for c in pair}))
     index = {code: i for i, code in enumerate(countries)}
-    exports = np.zeros((len(countries), len(countries)))
+    n = len(countries)
+    kept = first.values()
+    reporter = np.fromiter((index[r.reporter] for r in kept), np.int64, len(kept))
+    partner = np.fromiter((index[r.partner] for r in kept), np.int64, len(kept))
+    # a missing side becomes NaN; present values are finite by construction
+    stated_exports = np.array([r.exports for r in kept], dtype=float)
+    stated_imports = np.array([r.imports for r in kept], dtype=float)
 
-    # Claims about the flow a->b: exporter side from a's record, importer
-    # side from b's record.
-    claims: dict[tuple[str, str], list[float | None]] = {}
-    for (reporter, partner), record in by_pair.items():
-        if record.exports is not None:
-            claims.setdefault((reporter, partner), [None, None])[0] = record.exports
-        if record.imports is not None:
-            claims.setdefault((partner, reporter), [None, None])[1] = record.imports
+    # Claims about the flow a->b, as flat matrix positions: the exporter
+    # side from a's record, the importer side from b's record.
+    has_exp = ~np.isnan(stated_exports)
+    has_imp = ~np.isnan(stated_imports)
+    exp_at = (reporter * n + partner)[has_exp]
+    imp_at = (partner * n + reporter)[has_imp]
+    exp_side = stated_exports[has_exp]
+    imp_side = stated_imports[has_imp]
+    _, in_exp, in_imp = np.intersect1d(
+        exp_at, imp_at, assume_unique=True, return_indices=True
+    )
+    both_exp, both_imp = exp_side[in_exp], imp_side[in_imp]
+    if policy == "average":
+        resolved = 0.5 * (both_exp + both_imp)
+    elif policy == "prefer-importer":
+        resolved = both_imp
+    elif policy == "prefer-exporter":
+        resolved = both_exp
+    else:  # max, keeping the exporter side on ties as max() does
+        resolved = np.where(both_imp > both_exp, both_imp, both_exp)
 
-    n_conflicts = 0
-    max_rel = 0.0
-    for (source, destination), (exp_side, imp_side) in claims.items():
-        value = _resolve(exp_side, imp_side, policy)
-        exports[index[source], index[destination]] = value
-        if exp_side is not None and imp_side is not None:
-            denom = max(abs(exp_side), abs(imp_side))
-            rel = abs(exp_side - imp_side) / denom if denom > 0 else 0.0
-            max_rel = max(max_rel, rel)
-            if rel > CONFLICT_TOLERANCE:
-                n_conflicts += 1
+    exports = np.zeros((n, n))
+    exports.flat[exp_at] = exp_side
+    exports.flat[imp_at] = imp_side
+    exports.flat[exp_at[in_exp]] = resolved
 
+    denom = np.maximum(np.abs(both_exp), np.abs(both_imp))
+    rel = np.divide(
+        np.abs(both_exp - both_imp), denom, out=np.zeros_like(denom), where=denom > 0
+    )
     report = ValidationReport(
         n_records=len(records),
-        n_conflicts=n_conflicts,
-        max_relative_conflict=max_rel,
+        n_conflicts=int(np.count_nonzero(rel > CONFLICT_TOLERANCE)),
+        max_relative_conflict=float(rel.max(initial=0.0)),
         dropped=tuple(dropped),
     )
     return TradeMatrix(year, countries, exports), report

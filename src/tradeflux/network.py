@@ -13,8 +13,9 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
-import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,8 +271,9 @@ def write_edge_list(net: ImbalanceNetwork, stream) -> None:
     ``stream`` is a path or an open text file object."""
     with opened(stream, "w") as stream:
         stream.write("src\tdst\tweight\n")
-        for i, j, w in net.iter_edges():
-            stream.write(f"{net.countries[i]}\t{net.countries[j]}\t{w!r}\n")
+        codes = net.countries
+        for i, j, w in zip(net.src.tolist(), net.dst.tolist(), net.weight.tolist()):
+            stream.write(f"{codes[i]}\t{codes[j]}\t{w!r}\n")
 
 
 def read_edge_list(stream) -> ImbalanceNetwork:
@@ -301,6 +303,60 @@ def read_edge_list(stream) -> ImbalanceNetwork:
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
+#: Pieces of GraphML text joined, encoded and written at a time.
+_GRAPHML_CHUNK = 1 << 14
+
+
+def _xml_attr(text: str) -> str:
+    """Escape an attribute value the way ``xml.etree.ElementTree`` does."""
+    for raw, escaped in (
+        ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+        ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
+    ):
+        text = text.replace(raw, escaped)
+    return text
+
+
+def _graphml_pieces(net: ImbalanceNetwork, edge_attrs: dict) -> Iterator[str]:
+    """The GraphML document as consecutive pieces of text."""
+    keys = {}
+    yield f"<?xml version='1.0' encoding='utf-8'?>\n<graphml xmlns=\"{_GRAPHML_NS}\">\n"
+    for kind, names in (
+        ("node", ("s_in", "s_out", "delta_s")),
+        ("edge", ("weight", *edge_attrs)),
+    ):
+        for name in names:
+            keys[name] = _xml_attr(f"{kind[0]}_{name}")
+            yield (
+                f'  <key for="{kind}" attr.name="{_xml_attr(name)}" '
+                f'attr.type="double" id="{keys[name]}" />\n'
+            )
+    codes = [_xml_attr(code) for code in net.countries]
+    if not codes:
+        yield '  <graph id="G" edgedefault="directed" />\n</graphml>'
+        return
+    yield '  <graph id="G" edgedefault="directed">\n'
+    # an edgeless network has integer strengths; written as floats all the same
+    strengths = (a.astype(float).tolist() for a in (net.s_in, net.s_out, net.delta_s))
+    for code, s_in, s_out, delta_s in zip(codes, *strengths):
+        yield (
+            f'    <node id="{code}">\n'
+            f'      <data key="{keys["s_in"]}">{s_in!r}</data>\n'
+            f'      <data key="{keys["s_out"]}">{s_out!r}</data>\n'
+            f'      <data key="{keys["delta_s"]}">{delta_s!r}</data>\n'
+            "    </node>\n"
+        )
+    data = [
+        (f'      <data key="{keys[name]}">', np.asarray(values, dtype=float).tolist())
+        for name, values in (("weight", net.weight), *edge_attrs.items())
+    ]
+    for e, (i, j) in enumerate(zip(net.src.tolist(), net.dst.tolist())):
+        yield f'    <edge source="{codes[i]}" target="{codes[j]}">\n'
+        for opener, column in data:
+            yield f"{opener}{column[e]!r}</data>\n"
+        yield "    </edge>\n"
+    yield "  </graph>\n</graphml>"
+
 
 def write_graphml(
     net: ImbalanceNetwork, stream, edge_attrs: dict[str, np.ndarray] | None = None
@@ -310,57 +366,11 @@ def write_graphml(
     ``stream`` is a path or an open binary file object.
     ``edge_attrs`` maps extra attribute names to per-edge value arrays in
     canonical edge order (used for backbone significance exports).
+
+    The document is streamed out in chunks, byte for byte as an indented
+    ``xml.etree.ElementTree`` serialisation would write it.
     """
-    ET.register_namespace("", _GRAPHML_NS)
-    root = ET.Element(f"{{{_GRAPHML_NS}}}graphml")
-    node_attrs = ("s_in", "s_out", "delta_s")
-    keys = {}
-    for name in node_attrs:
-        key_id = f"n_{name}"
-        ET.SubElement(
-            root,
-            f"{{{_GRAPHML_NS}}}key",
-            id=key_id,
-            attrib={"for": "node", "attr.name": name, "attr.type": "double"},
-        )
-        keys[name] = key_id
-    edge_names = ("weight",) + tuple(edge_attrs or ())
-    for name in edge_names:
-        key_id = f"e_{name}"
-        ET.SubElement(
-            root,
-            f"{{{_GRAPHML_NS}}}key",
-            id=key_id,
-            attrib={"for": "edge", "attr.name": name, "attr.type": "double"},
-        )
-        keys[name] = key_id
-
-    graph = ET.SubElement(
-        root, f"{{{_GRAPHML_NS}}}graph", id="G", edgedefault="directed"
-    )
-    for i, code in enumerate(net.countries):
-        node = ET.SubElement(graph, f"{{{_GRAPHML_NS}}}node", id=code)
-        for name, values in (
-            ("s_in", net.s_in),
-            ("s_out", net.s_out),
-            ("delta_s", net.delta_s),
-        ):
-            data = ET.SubElement(node, f"{{{_GRAPHML_NS}}}data", key=keys[name])
-            data.text = repr(float(values[i]))
-    for e, (i, j, w) in enumerate(net.iter_edges()):
-        edge = ET.SubElement(
-            graph,
-            f"{{{_GRAPHML_NS}}}edge",
-            source=net.countries[i],
-            target=net.countries[j],
-        )
-        data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=keys["weight"])
-        data.text = repr(w)
-        for name, values in (edge_attrs or {}).items():
-            data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=keys[name])
-            data.text = repr(float(values[e]))
-
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
+    pieces = _graphml_pieces(net, edge_attrs or {})
     with opened(stream, "wb") as stream:
-        tree.write(stream, encoding="utf-8", xml_declaration=True)
+        while chunk := "".join(itertools.islice(pieces, _GRAPHML_CHUNK)):
+            stream.write(chunk.encode("utf-8", "xmlcharrefreplace"))

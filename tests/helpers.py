@@ -2,14 +2,19 @@
 
 Oracles here deliberately avoid the library's own code paths: the edge
 builder is checked against a quadratic double loop, the significance
-closed form against adaptive quadrature, and the vectorised walker
-against a one-walker-at-a-time Python loop.
+closed form against adaptive quadrature, the vectorised walker
+against a one-walker-at-a-time Python loop, the streamed GraphML writer
+against an ElementTree build of the same document, and the vectorised
+reconciliation against a dict loop over the claims.
 """
+
+import io
+import xml.etree.ElementTree as ET
 
 import numpy as np
 from scipy import integrate
 
-from tradeflux.ingest import TradeMatrix
+from tradeflux.ingest import CONFLICT_TOLERANCE, TradeMatrix, ValidationReport
 from tradeflux.network import ImbalanceNetwork, build_imbalance_network
 
 
@@ -116,3 +121,133 @@ def weak_components(n: int, edges, include_isolated: bool) -> list[list[int]]:
         unseen -= comp
         comps.append(sorted(comp))
     return sorted(comps, key=lambda c: (-len(c), c[0]))
+
+
+_GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+
+
+def elementtree_graphml(net: ImbalanceNetwork, edge_attrs=None) -> bytes:
+    """GraphML document built as an ElementTree, indented and serialised
+    by the standard library."""
+    ET.register_namespace("", _GRAPHML_NS)
+    root = ET.Element(f"{{{_GRAPHML_NS}}}graphml")
+    node_attrs = ("s_in", "s_out", "delta_s")
+    keys = {}
+    for name in node_attrs:
+        key_id = f"n_{name}"
+        ET.SubElement(
+            root,
+            f"{{{_GRAPHML_NS}}}key",
+            id=key_id,
+            attrib={"for": "node", "attr.name": name, "attr.type": "double"},
+        )
+        keys[name] = key_id
+    edge_names = ("weight",) + tuple(edge_attrs or ())
+    for name in edge_names:
+        key_id = f"e_{name}"
+        ET.SubElement(
+            root,
+            f"{{{_GRAPHML_NS}}}key",
+            id=key_id,
+            attrib={"for": "edge", "attr.name": name, "attr.type": "double"},
+        )
+        keys[name] = key_id
+
+    graph = ET.SubElement(
+        root, f"{{{_GRAPHML_NS}}}graph", id="G", edgedefault="directed"
+    )
+    for i, code in enumerate(net.countries):
+        node = ET.SubElement(graph, f"{{{_GRAPHML_NS}}}node", id=code)
+        for name, values in (
+            ("s_in", net.s_in),
+            ("s_out", net.s_out),
+            ("delta_s", net.delta_s),
+        ):
+            data = ET.SubElement(node, f"{{{_GRAPHML_NS}}}data", key=keys[name])
+            data.text = repr(float(values[i]))
+    for e, (i, j, w) in enumerate(net.iter_edges()):
+        edge = ET.SubElement(
+            graph,
+            f"{{{_GRAPHML_NS}}}edge",
+            source=net.countries[i],
+            target=net.countries[j],
+        )
+        data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=keys["weight"])
+        data.text = repr(w)
+        for name, values in (edge_attrs or {}).items():
+            data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=keys[name])
+            data.text = repr(float(values[e]))
+
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    buf = io.BytesIO()
+    tree.write(buf, encoding="utf-8", xml_declaration=True)
+    return buf.getvalue()
+
+
+def _resolve_claims(exp_side, imp_side, policy: str) -> float:
+    if exp_side is None and imp_side is None:
+        return 0.0
+    if exp_side is None:
+        return imp_side
+    if imp_side is None:
+        return exp_side
+    if policy == "average":
+        return 0.5 * (exp_side + imp_side)
+    if policy == "prefer-importer":
+        return imp_side
+    if policy == "prefer-exporter":
+        return exp_side
+    return max(exp_side, imp_side)
+
+
+def dict_loop_reconcile(records, year: int, policy: str = "average"):
+    """Reconciliation one claim at a time through dicts keyed by pair.
+
+    Takes the records of one year and a known policy; returns the same
+    ``(TradeMatrix, ValidationReport)`` pair as ``reconcile_flows``.
+    """
+    dropped = []
+    by_pair = {}
+    for record in records:
+        key = (record.reporter, record.partner)
+        if key in by_pair:
+            dropped.append(
+                (f"{record.reporter}->{record.partner}", "duplicate report for pair")
+            )
+            continue
+        by_pair[key] = record
+
+    countries = tuple(sorted({c for pair in by_pair for c in pair}))
+    index = {code: i for i, code in enumerate(countries)}
+    exports = np.zeros((len(countries), len(countries)))
+
+    # Claims about the flow a->b: exporter side from a's record, importer
+    # side from b's record.
+    claims = {}
+    for (reporter, partner), record in by_pair.items():
+        if record.exports is not None:
+            claims.setdefault((reporter, partner), [None, None])[0] = record.exports
+        if record.imports is not None:
+            claims.setdefault((partner, reporter), [None, None])[1] = record.imports
+
+    n_conflicts = 0
+    max_rel = 0.0
+    for (source, destination), (exp_side, imp_side) in claims.items():
+        exports[index[source], index[destination]] = _resolve_claims(
+            exp_side, imp_side, policy
+        )
+        if exp_side is not None and imp_side is not None:
+            denom = max(abs(exp_side), abs(imp_side))
+            rel = abs(exp_side - imp_side) / denom if denom > 0 else 0.0
+            max_rel = max(max_rel, rel)
+            if rel > CONFLICT_TOLERANCE:
+                n_conflicts += 1
+
+    report = ValidationReport(
+        n_records=len(records),
+        n_conflicts=n_conflicts,
+        max_relative_conflict=max_rel,
+        dropped=tuple(dropped),
+    )
+    return TradeMatrix(year, countries, exports), report

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import tradeflux
-from helpers import random_network
+from helpers import random_network, random_trade_matrix
 from tradeflux.cli import main
-from tradeflux.network import write_edge_list
+from tradeflux.network import build_imbalance_network, write_edge_list
 
 TWO_COUNTRY = """year,reporter,partner,exports,imports
 2000,C1,C2,5,3
@@ -209,6 +210,14 @@ def test_dollar_unknown_country(net3_file, tmp_path, capsys):
     assert "unknown country" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--top", "--walkers", "--max-steps"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_dollar_rejects_counts_below_one_before_reading(flag, value, tmp_path, capsys):
+    missing = str(tmp_path / "no-network.tsv")
+    assert main(["dollar", missing, "--from", "S", flag, value, "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"tradeflux: {flag} must be >= 1, got {value}\n"
+
+
 def test_dollar_mc_is_byte_deterministic(net3_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ["dollar", net3_file, "--from", "S", "--walkers", "20000", "--seed", "7"]
@@ -264,3 +273,83 @@ def test_module_entry_point_prints_no_runpy_warning(tmp_path):
     )
     assert result.returncode == 1
     assert result.stderr == f"tradeflux: {tmp_path / 'nope.tsv'}: no such file\n"
+
+
+def _run_fresh(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter that imports tradeflux from this tree."""
+    src_root = Path(tradeflux.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src_root)),
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_only_dollar_loads_scipy(tmp_path):
+    tm = random_trade_matrix(np.random.default_rng(5), n=30, density=0.5)
+    flows = tm.exports.tolist()
+    lines = ["year,reporter,partner,exports,imports"]
+    for i, reporter in enumerate(tm.countries):
+        for j, partner in enumerate(tm.countries):
+            if i != j and (flows[i][j] or flows[j][i]):
+                lines.append(f"2000,{reporter},{partner},{flows[i][j]!r},{flows[j][i]!r}")
+    (tmp_path / "records.csv").write_text("\n".join(lines) + "\n")
+    net = build_imbalance_network(tm)
+    consumer = tm.countries[int(np.argmin(net.delta_s))]
+    network, out = str(tmp_path / "network.tsv"), str(tmp_path / "out")
+    steps = [
+        ["build", str(tmp_path / "records.csv"), "--year", "2000", "-o", str(tmp_path)],
+        ["disparity", network, "-o", out],
+        ["backbone", network, "-o", out],
+        ["export", network, "-o", out],
+        ["dollar", network, "--from", consumer, "--exact", "-o", out],
+    ]
+    loaded = json.loads(_run_fresh("""
+        import json, sys
+        import tradeflux
+        from tradeflux.cli import main
+        loaded = {"import": "scipy" in sys.modules}
+        for argv in json.loads(sys.argv[1]):
+            assert main(argv) == 0, argv
+            loaded[argv[0]] = "scipy" in sys.modules
+        print(json.dumps(loaded))
+    """, json.dumps(steps)))
+    assert loaded == {"import": False, "build": False, "disparity": False,
+                      "backbone": False, "export": False, "dollar": True}
+
+
+#: Every public name ``tradeflux`` has exported, diffusion's included.
+EXPORTED = (
+    "AbsorptionMatrix BackboneNetwork BackboneStats ColumnMap ConfigurationError "
+    "DisparityPoint DisparityProfile DyadicRecord ImbalanceNetwork "
+    "InsufficientDataError NoConvergenceError NodeAccount ScalingFit TradeMatrix "
+    "ValidationReport WalkConfig absorption_probability backbone backbone_stats "
+    "backbone_sweep backward_walk_mc build_imbalance_network connected_components "
+    "detailed_balance_check diffusion disparity disparity_points disparity_profile "
+    "edge_significance_value errors exact_absorption extract_backbone "
+    "fit_scaling_exponent flux_histogram forward_walk_mc global_balance_residual "
+    "imbalance_reconstruction ingest network node_accounts null_model_moments "
+    "null_model_sample null_model_shares parse_dyadic_records rank_partners "
+    "read_edge_list read_trade_matrix reconcile_flows total_flux "
+    "validate_trade_matrix write_edge_list write_graphml write_trade_matrix"
+).split()
+
+
+def test_every_exported_name_still_imports():
+    out = _run_fresh("""
+        import sys
+        import tradeflux
+        star = {}
+        exec("from tradeflux import *", star)
+        assert set(sys.argv[1:]) <= set(star), set(sys.argv[1:]) - set(star)
+        for name in sys.argv[1:]:
+            exec(f"from tradeflux import {name}")
+            assert name in dir(tradeflux), name
+        diffusion = sys.modules["tradeflux.diffusion"]
+        assert tradeflux.diffusion is diffusion
+        assert tradeflux.exact_absorption is diffusion.exact_absorption
+        print("ok")
+    """, *EXPORTED)
+    assert out == "ok\n"

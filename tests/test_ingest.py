@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import dict_loop_reconcile
 from tradeflux.errors import ConfigurationError
 from tradeflux.ingest import (
+    RECONCILE_POLICIES,
     ColumnMap,
     DyadicRecord,
     TradeMatrix,
@@ -180,6 +182,34 @@ def test_reconcile_duplicate_pair_first_wins():
     tm, report = reconcile_flows(records, 2000)
     assert tm.exports[tm.index("A"), tm.index("B")] == 10.0
     assert report.dropped == (("A->B", "duplicate report for pair"),)
+
+
+# few countries and few distinct values, so duplicate pairs, one-sided and
+# missing claims, zero claims and equal claims all come up often
+_claims = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), _claims, _claims)
+        .filter(lambda t: t[0] != t[1]),
+        max_size=40,
+    ),
+    st.sampled_from(RECONCILE_POLICIES),
+)
+# max() keeps its first argument, the exporter side, when the claims tie
+@example([("A", "B", -0.0, None), ("B", "A", None, 0.0)], "max")
+def test_reconcile_matches_dict_loop(rows, policy):
+    records = [DyadicRecord(2000, *row) for row in rows]
+    tm, report = reconcile_flows(records, 2000, policy=policy)
+    ref_tm, ref_report = dict_loop_reconcile(records, 2000, policy=policy)
+    assert tm.countries == ref_tm.countries
+    assert tm.exports.shape == ref_tm.exports.shape
+    assert tm.exports.tobytes() == ref_tm.exports.tobytes()
+    assert report == ref_report
 
 
 def test_reconcile_wrong_year_rejected():

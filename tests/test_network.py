@@ -3,9 +3,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bruteforce_imbalance_edges,
+    elementtree_graphml,
     first_pair_violation,
     random_network,
     random_trade_matrix,
@@ -228,3 +231,43 @@ def test_graphml_carries_accounts_and_weights(net3):
         for e in edges
     }
     assert weights[("S", "A")] == 2.0
+
+
+# codes mixing characters GraphML must escape with non-ASCII ones and a
+# lone surrogate, which UTF-8 cannot encode
+_codes = st.text(
+    st.one_of(st.sampled_from("&<>\"'\t\r\nAZé€中\ud800"), st.characters()),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _graphml_cases(draw):
+    countries = draw(st.lists(_codes, max_size=8, unique=True))
+    n = len(countries)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+
+    def column(values):
+        return draw(st.lists(values, min_size=len(edges), max_size=len(edges)))
+
+    weights = column(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    net = ImbalanceNetwork(
+        countries, [e[0] for e in edges], [e[1] for e in edges], weights
+    )
+    # names may repeat the weight's or a node attribute's
+    names = draw(st.lists(st.one_of(_codes, st.sampled_from(["weight", "s_in"])),
+                          max_size=3, unique=True))
+    edge_attrs = {name: np.array(column(st.floats()), dtype=float) for name in names}
+    return net, edge_attrs or None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphml_cases())
+def test_graphml_bytes_match_elementtree(case):
+    net, edge_attrs = case
+    buf = io.BytesIO()
+    write_graphml(net, buf, edge_attrs=edge_attrs)
+    assert buf.getvalue() == elementtree_graphml(net, edge_attrs)
