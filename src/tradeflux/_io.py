@@ -1,13 +1,19 @@
-"""The one rule for file arguments shared by every reader and writer.
+"""The rules shared by every reader and writer.
 
 A file argument is either an open file object, used as given, or a path
 (``str`` or ``os.PathLike``), opened here. A string is never file content.
+A country code read from a file holds no C0 control character.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import re
+
+#: Finds a C0 control character, which no XML 1.0 document (so no GraphML)
+#: can carry.
+has_control = re.compile("[\x00-\x1f]").search
 
 
 @contextlib.contextmanager

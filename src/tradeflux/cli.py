@@ -84,12 +84,12 @@ def _cmd_build(args) -> int:
 
     for where, reason in parsed.dropped:
         _err(f"dropped {where}: {reason}")
-    records = [r for r in parsed.records if r.year == args.year]
-    if not records:
+    table = parsed.table.select(parsed.table.year == args.year)
+    if not len(table):
         _err(f"no records for year {args.year}")
         return 1
 
-    matrix, report = ingest.reconcile_flows(records, args.year, policy=args.policy)
+    matrix, report = ingest.reconcile_flows(table, args.year, policy=args.policy)
     check = ingest.validate_trade_matrix(matrix)
     if not check.ok:
         _err(check.summary())

@@ -157,7 +157,11 @@ def _alias_tables(work: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
     next heavy edge; the row's last heavy edge keeps its whole column.
     """
     src = work.src
-    q = work.weight * work.k_out[src] / work.s_out[src]
+    with np.errstate(over="ignore"):
+        q = work.weight * work.k_out[src] / work.s_out[src]
+    # a weight near the float limit overflows w k; divide first there alone
+    over = np.isinf(q)
+    q[over] = work.weight[over] / work.s_out[src[over]] * work.k_out[src[over]]
     light = np.flatnonzero(q < 1.0)
     heavy = np.flatnonzero(q >= 1.0)
     deficit = 1.0 - q[light]

@@ -15,13 +15,17 @@ validation is attempted.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter
 
 import numpy as np
 
-from ._io import opened
+from ._io import has_control, opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -58,6 +62,8 @@ class DyadicRecord:
             raise ValueError("country codes must be non-empty")
         if _has_space(self.reporter) or _has_space(self.partner):
             raise ValueError("country codes must be whitespace-free tokens")
+        if has_control(self.reporter) or has_control(self.partner):
+            raise ValueError("country codes must not contain control characters")
         if self.reporter == self.partner:
             raise ValueError(f"self-trade record for {self.reporter!r}")
         for name in ("exports", "imports"):
@@ -154,12 +160,81 @@ class ColumnMap:
         return cls(**mapping)
 
 
+@dataclass(frozen=True, eq=False)
+class DyadicTable:
+    """Dyadic records as columns, one entry per record in input order.
+
+    ``reporter`` and ``partner`` index ``codes``, which is sorted and free
+    of repeats; ``exports`` and ``imports`` hold NaN where the reporter
+    stayed silent on that side. Every row satisfies ``DyadicRecord``'s checks.
+    Tables compare by identity; compare their ``records()`` instead.
+    """
+
+    codes: tuple[str, ...]
+    year: np.ndarray
+    reporter: np.ndarray
+    partner: np.ndarray
+    exports: np.ndarray
+    imports: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "DyadicTable":
+        """The table of a ``DyadicRecord`` sequence."""
+        reporters = list(map(attrgetter("reporter"), records))
+        partners = list(map(attrgetter("partner"), records))
+        codes = sorted({*reporters, *partners})
+        index = {code: i for i, code in enumerate(codes)}
+        n = len(records)
+        return cls(
+            tuple(codes),
+            np.array(list(map(attrgetter("year"), records))),
+            np.fromiter(map(index.__getitem__, reporters), np.intp, n),
+            np.fromiter(map(index.__getitem__, partners), np.intp, n),
+            # None becomes NaN
+            np.array(list(map(attrgetter("exports"), records)), dtype=float),
+            np.array(list(map(attrgetter("imports"), records)), dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.reporter)
+
+    def select(self, rows) -> "DyadicTable":
+        """The rows picked by a boolean mask or an index array."""
+        return DyadicTable(
+            self.codes, self.year[rows], self.reporter[rows], self.partner[rows],
+            self.exports[rows], self.imports[rows],
+        )
+
+    def records(self) -> list[DyadicRecord]:
+        """One ``DyadicRecord`` per row."""
+        codes = self.codes
+
+        def flow(value):
+            return None if math.isnan(value) else value
+
+        return [
+            DyadicRecord(year, codes[r], codes[p], flow(e), flow(i))
+            for year, r, p, e, i in zip(
+                self.year.tolist(), self.reporter.tolist(), self.partner.tolist(),
+                self.exports.tolist(), self.imports.tolist(),
+            )
+        ]
+
+
 @dataclass
 class ParseResult:
-    """Well-formed records plus the rows that could not be used."""
+    """Well-formed records plus the rows that could not be used.
 
-    records: list[DyadicRecord] = field(default_factory=list)
+    ``table`` holds the records as columns; ``records`` builds the same
+    records as ``DyadicRecord`` objects on first use.
+    """
+
+    table: DyadicTable = field(default_factory=lambda: DyadicTable.from_records([]))
     dropped: list[tuple[str, str]] = field(default_factory=list)
+
+    @functools.cached_property
+    def records(self) -> list[DyadicRecord]:
+        return self.table.records()
 
 
 def _parse_flow(token: str, name: str) -> float | None:
@@ -178,6 +253,141 @@ def _parse_flow(token: str, name: str) -> float | None:
     return value
 
 
+def _parse_row(row: list[str], positions: dict, n_header: int) -> DyadicRecord | None:
+    """One row's record, ``None`` for a blank row; a bad row raises
+    ``ValueError`` with the reason it is dropped."""
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    if len(row) <= max(positions.values()):
+        raise ValueError(f"expected {n_header} columns, got {len(row)}")
+    year = int(row[positions["year"]].strip())
+    reporter = row[positions["reporter"]].strip()
+    partner = row[positions["partner"]].strip()
+    exports = _parse_flow(row[positions["exports"]], "export")
+    imports = _parse_flow(row[positions["imports"]], "import")
+    if reporter == partner:
+        raise ValueError("self-trade")
+    return DyadicRecord(year, reporter, partner, exports, imports)
+
+
+def _flow_or_flag(token: str) -> float:
+    # NaN for a missing value; -inf, which the row checks reject, when unparsable
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan if token.strip().lower() in MISSING_TOKENS else -math.inf
+
+
+def _flow_column(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Values of one flow column, NaN where missing, and the rows whose
+    token ``_parse_flow`` rejects."""
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        values = np.fromiter(map(_flow_or_flag, tokens), float, len(tokens))
+    return values, np.isinf(values) | (values < 0)
+
+
+def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
+    """``convert`` applied once per distinct token: the results, and for each
+    token the position of its result."""
+    position = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
+    inverse = np.fromiter(map(position.__getitem__, tokens), np.intp, len(tokens))
+    return list(map(convert, position)), inverse
+
+
+def _valid_code(code: str) -> bool:
+    """Whether a stripped code passes ``DyadicRecord``'s code checks."""
+    return bool(code) and not _has_space(code) and not has_control(code)
+
+
+def _year(token: str) -> int | None:
+    try:
+        return int(token.strip())
+    except ValueError:
+        return None
+
+
+def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]:
+    """Delimiter, header cells, and the position of each required column."""
+    delimiter = "\t" if "\t" in header_line else ","
+    header = next(csv.reader([header_line], delimiter=delimiter))
+    positions = {}
+    for name in ("year", "reporter", "partner", "exports", "imports"):
+        wanted = getattr(columns, name)
+        try:
+            positions[name] = header.index(wanted)
+        except ValueError:
+            lowered = [h.strip().lower() for h in header]
+            if wanted.lower() in lowered:
+                positions[name] = lowered.index(wanted.lower())
+            else:
+                raise ConfigurationError(
+                    f"required column {wanted!r} not found in header {header}"
+                ) from None
+    return delimiter, header, positions
+
+
+def _parse_rows(stream, columns: ColumnMap) -> ParseResult:
+    """Every row through the ``csv`` module and ``_parse_row``, one at a time."""
+    delimiter, header, positions = _header(stream.readline(), columns)
+    records, dropped = [], []
+    for line_no, row in enumerate(csv.reader(stream, delimiter=delimiter), start=2):
+        try:
+            record = _parse_row(row, positions, len(header))
+        except ValueError as exc:
+            dropped.append((f"line {line_no}", str(exc)))
+            continue
+        if record is not None:
+            records.append(record)
+    return ParseResult(DyadicTable.from_records(records), dropped)
+
+
+def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int):
+    """Rows split on ``\\n`` and the delimiter and checked a column at a
+    time; ``None`` when the rows differ in width.
+
+    A row that fails a check goes through ``_parse_row``, which words the
+    reason it is dropped (or finds it blank).
+    """
+    body = body.removesuffix("\n")
+    lines = body.split("\n") if body else []
+    widths = set(map(str.count, lines, repeat(delimiter)))
+    if len(widths) > 1 or widths and min(widths) < max(positions.values()):
+        return None
+    width = widths.pop() + 1 if widths else 1
+    n = len(lines)
+    del lines
+    fields = body.replace("\n", delimiter).split(delimiter) if body else []
+
+    def column(name: str) -> list[str]:
+        return fields[positions[name]::width]
+
+    years, inverse = _by_distinct(column("year"), _year)
+    bad = np.array([y is None for y in years], dtype=bool)[inverse]
+    year = np.array([y or 0 for y in years])[inverse]
+
+    stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
+    codes = sorted({code for code in stripped if _valid_code(code)})
+    index = {code: i for i, code in enumerate(codes)}
+    ends = np.array([index.get(code, -1) for code in stripped], dtype=np.intp)[inverse]
+    reporter, partner = ends[:n], ends[n:]
+    bad |= (reporter < 0) | (partner < 0) | (reporter == partner)
+
+    exports, bad_exports = _flow_column(column("exports"))
+    imports, bad_imports = _flow_column(column("imports"))
+    bad |= bad_exports | bad_imports
+
+    dropped = []
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            _parse_row(fields[i * width:(i + 1) * width], positions, n_header)
+        except ValueError as exc:
+            dropped.append((f"line {i + 2}", str(exc)))
+    table = DyadicTable(tuple(codes), year, reporter, partner, exports, imports)
+    return ParseResult(table.select(~bad), dropped)
+
+
 def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResult:
     """Parse dyadic records from delimited text with a header row.
 
@@ -186,60 +396,40 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     Malformed rows are collected in ``ParseResult.dropped`` with their line
     numbers, never silently skipped.
 
+    The file is read whole and split into columns, which are checked a
+    column at a time. A file holding a ``"``, a carriage return outside a
+    ``\\r\\n`` line end, or rows of differing width is read row by row
+    through the ``csv`` module instead; either way the records and the
+    dropped rows come out the same.
+
     Raises :class:`ConfigurationError` when a required column named by
     ``columns`` is absent from the header.
     """
     columns = columns or ColumnMap()
     with opened(stream) as stream:
-        header_line = stream.readline()
-        if not header_line:
-            return ParseResult()
-        delimiter = "\t" if "\t" in header_line else ","
-        header = next(csv.reader([header_line], delimiter=delimiter))
-        positions = {}
-        for name in ("year", "reporter", "partner", "exports", "imports"):
-            wanted = getattr(columns, name)
-            try:
-                positions[name] = header.index(wanted)
-            except ValueError:
-                lowered = [h.strip().lower() for h in header]
-                if wanted.lower() in lowered:
-                    positions[name] = lowered.index(wanted.lower())
-                else:
-                    raise ConfigurationError(
-                        f"required column {wanted!r} not found in header {header}"
-                    ) from None
-
-        result = ParseResult()
-        reader = csv.reader(stream, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                if len(row) <= max(positions.values()):
-                    raise ValueError(
-                        f"expected {len(header)} columns, got {len(row)}"
-                    )
-                year = int(row[positions["year"]].strip())
-                reporter = row[positions["reporter"]].strip()
-                partner = row[positions["partner"]].strip()
-                exports = _parse_flow(row[positions["exports"]], "export")
-                imports = _parse_flow(row[positions["imports"]], "import")
-                if reporter == partner:
-                    raise ValueError("self-trade")
-                record = DyadicRecord(year, reporter, partner, exports, imports)
-            except ValueError as exc:
-                result.dropped.append((f"line {line_no}", str(exc)))
-                continue
-            result.records.append(record)
-        return result
+        text = stream.read()
+    if not text:
+        return ParseResult()
+    try:
+        if '"' not in text and text.count("\r") == text.count("\r\n"):
+            header_line, _, body = text.replace("\r\n", "\n").partition("\n")
+            delimiter, header, positions = _header(header_line, columns)
+            result = _parse_columns(body, delimiter, positions, len(header))
+            if result is not None:
+                return result
+        # lines end where a file opened by path ends them: at \n, \r\n and \r
+        return _parse_rows(io.StringIO(text, newline=""), columns)
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from None
 
 
 def reconcile_flows(
-    records: list[DyadicRecord], year: int, policy: str = "average"
+    records: DyadicTable | list[DyadicRecord], year: int, policy: str = "average"
 ) -> tuple[TradeMatrix, ValidationReport]:
     """Merge double-reported flows into a single export matrix.
 
+    ``records`` is a :class:`DyadicTable` or a sequence of
+    :class:`DyadicRecord`, all of ``year``.
     For the flow A->B there are up to two claims: A's export report and B's
     import report. ``policy`` picks the resolution (``average``,
     ``prefer-importer``, ``prefer-exporter``, ``max``); a single claim is
@@ -252,27 +442,35 @@ def reconcile_flows(
         raise ConfigurationError(
             f"unknown reconcile policy {policy!r}; expected one of {RECONCILE_POLICIES}"
         )
-    first: dict[tuple[str, str], DyadicRecord] = {}
-    dropped: list[tuple[str, str]] = []
-    for record in records:
-        if record.year != year:
-            raise ValueError(
-                f"record for year {record.year} passed to reconcile_flows({year})"
-            )
-        if first.setdefault((record.reporter, record.partner), record) is not record:
-            dropped.append(
-                (f"{record.reporter}->{record.partner}", "duplicate report for pair")
-            )
+    table = records
+    if not isinstance(table, DyadicTable):
+        table = DyadicTable.from_records(records)
+    wrong = np.flatnonzero(table.year != year)
+    if wrong.size:
+        raise ValueError(
+            f"record for year {table.year[wrong[0]]} passed to reconcile_flows({year})"
+        )
+    codes = table.codes
+    _, first = np.unique(table.reporter * len(codes) + table.partner, return_index=True)
+    later = np.ones(len(table), dtype=bool)
+    later[first] = False
+    dropped = tuple(
+        (f"{codes[r]}->{codes[p]}", "duplicate report for pair")
+        for r, p in zip(table.reporter[later].tolist(), table.partner[later].tolist())
+    )
 
-    countries = tuple(sorted({c for pair in first for c in pair}))
-    index = {code: i for i, code in enumerate(countries)}
+    # the countries of the first reports, numbered in the table's sorted order
+    present = np.zeros(len(codes), dtype=bool)
+    present[table.reporter[first]] = True
+    present[table.partner[first]] = True
+    countries = tuple(compress(codes, present))
+    number = np.cumsum(present) - 1
     n = len(countries)
-    kept = first.values()
-    reporter = np.fromiter((index[r.reporter] for r in kept), np.int64, len(kept))
-    partner = np.fromiter((index[r.partner] for r in kept), np.int64, len(kept))
-    # a missing side becomes NaN; present values are finite by construction
-    stated_exports = np.array([r.exports for r in kept], dtype=float)
-    stated_imports = np.array([r.imports for r in kept], dtype=float)
+    reporter = number[table.reporter[first]]
+    partner = number[table.partner[first]]
+    # a missing side is NaN; present values are finite by construction
+    stated_exports = table.exports[first]
+    stated_imports = table.imports[first]
 
     # Claims about the flow a->b, as flat matrix positions: the exporter
     # side from a's record, the importer side from b's record.
@@ -287,7 +485,11 @@ def reconcile_flows(
     )
     both_exp, both_imp = exp_side[in_exp], imp_side[in_imp]
     if policy == "average":
-        resolved = 0.5 * (both_exp + both_imp)
+        with np.errstate(over="ignore"):
+            resolved = 0.5 * (both_exp + both_imp)
+        # two claims near the float limit overflow their sum; halve each first
+        over = np.isinf(resolved)
+        resolved[over] = 0.5 * both_exp[over] + 0.5 * both_imp[over]
     elif policy == "prefer-importer":
         resolved = both_imp
     elif policy == "prefer-exporter":
@@ -305,7 +507,7 @@ def reconcile_flows(
         np.abs(both_exp - both_imp), denom, out=np.zeros_like(denom), where=denom > 0
     )
     report = ValidationReport(
-        n_records=len(records),
+        n_records=len(table),
         n_conflicts=int(np.count_nonzero(rel > CONFLICT_TOLERANCE)),
         max_relative_conflict=float(rel.max(initial=0.0)),
         dropped=tuple(dropped),
@@ -335,7 +537,7 @@ def validate_trade_matrix(tm: TradeMatrix) -> ValidationReport:
             f"negative entry at {tm.countries[i]}->{tm.countries[j]}"
         )
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         totals = matrix.sum(axis=0) + matrix.sum(axis=1)
     isolated = tuple(
         tm.countries[i] for i in range(len(tm.countries)) if totals[i] == 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import opened
+from ._io import has_control, opened
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -40,7 +40,8 @@ class ImbalanceNetwork:
 
     Isolated countries stay in ``countries`` with all-zero accounts.
     At most one direction may exist per unordered pair, weights must be
-    strictly positive and finite, and self-loops are rejected.
+    strictly positive and finite, and self-loops are rejected. Strengths
+    must be finite too: weights summing past the float range are rejected.
     """
 
     def __init__(self, countries, src, dst, weight, validate: bool = True):
@@ -61,9 +62,16 @@ class ImbalanceNetwork:
         n = len(self.countries)
         self.k_in = np.bincount(self.dst, minlength=n)
         self.k_out = np.bincount(self.src, minlength=n)
-        self.s_in = np.bincount(self.dst, weights=self.weight, minlength=n)
-        self.s_out = np.bincount(self.src, weights=self.weight, minlength=n)
-        self.delta_s = self.s_in - self.s_out
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.s_in = np.bincount(self.dst, weights=self.weight, minlength=n)
+            self.s_out = np.bincount(self.src, weights=self.weight, minlength=n)
+            self.delta_s = self.s_in - self.s_out
+            # each is the total flux; infinite if any strength is
+            totals = (self.s_in.sum(), self.s_out.sum())
+        if not np.isfinite(totals).all():
+            raise ValueError(
+                "node strengths overflow: the edge weights sum past the float range"
+            )
 
         # CSR-style adjacency. Outgoing edges are contiguous in canonical
         # order; incoming edges are indexed through a stable permutation.
@@ -276,29 +284,86 @@ def write_edge_list(net: ImbalanceNetwork, stream) -> None:
             stream.write(f"{codes[i]}\t{codes[j]}\t{w!r}\n")
 
 
+#: Characters of edge-list text read, split and converted at a time.
+_READ_CHUNK = 1 << 16
+
+
+def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
+    """The error for the first bad line of ``lines``, the first of which is
+    line ``line_no`` + 1 of the file, found one line at a time."""
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            return ValueError(f"line {line_no}: expected 'src dst weight'")
+        try:
+            float(parts[2])
+        except ValueError:
+            if line_no == 1:
+                continue  # header row
+            return ValueError(f"line {line_no}: bad weight {parts[2]!r}")
+        for code in parts[:2]:
+            if has_control(code):
+                return ValueError(
+                    f"line {line_no}: country code {code!r} contains a control character"
+                )
+    raise AssertionError("no bad line")
+
+
 def read_edge_list(stream) -> ImbalanceNetwork:
     """Parse an edge-list file (tab- or space-separated, optional header).
 
     ``stream`` is a path or an open text file object, never file content.
     Node identity is recovered from the edge endpoints; countries isolated
     in the original network are not representable in this format.
+
+    Each line is ``src dst weight``; blank lines and lines starting with
+    ``#`` are skipped, and so is a first line whose weight is not a number.
+    The text is read, split and converted in chunks of whole lines; a bad
+    line raises ``ValueError`` naming the first one.
     """
-    edges = []
+    src, dst, weights = [], [], []
+    codes = {}  # each code to its first string, so repeats of it are freed
+    line_no = 0
     with opened(stream) as stream:
-        for line_no, line in enumerate(stream, start=1):
-            parts = line.split()
-            if not parts or line.lstrip().startswith("#"):
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"line {line_no}: expected 'src dst weight'")
-            try:
-                w = float(parts[2])
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise ValueError(f"line {line_no}: bad weight {parts[2]!r}") from None
-            edges.append((parts[0], parts[1], w))
-    return ImbalanceNetwork.from_edges(edges)
+        while lines := stream.readlines(_READ_CHUNK):
+            data = lines
+            header = lines[0].split() if line_no == 0 else ()
+            if len(header) == 3 and header[0][0] != "#":
+                try:
+                    float(header[2])
+                except ValueError:
+                    data = lines[1:]
+            text = "".join(data)
+            if "#" in text:
+                data = [line for line in data if not line.lstrip().startswith("#")]
+                text = "".join(data)
+            fields = text.split()
+            known = len(codes)
+            src += map(codes.setdefault, fields[0::3], fields[0::3])
+            dst += map(codes.setdefault, fields[1::3], fields[1::3])
+            weight = None
+            # every line holds three fields or none, and no new code a control character
+            if set(map(len, map(str.split, data))) <= {0, 3} and not any(
+                map(has_control, itertools.islice(codes, known, None))
+            ):
+                try:
+                    weight = np.fromiter(map(float, fields[2::3]), float, len(fields) // 3)
+                except ValueError:
+                    pass
+            if weight is None:
+                raise _edge_list_error(lines, line_no)
+            weights.append(weight)
+            line_no += len(lines)
+    countries = sorted(codes)
+    index = {code: i for i, code in enumerate(countries)}
+    return ImbalanceNetwork(
+        countries,
+        np.fromiter(map(index.__getitem__, src), np.int64, len(src)),
+        np.fromiter(map(index.__getitem__, dst), np.int64, len(dst)),
+        np.concatenate([np.zeros(0), *weights]),
+    )
 
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -319,17 +384,19 @@ def _xml_attr(text: str) -> str:
 
 def _graphml_pieces(net: ImbalanceNetwork, edge_attrs: dict) -> Iterator[str]:
     """The GraphML document as consecutive pieces of text."""
-    keys = {}
+    # node and edge keys apart, so an edge attribute may share a node attribute's name
+    keys = {
+        kind: {name: _xml_attr(f"{kind[0]}_{name}") for name in names}
+        for kind, names in (
+            ("node", ("s_in", "s_out", "delta_s")), ("edge", ("weight", *edge_attrs))
+        )
+    }
     yield f"<?xml version='1.0' encoding='utf-8'?>\n<graphml xmlns=\"{_GRAPHML_NS}\">\n"
-    for kind, names in (
-        ("node", ("s_in", "s_out", "delta_s")),
-        ("edge", ("weight", *edge_attrs)),
-    ):
-        for name in names:
-            keys[name] = _xml_attr(f"{kind[0]}_{name}")
+    for kind, ids in keys.items():
+        for name, key in ids.items():
             yield (
                 f'  <key for="{kind}" attr.name="{_xml_attr(name)}" '
-                f'attr.type="double" id="{keys[name]}" />\n'
+                f'attr.type="double" id="{key}" />\n'
             )
     codes = [_xml_attr(code) for code in net.countries]
     if not codes:
@@ -338,16 +405,18 @@ def _graphml_pieces(net: ImbalanceNetwork, edge_attrs: dict) -> Iterator[str]:
     yield '  <graph id="G" edgedefault="directed">\n'
     # an edgeless network has integer strengths; written as floats all the same
     strengths = (a.astype(float).tolist() for a in (net.s_in, net.s_out, net.delta_s))
+    node = keys["node"]
     for code, s_in, s_out, delta_s in zip(codes, *strengths):
         yield (
             f'    <node id="{code}">\n'
-            f'      <data key="{keys["s_in"]}">{s_in!r}</data>\n'
-            f'      <data key="{keys["s_out"]}">{s_out!r}</data>\n'
-            f'      <data key="{keys["delta_s"]}">{delta_s!r}</data>\n'
+            f'      <data key="{node["s_in"]}">{s_in!r}</data>\n'
+            f'      <data key="{node["s_out"]}">{s_out!r}</data>\n'
+            f'      <data key="{node["delta_s"]}">{delta_s!r}</data>\n'
             "    </node>\n"
         )
+    edge = keys["edge"]
     data = [
-        (f'      <data key="{keys[name]}">', np.asarray(values, dtype=float).tolist())
+        (f'      <data key="{edge[name]}">', np.asarray(values, dtype=float).tolist())
         for name, values in (("weight", net.weight), *edge_attrs.items())
     ]
     for e, (i, j) in enumerate(zip(net.src.tolist(), net.dst.tolist())):
@@ -365,12 +434,16 @@ def write_graphml(
 
     ``stream`` is a path or an open binary file object.
     ``edge_attrs`` maps extra attribute names to per-edge value arrays in
-    canonical edge order (used for backbone significance exports).
+    canonical edge order (used for backbone significance exports); the
+    name ``weight`` is taken by the edge weight.
 
     The document is streamed out in chunks, byte for byte as an indented
     ``xml.etree.ElementTree`` serialisation would write it.
     """
-    pieces = _graphml_pieces(net, edge_attrs or {})
+    edge_attrs = edge_attrs or {}
+    if "weight" in edge_attrs:
+        raise ValueError("edge attribute 'weight' would repeat the edge weight's key")
+    pieces = _graphml_pieces(net, edge_attrs)
     with opened(stream, "wb") as stream:
         while chunk := "".join(itertools.islice(pieces, _GRAPHML_CHUNK)):
             stream.write(chunk.encode("utf-8", "xmlcharrefreplace"))

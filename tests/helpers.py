@@ -4,17 +4,29 @@ Oracles here deliberately avoid the library's own code paths: the edge
 builder is checked against a quadratic double loop, the significance
 closed form against adaptive quadrature, the vectorised walker
 against a one-walker-at-a-time Python loop, the streamed GraphML writer
-against an ElementTree build of the same document, and the vectorised
-reconciliation against a dict loop over the claims.
+against an ElementTree build of the same document, the vectorised
+reconciliation against a dict loop over the claims, and the columnar
+readers against the row-at-a-time readers they replaced.
 """
 
+import csv
 import io
+import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 from scipy import integrate
 
-from tradeflux.ingest import CONFLICT_TOLERANCE, TradeMatrix, ValidationReport
+from tradeflux.errors import ConfigurationError
+from tradeflux.ingest import (
+    CONFLICT_TOLERANCE,
+    MISSING_TOKENS,
+    ColumnMap,
+    DyadicRecord,
+    TradeMatrix,
+    ValidationReport,
+)
 from tradeflux.network import ImbalanceNetwork, build_imbalance_network
 
 
@@ -132,7 +144,7 @@ def elementtree_graphml(net: ImbalanceNetwork, edge_attrs=None) -> bytes:
     ET.register_namespace("", _GRAPHML_NS)
     root = ET.Element(f"{{{_GRAPHML_NS}}}graphml")
     node_attrs = ("s_in", "s_out", "delta_s")
-    keys = {}
+    node_keys = {}
     for name in node_attrs:
         key_id = f"n_{name}"
         ET.SubElement(
@@ -141,8 +153,9 @@ def elementtree_graphml(net: ImbalanceNetwork, edge_attrs=None) -> bytes:
             id=key_id,
             attrib={"for": "node", "attr.name": name, "attr.type": "double"},
         )
-        keys[name] = key_id
+        node_keys[name] = key_id
     edge_names = ("weight",) + tuple(edge_attrs or ())
+    edge_keys = {}
     for name in edge_names:
         key_id = f"e_{name}"
         ET.SubElement(
@@ -151,7 +164,7 @@ def elementtree_graphml(net: ImbalanceNetwork, edge_attrs=None) -> bytes:
             id=key_id,
             attrib={"for": "edge", "attr.name": name, "attr.type": "double"},
         )
-        keys[name] = key_id
+        edge_keys[name] = key_id
 
     graph = ET.SubElement(
         root, f"{{{_GRAPHML_NS}}}graph", id="G", edgedefault="directed"
@@ -163,7 +176,7 @@ def elementtree_graphml(net: ImbalanceNetwork, edge_attrs=None) -> bytes:
             ("s_out", net.s_out),
             ("delta_s", net.delta_s),
         ):
-            data = ET.SubElement(node, f"{{{_GRAPHML_NS}}}data", key=keys[name])
+            data = ET.SubElement(node, f"{{{_GRAPHML_NS}}}data", key=node_keys[name])
             data.text = repr(float(values[i]))
     for e, (i, j, w) in enumerate(net.iter_edges()):
         edge = ET.SubElement(
@@ -172,10 +185,10 @@ def elementtree_graphml(net: ImbalanceNetwork, edge_attrs=None) -> bytes:
             source=net.countries[i],
             target=net.countries[j],
         )
-        data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=keys["weight"])
+        data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=edge_keys["weight"])
         data.text = repr(w)
         for name, values in (edge_attrs or {}).items():
-            data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=keys[name])
+            data = ET.SubElement(edge, f"{{{_GRAPHML_NS}}}data", key=edge_keys[name])
             data.text = repr(float(values[e]))
 
     tree = ET.ElementTree(root)
@@ -193,7 +206,9 @@ def _resolve_claims(exp_side, imp_side, policy: str) -> float:
     if imp_side is None:
         return exp_side
     if policy == "average":
-        return 0.5 * (exp_side + imp_side)
+        mean = 0.5 * (exp_side + imp_side)
+        # two claims near the float limit overflow their sum; halve each first
+        return mean if math.isfinite(mean) else 0.5 * exp_side + 0.5 * imp_side
     if policy == "prefer-importer":
         return imp_side
     if policy == "prefer-exporter":
@@ -251,3 +266,97 @@ def dict_loop_reconcile(records, year: int, policy: str = "average"):
         dropped=tuple(dropped),
     )
     return TradeMatrix(year, countries, exports), report
+
+
+def _parse_flow(token: str, name: str) -> float | None:
+    if token is None or token.strip().lower() in MISSING_TOKENS:
+        return None
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"non-numeric {name} value {token!r}") from None
+    if math.isnan(value):
+        return None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {name} value {token!r}")
+    if value < 0:
+        raise ValueError(f"negative {name} value {token!r}")
+    return value
+
+
+def rowwise_parse_dyadic_records(path, columns):
+    """Records parsed one ``csv`` row at a time, each validated as a
+    ``DyadicRecord``; returns ``(records, dropped)``."""
+    columns = columns or ColumnMap()
+    with open(path, encoding="utf-8", newline="") as stream:
+        header_line = stream.readline()
+        if not header_line:
+            return [], []
+        delimiter = "\t" if "\t" in header_line else ","
+        header = next(csv.reader([header_line], delimiter=delimiter))
+        positions = {}
+        for name in ("year", "reporter", "partner", "exports", "imports"):
+            wanted = getattr(columns, name)
+            try:
+                positions[name] = header.index(wanted)
+            except ValueError:
+                lowered = [h.strip().lower() for h in header]
+                if wanted.lower() in lowered:
+                    positions[name] = lowered.index(wanted.lower())
+                else:
+                    raise ConfigurationError(
+                        f"required column {wanted!r} not found in header {header}"
+                    ) from None
+
+        records, dropped = [], []
+        reader = csv.reader(stream, delimiter=delimiter)
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                if len(row) <= max(positions.values()):
+                    raise ValueError(
+                        f"expected {len(header)} columns, got {len(row)}"
+                    )
+                year = int(row[positions["year"]].strip())
+                reporter = row[positions["reporter"]].strip()
+                partner = row[positions["partner"]].strip()
+                exports = _parse_flow(row[positions["exports"]], "export")
+                imports = _parse_flow(row[positions["imports"]], "import")
+                if reporter == partner:
+                    raise ValueError("self-trade")
+                record = DyadicRecord(year, reporter, partner, exports, imports)
+            except ValueError as exc:
+                dropped.append((f"line {line_no}", str(exc)))
+                continue
+            records.append(record)
+        return records, dropped
+
+
+def linewise_read_edge_list(path) -> ImbalanceNetwork:
+    """Edge list read one line at a time into ``(src, dst, weight)`` tuples.
+
+    Beyond the reader it replaced, it rejects codes with a C0 control
+    character, which GraphML cannot carry, after the weight check.
+    """
+    edges = []
+    with open(path, encoding="utf-8", newline="") as stream:
+        for line_no, line in enumerate(stream, start=1):
+            parts = line.split()
+            if not parts or line.lstrip().startswith("#"):
+                continue
+            if len(parts) != 3:
+                raise ValueError(f"line {line_no}: expected 'src dst weight'")
+            try:
+                w = float(parts[2])
+            except ValueError:
+                if line_no == 1:
+                    continue  # header row
+                raise ValueError(f"line {line_no}: bad weight {parts[2]!r}") from None
+            for code in parts[:2]:
+                if re.search("[\x00-\x1f]", code):
+                    raise ValueError(
+                        f"line {line_no}: country code {code!r} contains a control character"
+                    )
+            edges.append((parts[0], parts[1], w))
+    return ImbalanceNetwork.from_edges(edges)

@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -353,3 +354,80 @@ def test_every_exported_name_still_imports():
         print("ok")
     """, *EXPORTED)
     assert out == "ok\n"
+
+
+_HEADER = b"year,reporter,partner,exports,imports\n"
+#: Records files a careless or hostile source might hand to ``build``.
+HOSTILE_RECORDS = {
+    "bad-utf8": _HEADER + b"2000,\xff\xfe,B,1,2\n",
+    "nul-code": _HEADER + b"2000,A\x00,B,1,2\n2000,B,C,1,2\n",
+    "nul-value": _HEADER + b"2000,A,B,1\x00,2\n2000,B,C,1,2\n",
+    "strengths-overflow": _HEADER + b"2000,A,B,1e308,1e308\n2000,C,B,1e308,1e308\n",
+    "average-overflow": _HEADER + b"2000,A,B,1.7e308,1.6e308\n2000,C,A,1,2\n",
+    "beyond-float": _HEADER + b"2000,A,B,1e999,2\n2000,B,C,1,2\n",
+    "quotes": _HEADER + b'2000,"A,B",C,1,2\n2000,B,C,1,2\n2000,"unterminated\n',
+    "huge-quoted-field": _HEADER + b'2000,"' + b"A" * 200_000 + b'",B,1,2\n',
+    "ragged": _HEADER + b"2000,A\n2000,A,B,1,2,3\n2000,B,C,1\n",
+    "bare-cr": _HEADER.replace(b"\n", b"\r") + b"2000,A,B,1,2\r2000,B,C,3,4\r",
+    "header-only": _HEADER,
+    "empty": b"",
+    "no-such-column": b"yr,a,b\n2000,A,B\n",
+}
+#: Edge lists, with one ordinary file among them.
+HOSTILE_EDGES = {
+    "ordinary": b"src\tdst\tweight\nS\tA\t2.0\nS\tB\t1.0\nA\tB\t1.0\n",
+    "bad-utf8": b"S\t\xff\t2.0\n",
+    "nul-code": b"S\tA\x00\t2.0\nS\tB\t1.0\n",
+    "strengths-overflow": b"S\tA\t1e308\nB\tA\t1e308\n",
+    "flux-overflow": b"S\tA\t1e308\nB\tC\t1.7e308\n",
+    "near-max": b"S\tA\t1.7e308\nS\tB\t1e-300\n",
+    "tiny": b"S\tA\t5e-324\nS\tB\t5e-324\nA\tB\t5e-324\n",
+    "non-finite": b"S\tA\tinf\nS\tB\tnan\n",
+    "negative": b"S\tA\t-1\n",
+    "quotes": b'"S"\t"A"\t2.0\n',
+    "ragged": b"S\tA\nS\tA\t1\t2\n",
+    "reciprocal": b"S A 1\nA S 2\n",
+    "self-loop": b"S S 1\n",
+    "header-only": b"src\tdst\tweight\n",
+    "empty": b"",
+}
+_EDGE_STEPS = (
+    ["disparity"], ["backbone"], ["backbone", "--format", "graphml"],
+    ["dollar", "--from", "S", "--walkers", "2000"], ["dollar", "--from", "S", "--exact"],
+    ["dollar", "--from", "A", "--direction", "backward", "--exact"],
+    ["export"], ["export", "--format", "tsv"],
+)
+
+
+def _fuzz_run(argv, out, capsys):
+    """Run ``main`` once; what a user sees must be tradeflux lines and an exit code."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["-o", str(out)])
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    lines = err.rstrip("\n").split("\n") if err else []
+    assert all(line.startswith("tradeflux: ") for line in lines), err
+    if code:
+        assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
+    return code
+
+
+@pytest.mark.parametrize("name", HOSTILE_RECORDS)
+def test_build_on_hostile_records_ends_in_tradeflux_lines(name, tmp_path, capsys):
+    src = tmp_path / "records.csv"
+    src.write_bytes(HOSTILE_RECORDS[name])
+    _fuzz_run(["build", str(src), "--year", "2000"], tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("name", HOSTILE_EDGES)
+def test_steps_on_hostile_edge_lists_end_in_tradeflux_lines(name, tmp_path, capsys):
+    network = tmp_path / "network.tsv"
+    network.write_bytes(HOSTILE_EDGES[name])
+    codes = [
+        _fuzz_run([step[0], str(network), *step[1:]], tmp_path / f"out{i}", capsys)
+        for i, step in enumerate(_EDGE_STEPS)
+    ]
+    if name == "ordinary":
+        assert codes == [1, 0, 0, 0, 0, 0, 0, 0]  # too few degree classes to fit

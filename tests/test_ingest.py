@@ -1,12 +1,13 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_loop_reconcile
+from helpers import dict_loop_reconcile, rowwise_parse_dyadic_records
 from tradeflux.errors import ConfigurationError
 from tradeflux.ingest import (
     RECONCILE_POLICIES,
@@ -111,6 +112,15 @@ def test_parse_malformed_rows_dropped_with_line_numbers():
     assert "negative" in reasons["line 4"]
 
 
+def test_parse_drops_codes_with_control_characters():
+    text = "year,reporter,partner,exports,imports\n2000,A\x00,B,1,2\n2000,A,B,1,2\n"
+    result = parse_dyadic_records(io.StringIO(text))
+    assert result.dropped == [
+        ("line 2", "country codes must not contain control characters")
+    ]
+    assert result.records == [DyadicRecord(2000, "A", "B", 1.0, 2.0)]
+
+
 def test_parse_empty_input():
     result = parse_dyadic_records(io.StringIO(""))
     assert result.records == [] and result.dropped == []
@@ -127,6 +137,8 @@ def test_record_validation():
         DyadicRecord(2000, "A B", "C", 1.0, None)
     with pytest.raises(ValueError, match="non-empty"):
         DyadicRecord(2000, "", "C", 1.0, None)
+    with pytest.raises(ValueError, match="control characters"):
+        DyadicRecord(2000, "A", "\x07", 1.0, None)
 
 
 # --- reconciliation -------------------------------------------------------
@@ -188,8 +200,8 @@ def test_reconcile_duplicate_pair_first_wins():
 # missing claims, zero claims and equal claims all come up often
 _claims = st.one_of(
     st.none(),
-    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
-    st.floats(min_value=0.0, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1.7e308]),
+    st.floats(min_value=0.0, allow_infinity=False),
 )
 @settings(max_examples=300, deadline=None)
 @given(
@@ -210,6 +222,18 @@ def test_reconcile_matches_dict_loop(rows, policy):
     assert tm.exports.shape == ref_tm.exports.shape
     assert tm.exports.tobytes() == ref_tm.exports.tobytes()
     assert report == ref_report
+
+
+def test_reconcile_average_halves_claims_near_the_float_limit():
+    records = _two_sided(1.7e308, 1.6e308) + [
+        DyadicRecord(2000, "C", "D", 3.0, None), DyadicRecord(2000, "D", "C", None, 4.5)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tm, _ = reconcile_flows(records, 2000, policy="average")
+        assert validate_trade_matrix(tm).ok
+    assert tm.exports[tm.index("A"), tm.index("B")] == 0.5 * 1.7e308 + 0.5 * 1.6e308
+    assert tm.exports[tm.index("C"), tm.index("D")] == 0.5 * (3.0 + 4.5)
 
 
 def test_reconcile_wrong_year_rejected():
@@ -244,6 +268,105 @@ def test_reconcile_average_symmetric_in_reporting_side(x, y):
     tm2, _ = reconcile_flows(_two_sided(y, x), 2000, policy="average")
     a, b = tm1.index("A"), tm1.index("B")
     assert tm1.exports[a, b] == tm2.exports[a, b]
+
+
+# --- the columnar parser against the row-at-a-time one ----------------------
+
+_FIELDS = ("year", "reporter", "partner", "exports", "imports")
+_year_tokens = st.sampled_from(
+    ["2000", "2000", " 2000 ", "1999", "2_000", "x", "", "٢٠٠٠", "99999999999999999999"]
+)
+_code_tokens = st.sampled_from(
+    ["A", "B", "C", "D", " A", "B ", "", "  ", "A B", "A\x00", "\x01", "é"]
+)
+_flow_tokens = st.one_of(
+    st.sampled_from([
+        "", " ", "NA", "na", "N/A", ".", "NaN", "nan", "-nan", "None", "NULL", " null ",
+        "1", "2.5", "0", "-0.0", "-1", "inf", "-inf", "Infinity", "1e308", "1.7e308",
+        "1e999", "1_000", " 3 ", "abc", "1\x00",
+    ]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+)
+
+
+_clean_flows = st.one_of(
+    st.sampled_from(["", "NA", "1", "2.5", "0", "1.7e308"]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def _records_files(draw):
+    """Text of a records file and the column map to read it with."""
+    order = draw(st.permutations(_FIELDS))
+    if draw(st.booleans()):
+        order.insert(draw(st.integers(0, len(order))), "note")
+    naming = draw(st.sampled_from(["plain", "plain", "upper", "custom", "missing"]))
+    names = {f: {"plain": f, "upper": f.upper(), "custom": f"c_{f}"}.get(naming, f)
+             for f in order}
+    if naming == "missing":
+        names["imports"] = "imported"
+    columns = ColumnMap(**{f: f"c_{f}" for f in _FIELDS}) if naming == "custom" else None
+    delimiter = draw(st.sampled_from([",", "\t"]))
+
+    hostile = {"year": _year_tokens, "reporter": _code_tokens, "partner": _code_tokens,
+               "exports": _flow_tokens, "imports": _flow_tokens,
+               "note": st.sampled_from(["", "x", "a b"])}
+    # rows that parse, so that reconciliation sees duplicate and one-sided pairs
+    clean = dict(hostile, year=st.just("2000"), reporter=st.sampled_from("ABCD"),
+                 partner=st.sampled_from("ABCD"), exports=_clean_flows, imports=_clean_flows)
+    lines = [delimiter.join(names[f] for f in order)]
+    for _ in range(draw(st.integers(0, 10))):
+        tokens = draw(st.sampled_from([clean, clean, hostile]))
+        row = [draw(tokens[f]) for f in order]
+        shape = draw(st.sampled_from(
+            ["row"] * 6 + ["short", "long", "blank", "spaces", "empty", "quoted", "quote"]
+        ))
+        if shape == "short":
+            row = row[:draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row.append("extra")
+        elif shape in ("blank", "spaces"):
+            row = [" " * (shape == "spaces")] * len(row)
+        elif shape == "quoted":
+            i = draw(st.integers(0, len(row) - 1))
+            row[i] = f'"{row[i]}"'
+        elif shape == "quote":
+            row[-1] += '"'
+        lines.append("" if shape == "empty" else delimiter.join(row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records_files())
+def test_parse_and_reconcile_match_the_row_loop(tmp_path_factory, case):
+    text, columns = case
+    path = tmp_path_factory.mktemp("records") / "records.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected_records, expected_dropped = rowwise_parse_dyadic_records(path, columns)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as caught:
+            parse_dyadic_records(path, columns)
+        assert str(caught.value) == str(exc)
+        return
+    parsed = parse_dyadic_records(path, columns)
+    assert repr(parsed.records) == repr(expected_records)  # repr tells -0.0 from 0.0
+    assert parsed.dropped == expected_dropped
+
+    table = parsed.table.select(parsed.table.year == 2000)
+    kept = [r for r in expected_records if r.year == 2000]
+    for policy in RECONCILE_POLICIES:
+        tm, report = reconcile_flows(table, 2000, policy=policy)
+        ref_tm, ref_report = dict_loop_reconcile(kept, 2000, policy=policy)
+        assert tm.countries == ref_tm.countries
+        assert tm.exports.tobytes() == ref_tm.exports.tobytes()
+        assert report == ref_report
+        assert validate_trade_matrix(tm) == validate_trade_matrix(ref_tm)
 
 
 # --- matrix validation and file format ------------------------------------

@@ -1,5 +1,7 @@
 import io
+import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from helpers import (
     bruteforce_imbalance_edges,
     elementtree_graphml,
     first_pair_violation,
+    linewise_read_edge_list,
     random_network,
     random_trade_matrix,
 )
+from tradeflux import network
 from tradeflux.ingest import TradeMatrix
 from tradeflux.network import (
     ImbalanceNetwork,
@@ -253,13 +257,14 @@ def _graphml_cases(draw):
     def column(values):
         return draw(st.lists(values, min_size=len(edges), max_size=len(edges)))
 
-    weights = column(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    # at most 7 edges meet at a node, so its strengths stay finite
+    weights = column(st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
     net = ImbalanceNetwork(
         countries, [e[0] for e in edges], [e[1] for e in edges], weights
     )
-    # names may repeat the weight's or a node attribute's
-    names = draw(st.lists(st.one_of(_codes, st.sampled_from(["weight", "s_in"])),
-                          max_size=3, unique=True))
+    # names may repeat a node attribute's; "weight" is rejected
+    names = draw(st.lists(st.one_of(_codes, st.just("s_in")), max_size=3, unique=True)
+                 .filter(lambda names: "weight" not in names))
     edge_attrs = {name: np.array(column(st.floats()), dtype=float) for name in names}
     return net, edge_attrs or None
 
@@ -271,3 +276,79 @@ def test_graphml_bytes_match_elementtree(case):
     buf = io.BytesIO()
     write_graphml(net, buf, edge_attrs=edge_attrs)
     assert buf.getvalue() == elementtree_graphml(net, edge_attrs)
+
+
+def test_graphml_edge_attribute_may_share_a_node_attribute_name(net3):
+    buf = io.BytesIO()
+    write_graphml(net3, buf, edge_attrs={"s_in": np.arange(3.0)})
+    root = ET.fromstring(buf.getvalue())
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    keys = {k.get("id"): k.get("for") for k in root.findall("g:key", ns)}
+    assert len(keys) == len(root.findall("g:key", ns)) == 5
+    for kind in ("node", "edge"):
+        for element in root.findall(f".//g:{kind}", ns):
+            assert {keys[d.get("key")] for d in element.findall("g:data", ns)} == {kind}
+
+
+def test_graphml_rejects_edge_attribute_named_weight(net3):
+    with pytest.raises(ValueError, match="'weight'"):
+        write_graphml(net3, io.BytesIO(), edge_attrs={"weight": np.ones(3)})
+
+
+@pytest.mark.parametrize("edges", [
+    [("A", "B", 1e308), ("C", "B", 1e308)],  # s_in overflows
+    [("A", "B", 1e308), ("A", "C", 1e308)],  # s_out overflows
+    [("A", "B", 1e308), ("C", "D", 1.7e308)],  # only the total flux overflows
+])
+def test_strengths_past_the_float_range_are_rejected(edges):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="node strengths overflow"):
+            ImbalanceNetwork.from_edges(edges)
+
+
+def test_edge_list_rejects_control_characters_in_codes():
+    with pytest.raises(ValueError, match="line 2: country code 'A\\\\x00'"):
+        read_edge_list(io.StringIO("src dst weight\nA\x00 B 1.0\n"))
+
+
+# whitespace of every kind, comment marks, header words, control characters
+# and weights float() parses or refuses, so each branch of the reader comes up
+_edge_code = st.sampled_from(
+    ["A", "B", "C", "D", "E", "F", "G", "é", "#A", "src", "A\x00", "\x01B"]
+)
+_edge_weight = st.one_of(
+    st.sampled_from(["1", "2.5", "1e308", "-1", "0", "nan", "inf", "1_0", "x", "weight"]),
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+)
+_gap = st.sampled_from([" ", "\t", "  ", "\x0b", "\x1c", "\u2028"])
+_edge_triple = st.tuples(
+    st.just("") | _gap, _edge_code, _gap, _edge_code, _gap, _edge_weight, st.just("") | _gap
+).map("".join)
+_edge_line = st.one_of(
+    _edge_triple,
+    _edge_triple,
+    st.lists(_edge_code | _edge_weight, max_size=4).map(" ".join),
+    st.sampled_from(["", "  ", "# a comment", "src\tdst\tweight"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_edge_line, max_size=8),
+    st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=8, max_size=8),
+    st.sampled_from([1, 20, network._READ_CHUNK]),  # lines read at a time: 1, a few, all
+)
+def test_edge_list_reader_matches_line_loop(tmp_path_factory, lines, ends, chunk):
+    path = tmp_path_factory.mktemp("edges") / "network.tsv"
+    path.write_bytes("".join(map("".join, zip(lines, ends))).encode())
+
+    def outcome(read):
+        try:
+            net = read(path)
+        except ValueError as exc:
+            return str(exc)
+        return net.countries, net.src.tolist(), net.dst.tolist(), net.weight.tobytes()
+
+    with mock.patch.object(network, "_READ_CHUNK", chunk):
+        assert outcome(read_edge_list) == outcome(linewise_read_edge_list)
