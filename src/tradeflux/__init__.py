@@ -1,20 +1,22 @@
 """Trade-imbalance networks: construction, filtering, and flow attribution.
 
-The pipeline runs in four stages, one submodule each:
+The pipeline runs in five stages:
 
 - ``ingest``: reconcile mirror-reported bilateral flows into an export matrix,
 - ``network``: turn pairwise imbalances into a directed weighted graph,
 - ``disparity``: score flux concentration per node against an exact null,
 - ``backbone``: keep edges too heavy to be random splits,
-- ``diffusion``: absorbing random walks attributing deficits to surpluses.
+- ``walk`` and ``diffusion``: absorbing random walks attributing deficits
+  to surpluses, simulated and solved exactly.
 
 The per-node concentration statistic itself lives at
 ``tradeflux.disparity.disparity`` (not re-exported here, to keep the
 submodule importable under its own name).
 
-``diffusion`` and the names re-exported from it are imported on first
+``diffusion`` and the three names it defines are imported on first
 access: it is the only submodule that needs scipy at import time, and of
-the CLI steps only ``dollar`` uses it.
+the CLI steps only ``dollar --exact`` uses it. The walker's names come
+from ``walk``, which needs no scipy.
 """
 
 from . import backbone, disparity, ingest, network
@@ -62,24 +64,25 @@ from .network import (
     write_edge_list,
     write_graphml,
 )
+from .walk import (
+    AbsorptionMatrix,
+    WalkConfig,
+    absorption_probability,
+    backward_walk_mc,
+    forward_walk_mc,
+    rank_partners,
+)
 
 __version__ = "0.1.0"
 
 _DIFFUSION_NAMES = frozenset({
-    "AbsorptionMatrix",
-    "WalkConfig",
-    "absorption_probability",
-    "backward_walk_mc",
-    "detailed_balance_check",
-    "exact_absorption",
-    "forward_walk_mc",
-    "imbalance_reconstruction",
-    "rank_partners",
+    "detailed_balance_check", "exact_absorption", "imbalance_reconstruction",
 })
 
-# star imports also fetch the lazy names, through __getattr__
+# star imports also fetch the lazy names, through __getattr__; the walker's
+# names are exported one by one, not its module
 __all__ = sorted(
-    {name for name in globals() if not name.startswith("_")}
+    {name for name in globals() if not name.startswith("_")} - {"walk"}
     | _DIFFUSION_NAMES
     | {"diffusion"}
 )

@@ -2,7 +2,8 @@
 
 A file argument is either an open file object, used as given, or a path
 (``str`` or ``os.PathLike``), opened here. A string is never file content.
-A country code read from a file holds no C0 control character.
+A country code read from a file breaks no rule of ``code_fault``, so that
+every file format the pipeline writes can carry it.
 """
 
 from __future__ import annotations
@@ -11,9 +12,22 @@ import contextlib
 import os
 import re
 
-#: Finds a C0 control character, which no XML 1.0 document (so no GraphML)
-#: can carry.
-has_control = re.compile("[\x00-\x1f]").search
+#: Characters no country code may hold: C0 controls, which no XML 1.0
+#: document (so no GraphML) can carry, and ``,`` and ``"``, which split or
+#: quote a row of the CSV outputs. Nor may a code start with ``#``, which
+#: makes an edge-list line a comment.
+BAD_CHARS = '\x00-\x1f,"'
+
+
+def code_fault(code: str) -> str | None:
+    """The rule ``code`` breaks, worded to follow "must not", or ``None``."""
+    if re.search("[\x00-\x1f]", code):
+        return "contain control characters"
+    if code.startswith("#"):
+        return "start with '#'"
+    if re.search(f"[{BAD_CHARS}]", code):
+        return "contain ',' or '\"'"
+    return None
 
 
 @contextlib.contextmanager

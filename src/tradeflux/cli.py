@@ -20,6 +20,7 @@ from . import backbone as bb
 from . import disparity as disp
 from . import ingest
 from . import network as nw
+from . import walk
 from ._io import opened
 from .errors import ConfigurationError, InsufficientDataError, NoConvergenceError
 
@@ -212,15 +213,13 @@ def _cmd_backbone(args) -> int:
 
 
 def _cmd_dollar(args) -> int:
-    for flag, value in (
-        ("--top", args.top), ("--walkers", args.walkers), ("--max-steps", args.max_steps)
+    for flag, value, least in (
+        ("--top", args.top, 1), ("--walkers", args.walkers, 1),
+        ("--max-steps", args.max_steps, 1), ("--seed", args.seed, 0),
     ):
-        if value < 1:
-            _err(f"{flag} must be >= 1, got {value}")
+        if value < least:
+            _err(f"{flag} must be >= {least}, got {value}")
             return 2
-    # the one step that walks or solves, so the only one that loads scipy
-    from . import diffusion as dif
-
     net = nw.read_edge_list(args.network)
     focal = args.focal
     if focal not in net.index:
@@ -246,6 +245,9 @@ def _cmd_dollar(args) -> int:
     diagnostics = {"focal": focal, "direction": args.direction}
     try:
         if args.exact:
+            # the exact solve is the only step that loads scipy
+            from . import diffusion as dif
+
             matrix = dif.exact_absorption(net, args.direction)
             other = dif.exact_absorption(
                 net, "backward" if args.direction == "forward" else "forward"
@@ -266,13 +268,13 @@ def _cmd_dollar(args) -> int:
                 )
                 diagnostics[f"reconstruction_rel_err_{label}"] = rel
         else:
-            config = dif.WalkConfig(
+            config = walk.WalkConfig(
                 n_walkers=args.walkers, seed=args.seed, max_steps=args.max_steps
             )
             if args.direction == "forward":
-                matrix = dif.forward_walk_mc(net, focal, config)
+                matrix = walk.forward_walk_mc(net, focal, config)
             else:
-                matrix = dif.backward_walk_mc(net, focal, config)
+                matrix = walk.backward_walk_mc(net, focal, config)
             diagnostics["method"] = "monte-carlo"
             diagnostics["n_walkers"] = config.n_walkers
             diagnostics["seed"] = config.seed
@@ -284,11 +286,11 @@ def _cmd_dollar(args) -> int:
         _err(str(exc))
         return 1
 
-    ranking = dif.rank_partners(net, matrix, focal, top=args.top)
+    ranking = walk.rank_partners(net, matrix, focal, top=args.top)
     out = _outdir(args)
     name = f"ranking_{_safe_token(focal)}_{args.direction}.csv"
     _atomic_write(
-        os.path.join(out, name), lambda tmp: dif.write_ranking_csv(ranking, tmp)
+        os.path.join(out, name), lambda tmp: walk.write_ranking_csv(ranking, tmp)
     )
 
     def write_diagnostics(path):

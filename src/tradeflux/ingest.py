@@ -25,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._io import has_control, opened
+from ._io import BAD_CHARS, code_fault, opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -39,6 +39,8 @@ RECONCILE_POLICIES = ("average", "prefer-importer", "prefer-exporter", "max")
 
 # matches exactly the characters for which str.isspace() is true
 _has_space = re.compile(r"\s").search
+# whitespace or BAD_CHARS: one search per code of each record
+_bad_token = re.compile(rf"[\s{BAD_CHARS}]").search
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,12 @@ class DyadicRecord:
     def __post_init__(self):
         if not self.reporter or not self.partner:
             raise ValueError("country codes must be non-empty")
-        if _has_space(self.reporter) or _has_space(self.partner):
-            raise ValueError("country codes must be whitespace-free tokens")
-        if has_control(self.reporter) or has_control(self.partner):
-            raise ValueError("country codes must not contain control characters")
+        if (_bad_token(self.reporter) or _bad_token(self.partner)
+                or self.reporter[0] == "#" or self.partner[0] == "#"):
+            if _has_space(self.reporter) or _has_space(self.partner):
+                raise ValueError("country codes must be whitespace-free tokens")
+            fault = code_fault(self.reporter) or code_fault(self.partner)
+            raise ValueError(f"country codes must not {fault}")
         if self.reporter == self.partner:
             raise ValueError(f"self-trade record for {self.reporter!r}")
         for name in ("exports", "imports"):
@@ -298,7 +302,7 @@ def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
 
 def _valid_code(code: str) -> bool:
     """Whether a stripped code passes ``DyadicRecord``'s code checks."""
-    return bool(code) and not _has_space(code) and not has_control(code)
+    return bool(code) and not _has_space(code) and not code_fault(code)
 
 
 def _year(token: str) -> int | None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import has_control, opened
+from ._io import code_fault, opened
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -304,10 +304,8 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
                 continue  # header row
             return ValueError(f"line {line_no}: bad weight {parts[2]!r}")
         for code in parts[:2]:
-            if has_control(code):
-                return ValueError(
-                    f"line {line_no}: country code {code!r} contains a control character"
-                )
+            if fault := code_fault(code):
+                return ValueError(f"line {line_no}: country code {code!r} must not {fault}")
     raise AssertionError("no bad line")
 
 
@@ -344,9 +342,9 @@ def read_edge_list(stream) -> ImbalanceNetwork:
             src += map(codes.setdefault, fields[0::3], fields[0::3])
             dst += map(codes.setdefault, fields[1::3], fields[1::3])
             weight = None
-            # every line holds three fields or none, and no new code a control character
+            # every line holds three fields or none, and no new code breaks a code rule
             if set(map(len, map(str.split, data))) <= {0, 3} and not any(
-                map(has_control, itertools.islice(codes, known, None))
+                map(code_fault, itertools.islice(codes, known, None))
             ):
                 try:
                     weight = np.fromiter(map(float, fields[2::3]), float, len(fields) // 3)

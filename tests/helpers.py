@@ -12,7 +12,6 @@ readers against the row-at-a-time readers they replaced.
 import csv
 import io
 import math
-import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -336,8 +335,9 @@ def rowwise_parse_dyadic_records(path, columns):
 def linewise_read_edge_list(path) -> ImbalanceNetwork:
     """Edge list read one line at a time into ``(src, dst, weight)`` tuples.
 
-    Beyond the reader it replaced, it rejects codes with a C0 control
-    character, which GraphML cannot carry, after the weight check.
+    Beyond the reader it replaced, it rejects, after the weight check,
+    codes that some output could not carry: with a C0 control character
+    (GraphML), a leading ``#`` (the edge list) or a ``,`` or ``"`` (CSV).
     """
     edges = []
     with open(path, encoding="utf-8", newline="") as stream:
@@ -354,9 +354,14 @@ def linewise_read_edge_list(path) -> ImbalanceNetwork:
                     continue  # header row
                 raise ValueError(f"line {line_no}: bad weight {parts[2]!r}") from None
             for code in parts[:2]:
-                if re.search("[\x00-\x1f]", code):
-                    raise ValueError(
-                        f"line {line_no}: country code {code!r} contains a control character"
-                    )
+                if any(ord(c) < 0x20 for c in code):
+                    fault = "contain control characters"
+                elif code[0] == "#":
+                    fault = "start with '#'"
+                elif set(code) & {",", '"'}:
+                    fault = "contain ',' or '\"'"
+                else:
+                    continue
+                raise ValueError(f"line {line_no}: country code {code!r} must not {fault}")
             edges.append((parts[0], parts[1], w))
     return ImbalanceNetwork.from_edges(edges)

@@ -45,6 +45,23 @@ def test_build_two_country_sample(tmp_path, capsys):
     assert "0 conflicts" in capsys.readouterr().err
 
 
+def test_build_drops_codes_a_later_file_cannot_carry(tmp_path, capsys):
+    src = tmp_path / "records.csv"
+    src.write_text(
+        "year,reporter,partner,exports,imports\n"
+        '2000,#A,C,1,0\n2000,"A,B",C,2,0\n2000,C,D,3,0\n2000,D,E,1,0\n'
+    )
+    out = tmp_path / "out"
+    assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "tradeflux: dropped line 2: country codes must not start with '#'\n" in err
+    assert "tradeflux: dropped line 3: country codes must not contain ',' or '\"'\n" in err
+    export = ["export", str(out / "network.tsv"), "--format", "tsv", "-o", str(out / "x")]
+    assert main(export) == 0
+    assert (out / "x" / "network.tsv").read_bytes() == (out / "network.tsv").read_bytes()
+    assert {line.count(",") for line in (out / "accounts.csv").read_text().splitlines()} == {6}
+
+
 def test_outputs_follow_the_umask(tmp_path):
     src = tmp_path / "records.csv"
     src.write_text(TWO_COUNTRY)
@@ -219,6 +236,12 @@ def test_dollar_rejects_counts_below_one_before_reading(flag, value, tmp_path, c
     assert capsys.readouterr().err == f"tradeflux: {flag} must be >= 1, got {value}\n"
 
 
+def test_dollar_rejects_a_negative_seed_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "no-network.tsv")
+    assert main(["dollar", missing, "--from", "S", "--seed", "-1", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "tradeflux: --seed must be >= 0, got -1\n"
+
+
 def test_dollar_mc_is_byte_deterministic(net3_file, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     args = ["dollar", net3_file, "--from", "S", "--walkers", "20000", "--seed", "7"]
@@ -288,7 +311,7 @@ def _run_fresh(script: str, *args: str) -> str:
     return result.stdout
 
 
-def test_only_dollar_loads_scipy(tmp_path):
+def test_only_exact_dollar_loads_scipy(tmp_path):
     tm = random_trade_matrix(np.random.default_rng(5), n=30, density=0.5)
     flows = tm.exports.tolist()
     lines = ["year,reporter,partner,exports,imports"]
@@ -300,25 +323,44 @@ def test_only_dollar_loads_scipy(tmp_path):
     net = build_imbalance_network(tm)
     consumer = tm.countries[int(np.argmin(net.delta_s))]
     network, out = str(tmp_path / "network.tsv"), str(tmp_path / "out")
-    steps = [
-        ["build", str(tmp_path / "records.csv"), "--year", "2000", "-o", str(tmp_path)],
-        ["disparity", network, "-o", out],
-        ["backbone", network, "-o", out],
-        ["export", network, "-o", out],
-        ["dollar", network, "--from", consumer, "--exact", "-o", out],
-    ]
+    steps = {
+        "build": ["build", str(tmp_path / "records.csv"), "--year", "2000", "-o", str(tmp_path)],
+        "disparity": ["disparity", network, "-o", out],
+        "backbone": ["backbone", network, "-o", out],
+        "export": ["export", network, "-o", out],
+        "dollar": ["dollar", network, "--from", consumer, "--walkers", "2000", "-o", out],
+        "dollar --exact": ["dollar", network, "--from", consumer, "--exact", "-o", out],
+    }
     loaded = json.loads(_run_fresh("""
         import json, sys
         import tradeflux
         from tradeflux.cli import main
         loaded = {"import": "scipy" in sys.modules}
-        for argv in json.loads(sys.argv[1]):
+        for step, argv in json.loads(sys.argv[1]).items():
             assert main(argv) == 0, argv
-            loaded[argv[0]] = "scipy" in sys.modules
+            loaded[step] = "scipy" in sys.modules
         print(json.dumps(loaded))
     """, json.dumps(steps)))
     assert loaded == {"import": False, "build": False, "disparity": False,
-                      "backbone": False, "export": False, "dollar": True}
+                      "backbone": False, "export": False, "dollar": False,
+                      "dollar --exact": True}
+
+
+def test_walker_names_are_the_walk_module_objects():
+    out = _run_fresh("""
+        import sys
+        import tradeflux
+        tradeflux.forward_walk_mc, tradeflux.AbsorptionMatrix  # first use
+        assert "scipy" not in sys.modules
+        from tradeflux import diffusion, walk
+        for name in ("forward_walk_mc", "AbsorptionMatrix"):
+            assert getattr(tradeflux, name) is getattr(walk, name) is getattr(diffusion, name)
+        from tradeflux.network import ImbalanceNetwork
+        net = ImbalanceNetwork.from_edges([("S", "A", 2.0), ("S", "B", 1.0), ("A", "B", 1.0)])
+        assert type(diffusion.exact_absorption(net)) is walk.AbsorptionMatrix
+        print("ok")
+    """)
+    assert out == "ok\n"
 
 
 #: Every public name ``tradeflux`` has exported, diffusion's included.

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import random_network, reference_walk
 from tradeflux.diffusion import (
-    _alias_tables,
     AbsorptionMatrix,
     WalkConfig,
     absorption_probability,
@@ -17,10 +16,10 @@ from tradeflux.diffusion import (
     forward_walk_mc,
     imbalance_reconstruction,
     rank_partners,
-    write_absorption_csv,
     write_ranking_csv,
 )
 from tradeflux.network import ImbalanceNetwork, node_accounts, total_flux
+from tradeflux.walk import _alias_tables
 
 
 def test_fixture_exact_shares(net3):
@@ -74,6 +73,8 @@ def test_walk_config_validation():
         WalkConfig(n_walkers=0)
     with pytest.raises(ValueError, match="max_steps"):
         WalkConfig(max_steps=0)
+    with pytest.raises(ValueError, match="seed"):
+        WalkConfig(seed=-1)
 
 
 def test_mc_determinism(net3):
@@ -284,17 +285,6 @@ def test_rank_partners_validation(net3):
         rank_partners(net3, matrix, "S", top=0)
     with pytest.raises(ValueError, match="not a start node"):
         rank_partners(net3, matrix, "A")
-
-
-def test_absorption_csv_format(net3):
-    matrix = exact_absorption(net3, "forward")
-    buf = io.StringIO()
-    write_absorption_csv(matrix, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "start,end,share,non_absorbed"
-    cells = {(r[0], r[1]): float(r[2]) for r in (line.split(",") for line in lines[1:])}
-    assert cells[("S", "A")] == pytest.approx(1.0 / 3.0)
-    assert cells[("S", "B")] == pytest.approx(2.0 / 3.0)
 
 
 def test_ranking_csv_format(net3):

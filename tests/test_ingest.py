@@ -121,6 +121,21 @@ def test_parse_drops_codes_with_control_characters():
     assert result.records == [DyadicRecord(2000, "A", "B", 1.0, 2.0)]
 
 
+@pytest.mark.parametrize("delimiter, reporter, fault", [
+    (",", "#A", "start with '#'"),
+    (",", '"A,B"', "contain ',' or '\"'"),
+    (",", 'A"B', "contain ',' or '\"'"),
+    ("\t", "A,B", "contain ',' or '\"'"),
+])
+def test_parse_drops_codes_an_output_cannot_carry(delimiter, reporter, fault):
+    rows = [["year", "reporter", "partner", "exports", "imports"],
+            ["2000", reporter, "C", "1", "2"], ["2000", "A", "B", "1", "2"]]
+    text = "".join(delimiter.join(row) + "\n" for row in rows)
+    result = parse_dyadic_records(io.StringIO(text))
+    assert result.dropped == [("line 2", f"country codes must not {fault}")]
+    assert result.records == [DyadicRecord(2000, "A", "B", 1.0, 2.0)]
+
+
 def test_parse_empty_input():
     result = parse_dyadic_records(io.StringIO(""))
     assert result.records == [] and result.dropped == []
@@ -277,7 +292,8 @@ _year_tokens = st.sampled_from(
     ["2000", "2000", " 2000 ", "1999", "2_000", "x", "", "٢٠٠٠", "99999999999999999999"]
 )
 _code_tokens = st.sampled_from(
-    ["A", "B", "C", "D", " A", "B ", "", "  ", "A B", "A\x00", "\x01", "é"]
+    ["A", "B", "C", "D", " A", "B ", "", "  ", "A B", "A\x00", "\x01", "é", "#A", "A,B",
+     'A"B']
 )
 _flow_tokens = st.one_of(
     st.sampled_from([

@@ -312,10 +312,19 @@ def test_edge_list_rejects_control_characters_in_codes():
         read_edge_list(io.StringIO("src dst weight\nA\x00 B 1.0\n"))
 
 
+@pytest.mark.parametrize("code, fault", [
+    ("#B", "start with '#'"), ("B,C", "contain ',' or '\"'"), ('"B"', "contain ',' or '\"'"),
+])
+def test_edge_list_rejects_codes_an_output_cannot_carry(code, fault):
+    with pytest.raises(ValueError) as caught:
+        read_edge_list(io.StringIO(f"src dst weight\nA {code} 1.0\n"))
+    assert str(caught.value) == f"line 2: country code {code!r} must not {fault}"
+
+
 # whitespace of every kind, comment marks, header words, control characters
 # and weights float() parses or refuses, so each branch of the reader comes up
 _edge_code = st.sampled_from(
-    ["A", "B", "C", "D", "E", "F", "G", "é", "#A", "src", "A\x00", "\x01B"]
+    ["A", "B", "C", "D", "E", "F", "G", "é", "#A", "src", "A\x00", "\x01B", "A,B", '"C"']
 )
 _edge_weight = st.one_of(
     st.sampled_from(["1", "2.5", "1e308", "-1", "0", "nan", "inf", "1_0", "x", "weight"]),
