@@ -79,12 +79,22 @@ _DIFFUSION_NAMES = frozenset({
     "detailed_balance_check", "exact_absorption", "imbalance_reconstruction",
 })
 
-# star imports also fetch the lazy names, through __getattr__; the walker's
-# names are exported one by one, not its module
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} - {"walk"}
-    | _DIFFUSION_NAMES
-    | {"diffusion"}
+# ``import *`` fetches the lazy names too, through __getattr__
+__all__ = (
+    "AbsorptionMatrix", "BackboneNetwork", "BackboneStats", "ColumnMap",
+    "ConfigurationError", "DisparityPoint", "DisparityProfile", "DyadicRecord",
+    "ImbalanceNetwork", "InsufficientDataError", "NoConvergenceError",
+    "NodeAccount", "ScalingFit", "TradeMatrix", "ValidationReport", "WalkConfig",
+    "absorption_probability", "backbone", "backbone_stats", "backbone_sweep",
+    "backward_walk_mc", "build_imbalance_network", "connected_components",
+    "detailed_balance_check", "diffusion", "disparity", "disparity_points",
+    "disparity_profile", "edge_significance_value", "errors", "exact_absorption",
+    "extract_backbone", "fit_scaling_exponent", "flux_histogram", "forward_walk_mc",
+    "global_balance_residual", "imbalance_reconstruction", "ingest", "network",
+    "node_accounts", "null_model_moments", "null_model_sample", "null_model_shares",
+    "parse_dyadic_records", "rank_partners", "read_edge_list", "read_trade_matrix",
+    "reconcile_flows", "total_flux", "validate_trade_matrix", "write_edge_list",
+    "write_graphml", "write_trade_matrix",
 )
 
 

@@ -2,8 +2,9 @@
 
 A file argument is either an open file object, used as given, or a path
 (``str`` or ``os.PathLike``), opened here. A string is never file content.
-A country code read from a file breaks no rule of ``code_fault``, so that
-every file format the pipeline writes can carry it.
+No country code, whether read from a file or handed to an
+``ImbalanceNetwork``, breaks a rule of ``code_fault``, so that every file
+format the pipeline writes can carry it.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ import re
 import sys
 import tempfile
 
+import numpy as np
+
 from . import backbone as bb
 from . import disparity as disp
 from . import ingest
@@ -220,6 +222,9 @@ def _cmd_dollar(args) -> int:
         if value < least:
             _err(f"{flag} must be >= {least}, got {value}")
             return 2
+    if args.walkers > walk.MAX_WALKERS:
+        _err(f"--walkers must be <= {walk.MAX_WALKERS}, got {args.walkers}")
+        return 2
     net = nw.read_edge_list(args.network)
     focal = args.focal
     if focal not in net.index:
@@ -227,18 +232,13 @@ def _cmd_dollar(args) -> int:
         return 2
     accounts = nw.node_accounts(net)
     account = accounts[net.index[focal]]
-    if args.direction == "forward" and account.delta_s >= 0:
+    forward = args.direction == "forward"
+    if (account.delta_s >= 0) if forward else (account.delta_s <= 0):
+        kind = "neutral" if account.delta_s == 0 else "producer" if forward else "consumer"
+        starts, other = ("consumers", "backward") if forward else ("producers", "forward")
         _err(
-            f"{focal} is a net {'producer' if account.delta_s > 0 else 'neutral'} "
-            f"(delta_s = {account.delta_s!r}); forward walks start at net consumers. "
-            f"Try --direction backward."
-        )
-        return 2
-    if args.direction == "backward" and account.delta_s <= 0:
-        _err(
-            f"{focal} is a net {'consumer' if account.delta_s < 0 else 'neutral'} "
-            f"(delta_s = {account.delta_s!r}); backward walks start at net producers. "
-            f"Try --direction forward."
+            f"{focal} is a net {kind} (delta_s = {account.delta_s!r}); "
+            f"{args.direction} walks start at net {starts}. Try --direction {other}."
         )
         return 2
 
@@ -279,6 +279,10 @@ def _cmd_dollar(args) -> int:
             diagnostics["n_walkers"] = config.n_walkers
             diagnostics["seed"] = config.seed
             diagnostics["non_absorbed"] = float(matrix.non_absorbed[0])
+            diagnostics["mean_hops"] = matrix.mean_hops
+            p = matrix.shares[0]
+            se = np.sqrt(p * (1 - p) / config.n_walkers)
+            diagnostics["max_share_se"] = float(se.max())
             for warning in matrix.warnings:
                 _err(f"warning: {warning}")
             diagnostics["warnings"] = list(matrix.warnings)

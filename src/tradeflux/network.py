@@ -42,6 +42,8 @@ class ImbalanceNetwork:
     At most one direction may exist per unordered pair, weights must be
     strictly positive and finite, and self-loops are rejected. Strengths
     must be finite too: weights summing past the float range are rejected.
+    Every country code must pass ``_io.code_fault``, whatever ``validate``
+    says, so that every file the pipeline writes can carry the network.
     """
 
     def __init__(self, countries, src, dst, weight, validate: bool = True):
@@ -56,6 +58,9 @@ class ImbalanceNetwork:
         self.index = {code: i for i, code in enumerate(self.countries)}
         if len(self.index) != len(self.countries):
             raise ValueError("duplicate country codes")
+        for code in self.countries:
+            if fault := code_fault(code):
+                raise ValueError(f"country code {code!r} must not {fault}")
         if validate:
             self._check_invariants()
 

@@ -13,12 +13,18 @@ the same walk on the reversed network: flipping every edge swaps incoming
 and outgoing strengths, so net producers become the walk's starting
 points and net consumers its absorbers.
 
-The Monte Carlo walker samples each hop from per-node Walker/Vose alias
-tables (Walker 1977, ACM TOMS 3(3):253; Vose 1991, IEEE TSE 17(9):972),
-built once per walk in O(edges): one uniform draw picks a column of the
-node's row and the edge it leads to, exactly and in O(1) per hop whatever
-the node's degree. Walkers run in lock-step blocks of fixed size, so the
-walker's memory is bounded by the block size, not by the walker count.
+The Monte Carlo walker follows walker counts, not walkers. All walkers
+start together and take their t-th hop in step t. Given where they stand,
+their hops are independent draws from their nodes' hop distributions, so
+the m walkers at node v split over v's out-edges as one draw of
+Multinomial(m, w / s_out); given where they arrive, each is absorbed
+independently, so a node absorbs Binomial(a, p) of its a arrivals. The
+walker counts per node therefore follow the same law as those of walkers
+moved one hop at a time: an exact rewrite, not an approximation, and one
+that never consults the exact solve. The walk holds one int64 count per
+node and an n x k_max hop table (k_max the largest out-degree), within
+the n x n matrix the exact solve allocates, and its memory and time per
+step do not grow with the walker count.
 
 Every absorbing system here terminates with probability one: accounts are
 derived from the edge list, so any set of nodes closed under outgoing
@@ -44,8 +50,8 @@ DIRECTIONS = ("forward", "backward")
 #: Fraction of walkers allowed to hit the step cap before a warning is issued.
 NON_ABSORBED_WARNING = 0.01
 
-#: Walkers simulated together in lock-step; bounds the walker's memory.
-_WALKER_BLOCK = 1 << 16
+#: Largest walker count: the walk holds per-node counts as int64.
+MAX_WALKERS = 2**63 - 1
 
 
 def absorption_probability(account: NodeAccount, direction: str) -> float:
@@ -81,6 +87,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.n_walkers < 1:
             raise ValueError("n_walkers must be >= 1")
+        if self.n_walkers > MAX_WALKERS:
+            raise ValueError(f"n_walkers must be <= {MAX_WALKERS}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.seed < 0:
@@ -94,7 +102,9 @@ class AbsorptionMatrix:
     ``shares[i, j]`` is the probability that a walker launched at
     ``starts[i]`` is absorbed at ``targets[j]``; rows sum to one minus
     ``non_absorbed[i]``. ``method`` records how the numbers were produced:
-    ``monte-carlo`` or ``dense`` (the exact solve).
+    ``monte-carlo`` or ``dense`` (the exact solve). ``mean_hops`` is the
+    hops a simulated walker took on average; the exact solve leaves it
+    ``None``.
     """
 
     direction: str
@@ -105,6 +115,7 @@ class AbsorptionMatrix:
     method: str
     n_walkers: int | None
     warnings: tuple[str, ...]
+    mean_hops: float | None = None
 
     def share(self, start: str, target: str) -> float:
         return float(
@@ -118,130 +129,55 @@ def _absorb_vector(work: ImbalanceNetwork) -> np.ndarray:
     return np.where(work.delta_s > 0, work.delta_s / denom, 0.0)
 
 
-def _row_cumsum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Running sums of ``values`` that restart wherever the sorted ``rows`` changes.
+def _hop_table(work: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's hop shares ``w / s_out`` and edge targets, one row per node.
 
-    Each row's total is taken off at the next row's first entry, so the
-    running sum never grows past one row's total and rounding stays about
-    as small as in a separate cumsum per row.
+    Both arrays are n x k_max, in CSR edge order, with each row right-aligned
+    after zero padding: a node's last column is always its last real edge,
+    so the remainder a multinomial draw leaves on the last column falls on
+    a real edge. Rows of nodes without outgoing edges are all padding.
     """
-    if values.size == 0:
-        return values.copy()
-    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    shifted = values.copy()
-    shifted[first[1:]] -= np.add.reduceat(values, first)[:-1]
-    run = np.cumsum(shifted)
-    carried = run[first] - values[first]
-    return run - np.repeat(carried, np.diff(np.r_[first, values.size]))
-
-
-def _alias_tables(work: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Walker/Vose alias tables of every node's hop distribution, in CSR edge order.
-
-    Edge e of node v owns column ``e - ptr[v]`` of v's row: a walker that
-    picks that column uniformly takes e with probability ``prob[e]`` and
-    edge ``alias[e]``, always in the same row, otherwise. With k = k_out[v]
-    and scaled shares q = k w / s_out, the columns reproduce the shares
-    exactly: ``(prob[e] + sum over alias[f] == e of (1 - prob[f])) / k ==
-    w[e] / s_out[v]``.
-
-    The tables are those of the sweep construction (Hübschle-Schneider and
-    Sanders, "Parallel Weighted Random Sampling", ESA 2019), computed for
-    all rows at once. Within a row, light edges (q < 1) lay their deficits
-    1 - q end to end and heavy edges lay their excesses q - 1 end to end. A light edge borrows from the first
-    heavy edge whose cumulative excess ends past where its own deficit
-    starts. A heavy edge keeps whatever its excess did not lend to the
-    lights before that point and hands the rest of its column to the
-    next heavy edge; the row's last heavy edge keeps its whole column.
-    """
-    src = work.src
-    with np.errstate(over="ignore"):
-        q = work.weight * work.k_out[src] / work.s_out[src]
-    # a weight near the float limit overflows w k; divide first there alone
-    over = np.isinf(q)
-    q[over] = work.weight[over] / work.s_out[src[over]] * work.k_out[src[over]]
-    light = np.flatnonzero(q < 1.0)
-    heavy = np.flatnonzero(q >= 1.0)
-    deficit = 1.0 - q[light]
-    deficit_end = _row_cumsum(deficit, src[light])
-    excess_end = _row_cumsum(q[heavy] - 1.0, src[heavy])
-
-    # Merge light deficit starts with heavy excess ends, row by row; on a
-    # tie the heavy end comes first, so it does not count as lying past.
-    is_light = np.repeat([False, True], [heavy.size, light.size])
-    order = np.lexsort((
-        is_light,
-        np.concatenate([excess_end, deficit_end - deficit]),
-        src[np.concatenate([heavy, light])],
-    ))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    lights_before = (np.cumsum(is_light[order]) - is_light[order])[rank]
-    heavies_before = rank - lights_before
-
-    n_heavy = np.bincount(src[heavy], minlength=work.n_nodes)
-    heavy_stop = np.cumsum(n_heavy)
-    n_light = np.bincount(src[light], minlength=work.n_nodes)
-    light_start = np.cumsum(n_light) - n_light
-
-    prob = np.ones(work.n_edges)
-    alias = np.arange(work.n_edges)
-
-    # Rounding can leave a light edge past its row's last heavy edge, or a
-    # row of lights only; those go to the last heavy edge, or keep their column.
-    lender = np.minimum(heavies_before[heavy.size:], heavy_stop[src[light]] - 1)
-    lends = n_heavy[src[light]] > 0
-    prob[light[lends]] = q[light[lends]]
-    alias[light[lends]] = heavy[lender[lends]]
-
-    following = np.flatnonzero(np.arange(1, heavy.size + 1) < heavy_stop[src[heavy]])
-    row = src[heavy[following]]
-    seen = lights_before[following]
-    lent = np.where(seen > light_start[row], np.r_[0.0, deficit_end][seen], 0.0)
-    prob[heavy[following]] = np.minimum(1.0, 1.0 + excess_end[following] - lent)
-    alias[heavy[following]] = heavy[following + 1]
-    return prob, alias
+    src, k_out = work.src, work.k_out
+    shape = (work.n_nodes, int(k_out.max(initial=0)))
+    column = np.arange(work.n_edges) - work._out_ptr[src] + (shape[1] - k_out[src])
+    share = np.zeros(shape)
+    target = np.zeros(shape, dtype=np.int64)
+    share[src, column] = work.weight / work.s_out[src]
+    target[src, column] = work.dst
+    return share, target
 
 
 def _mc_run(
     work: ImbalanceNetwork, start: int, config: WalkConfig
-) -> tuple[np.ndarray, float]:
-    """Absorption counts per node and the fraction of walkers never absorbed.
+) -> tuple[np.ndarray, float, int]:
+    """Absorption counts per node, the fraction never absorbed, and the hops taken.
 
-    Walkers move in lock-step blocks of at most ``_WALKER_BLOCK``; a block
-    keeps only its live walkers' positions and adds its absorptions to one
-    count per node, so memory does not grow with ``n_walkers``. A hop is
-    one alias-table draw: ``x = u * k_out[v]`` picks column ``floor(x)`` of
-    v's row, and the fraction ``x - floor(x)`` decides between the
-    column's own edge and its alias. That is one uniform draw and one
-    comparison per hop, O(1) whatever the degree, and for every u in
-    [0, 1) the column lies inside v's own row. Blocks draw from one
-    generator in turn, so a seed fixes the whole result.
+    The walk keeps one count of walkers per node, not one position per
+    walker. Each step, one multinomial draw splits every occupied node's
+    walkers over its out-edges, and one binomial draw per node absorbs
+    some of the walkers that arrived there. A step costs as much as the
+    occupied nodes' rows of the hop table, whatever ``n_walkers`` is.
     """
     rng = np.random.default_rng(config.seed)
-    prob, alias = _alias_tables(work)
-    # where a column leads: its alias's target at 2e, its own edge's at 2e + 1
-    dest = np.stack([work.dst[alias], work.dst], axis=1).ravel()
-    row_start = work._out_ptr[:-1]
-    k_out = work.k_out.astype(float)
+    share, target = _hop_table(work)
     absorb_p = _absorb_vector(work)
 
     counts = np.zeros(work.n_nodes, dtype=np.int64)
-    lost = 0
-    for first in range(0, config.n_walkers, _WALKER_BLOCK):
-        at = np.full(min(_WALKER_BLOCK, config.n_walkers - first), start)
-        for _ in range(config.max_steps):
-            if at.size == 0:
-                break
-            x = rng.random(at.size) * k_out[at]
-            column = x.astype(np.int64)
-            e = row_start[at] + column
-            landed = dest[2 * e + (x - column < prob[e])]
-            hit = rng.random(at.size) < absorb_p[landed]
-            counts += np.bincount(np.compress(hit, landed), minlength=work.n_nodes)
-            at = np.compress(~hit, landed)
-        lost += at.size
-    return counts, lost / config.n_walkers
+    at = np.zeros(work.n_nodes, dtype=np.int64)
+    at[start] = config.n_walkers
+    hops = 0  # a Python int: the total over all steps may pass the int64 range
+    for _ in range(config.max_steps):
+        if not (moving := int(at.sum())):
+            break
+        hops += moving
+        live = np.flatnonzero(at)
+        moved = rng.multinomial(at[live], share[live])
+        arrived = np.zeros(work.n_nodes, dtype=np.int64)
+        np.add.at(arrived, target[live].ravel(), moved.ravel())
+        absorbed = rng.binomial(arrived, absorb_p)
+        counts += absorbed
+        at = arrived - absorbed
+    return counts, int(at.sum()) / config.n_walkers, hops
 
 
 def _mc_matrix(
@@ -252,23 +188,16 @@ def _mc_matrix(
             raise KeyError(f"unknown country {start!r}")
         start = net.index[start]
     start = int(start)
-    if direction == "forward":
-        if net.delta_s[start] >= 0:
-            raise ValueError(
-                f"forward walks start at a net consumer; "
-                f"{net.countries[start]} has delta_s = {net.delta_s[start]!r}"
-            )
-        work = net
-    else:
-        if net.delta_s[start] <= 0:
-            raise ValueError(
-                f"backward walks start at a net producer; "
-                f"{net.countries[start]} has delta_s = {net.delta_s[start]!r}"
-            )
-        work = net.reverse()
+    forward = direction == "forward"
+    if (net.delta_s[start] >= 0) if forward else (net.delta_s[start] <= 0):
+        raise ValueError(
+            f"{direction} walks start at a net {'consumer' if forward else 'producer'}; "
+            f"{net.countries[start]} has delta_s = {net.delta_s[start]!r}"
+        )
+    work = net if forward else net.reverse()
 
     sinks = np.flatnonzero(work.delta_s > 0)
-    counts, lost = _mc_run(work, start, config)
+    counts, lost, hops = _mc_run(work, start, config)
     shares = counts[sinks][None, :] / config.n_walkers
     code = net.countries[start]
     warnings = ()
@@ -286,6 +215,7 @@ def _mc_matrix(
         method="monte-carlo",
         n_walkers=config.n_walkers,
         warnings=warnings,
+        mean_hops=hops / config.n_walkers,
     )
 
 

@@ -212,6 +212,18 @@ def test_dollar_exact_fixture(net3_file, tmp_path, capsys):
     assert diag["reconstruction_rel_err_backward"] < 1e-9
 
 
+def test_dollar_mc_reports_hops_and_standard_error(net3_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["dollar", net3_file, "--from", "S", "--walkers", "40000", "--seed", "2",
+                 "-o", str(out)]) == 0
+    diag = json.loads((out / "dollar_diagnostics.json").read_text())
+    # one hop from S, and a second for the 2/3 reaching A times the 1/2 it passes on
+    assert diag["mean_hops"] == pytest.approx(4.0 / 3.0, abs=0.02)
+    rows = [line.split(",") for line in (out / "ranking_S_forward.csv").read_text().splitlines()[1:]]
+    p = np.array([float(row[2]) / 100.0 for row in rows])
+    assert diag["max_share_se"] == pytest.approx(np.sqrt(p * (1 - p) / 40000).max(), rel=1e-9)
+
+
 def test_dollar_misclassified_focal(net3_file, tmp_path, capsys):
     code = main(["dollar", net3_file, "--from", "B", "-o", str(tmp_path)])
     assert code == 2
@@ -240,6 +252,16 @@ def test_dollar_rejects_a_negative_seed_before_reading(tmp_path, capsys):
     missing = str(tmp_path / "no-network.tsv")
     assert main(["dollar", missing, "--from", "S", "--seed", "-1", "-o", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "tradeflux: --seed must be >= 0, got -1\n"
+
+
+def test_dollar_rejects_a_walker_count_past_int64_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "no-network.tsv")
+    walkers = str(10**20)
+    assert main(["dollar", missing, "--from", "S", "--walkers", walkers,
+                 "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"tradeflux: --walkers must be <= 9223372036854775807, got {walkers}\n"
+    )
 
 
 def test_dollar_mc_is_byte_deterministic(net3_file, tmp_path):
@@ -378,6 +400,10 @@ EXPORTED = (
     "read_edge_list read_trade_matrix reconcile_flows total_flux "
     "validate_trade_matrix write_edge_list write_graphml write_trade_matrix"
 ).split()
+
+
+def test_all_lists_exactly_the_exported_names():
+    assert sorted(tradeflux.__all__) == sorted(EXPORTED)
 
 
 def test_every_exported_name_still_imports():

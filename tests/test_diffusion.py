@@ -19,7 +19,7 @@ from tradeflux.diffusion import (
     write_ranking_csv,
 )
 from tradeflux.network import ImbalanceNetwork, node_accounts, total_flux
-from tradeflux.walk import _alias_tables
+from tradeflux.walk import _hop_table
 
 
 def test_fixture_exact_shares(net3):
@@ -29,6 +29,7 @@ def test_fixture_exact_shares(net3):
     np.testing.assert_allclose(result.shares[0], [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     assert result.non_absorbed[0] == pytest.approx(0.0, abs=1e-12)
     assert result.method == "dense"
+    assert result.mean_hops is None
 
 
 def test_fixture_backward_fully_attributes_to_s(net3):
@@ -44,6 +45,9 @@ def test_fixture_mc_close_to_exact(net3):
     np.testing.assert_allclose(result.shares[0], [1.0 / 3.0, 2.0 / 3.0], atol=0.002)
     assert result.non_absorbed[0] == 0.0
     assert result.n_walkers == 1_000_000
+    # one hop from S, and a second for the walkers reaching A (2/3) that A
+    # passes on to B (1/2): 1 + 1/3 = 4/3 in expectation
+    assert result.mean_hops == pytest.approx(4.0 / 3.0, abs=0.005)
 
 
 def test_fixture_detailed_balance_and_reconstruction(net3):
@@ -75,6 +79,9 @@ def test_walk_config_validation():
         WalkConfig(max_steps=0)
     with pytest.raises(ValueError, match="seed"):
         WalkConfig(seed=-1)
+    with pytest.raises(ValueError, match="n_walkers"):
+        WalkConfig(n_walkers=2**63)
+    assert WalkConfig(n_walkers=2**63 - 1).n_walkers == 2**63 - 1
 
 
 def test_mc_determinism(net3):
@@ -175,49 +182,75 @@ def test_step_cap_reports_non_absorbed(net3):
     assert any("not absorbed" in w for w in result.warnings)
 
 
-class _ConstantRng:
-    """Generator stand-in whose every uniform draw is the same value."""
+class _LastColumnRng:
+    """Generator stand-in that sends every walker down its node's last
+    column and absorbs every walker wherever it arrives."""
 
-    def __init__(self, value):
-        self.value = value
+    def multinomial(self, n, pvals):
+        moved = np.zeros(np.shape(pvals), dtype=np.int64)
+        moved[..., -1] = n
+        return moved
 
-    def random(self, size=None):
-        return np.full(size, self.value)
+    def binomial(self, n, p):
+        return np.array(n, dtype=np.int64)
 
 
-@pytest.mark.parametrize("draw", [np.nextafter(1.0, 0.0), 0.0], ids=["top", "zero"])
-def test_mc_extreme_draws_stay_in_bounds(net3, monkeypatch, draw):
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ConstantRng(draw))
+def test_mc_last_column_is_a_real_edge(monkeypatch):
+    # S and A have fewer out-edges (forward, backward) than the widest
+    # node C, and the padding's target, node 0, is never their real target
+    net = ImbalanceNetwork.from_edges(
+        [("S", "Z", 3.0), ("C", "A", 1.0), ("C", "B", 1.0), ("C", "Z", 1.0)]
+    )
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _LastColumnRng())
     config = WalkConfig(n_walkers=8, max_steps=4)
-    for result in (forward_walk_mc(net3, "S", config), backward_walk_mc(net3, "B", config)):
-        assert result.shares.sum() + result.non_absorbed[0] == pytest.approx(1.0)
+    for result, landed in (
+        (forward_walk_mc(net, "S", config), "Z"),
+        (backward_walk_mc(net, "A", config), "C"),
+    ):
+        assert result.share(result.starts[0], landed) == 1.0
+        assert result.shares.sum() + result.non_absorbed[0] == 1.0
+        assert result.mean_hops == 1.0
 
 
-_alias_rows = st.one_of(
+def test_mc_billion_walkers_close_to_exact(net3):
+    result = forward_walk_mc(net3, "S", WalkConfig(n_walkers=10**9, seed=5))
+    np.testing.assert_allclose(result.shares[0], [1.0 / 3.0, 2.0 / 3.0], atol=1e-4)
+    assert result.non_absorbed[0] == 0.0
+
+
+_hop_rows = st.one_of(
     st.tuples(st.integers(1, 300), st.floats(1e-12, 1e12)).map(lambda kw: [kw[1]] * kw[0]),
     st.floats(1e-12, 1e12).map(lambda w: [w]),
     st.lists(st.floats(-12.0, 12.0).map(lambda x: 10.0**x), min_size=1, max_size=300),
-    # a few ulps apart: rounding can leave a light edge past the last heavy one
+    # a few ulps apart, where the shares' rounding shows
     st.lists(st.integers(-4, 4), min_size=2, max_size=300).map(
         lambda ns: [1.0 + n * 2.0**-52 for n in ns]
     ),
 )
 
 
-@given(rows=st.lists(_alias_rows, min_size=1, max_size=3))
+@given(rows=st.lists(_hop_rows, min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
-def test_alias_tables_reproduce_hop_shares(rows):
+def test_hop_table_reproduces_hop_shares(rows):
     # one source node per row, all pointing at a shared pool of targets
     net = ImbalanceNetwork.from_edges(
         [(f"R{r}", f"T{j:03d}", w) for r, row in enumerate(rows) for j, w in enumerate(row)]
     )
-    prob, alias = _alias_tables(net)
-    ptr = net._out_ptr
-    assert np.all((ptr[net.src] <= alias) & (alias < ptr[net.src + 1]))
-    implied = prob + np.bincount(alias, weights=1.0 - prob, minlength=net.n_edges)
-    np.testing.assert_allclose(
-        implied / net.k_out[net.src], net.weight / net.s_out[net.src], rtol=0, atol=1e-12
-    )
+    share, target = _hop_table(net)
+    assert share.shape == target.shape == (net.n_nodes, net.k_out.max())
+    for v in range(net.n_nodes):
+        k = net.k_out[v]
+        dst, weight = net.out_edges(v)
+        padding = share.shape[1] - k
+        assert np.all(share[v, :padding] == 0.0)
+        np.testing.assert_allclose(
+            share[v, padding:], weight / net.s_out[v], rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(target[v, padding:], dst)
+        if k > 0:
+            assert share[v, -1] > 0.0
+            # numpy accepts the row: the shares before the last sum to at most 1
+            np.random.default_rng(0).multinomial(10**6, share[v])
 
 
 def test_every_source_agrees_with_exact_small():

@@ -51,13 +51,13 @@ GOLDEN = {
     "disparity/scaling_fit.json":
         "7ef310501d0de7123eaf52612f1f8e57b70dd6dc045d92ef077056e5a58bb9a7",
     "dollar_backward/dollar_diagnostics.json":
-        "7c80271aec704d64f7eacb307e32038f4105470d2e63199f390a4190997fcadb",
+        "5d3910c16d942bcc9d20e08eeeea29dc485f2dc488e15bea8e7f05dd3d76a442",
     "dollar_backward/ranking_C26_backward.csv":
-        "a7af84d9e7f2f0b81ff738e648454fba43556ea18a3851e28e579ce33f011fee",
+        "8e5a743cb43777b448ec182fe98abeb6216f2df8a4415fd2c472853b9dcc1431",
     "dollar_forward/dollar_diagnostics.json":
-        "cfddd07a9435932289d72d64e4dae6c31dd89ebf80f82851e8ef90e4a2789953",
+        "dda382cdab72c1e8e671a5ef7a98906e67970681bfbee3f4671295ea2b15977a",
     "dollar_forward/ranking_C23_forward.csv":
-        "1ca02727c7085c85c448df9a931192019ea5e91d5b1842ffdb7e10b33890881d",
+        "da64c15b870ff5e419ac3d8c974a737a2505cd2c3b30dbd0591c441d9e988db5",
     "export_graphml/network.graphml":
         "726531b28ef3d077664c063a53f824fd5c50caea734e56a959966808a1f047a7",
     "export_tsv/network.tsv":

@@ -17,6 +17,7 @@ from helpers import (
     random_trade_matrix,
 )
 from tradeflux import network
+from tradeflux._io import code_fault
 from tradeflux.ingest import TradeMatrix
 from tradeflux.network import (
     ImbalanceNetwork,
@@ -244,11 +245,13 @@ _codes = st.text(
     min_size=1,
     max_size=4,
 )
+# country codes must also pass the code rule; edge attribute names need not
+_country_codes = _codes.filter(lambda code: code_fault(code) is None)
 
 
 @st.composite
 def _graphml_cases(draw):
-    countries = draw(st.lists(_codes, max_size=8, unique=True))
+    countries = draw(st.lists(_country_codes, max_size=8, unique=True))
     n = len(countries)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
@@ -319,6 +322,20 @@ def test_edge_list_rejects_codes_an_output_cannot_carry(code, fault):
     with pytest.raises(ValueError) as caught:
         read_edge_list(io.StringIO(f"src dst weight\nA {code} 1.0\n"))
     assert str(caught.value) == f"line 2: country code {code!r} must not {fault}"
+
+
+@pytest.mark.parametrize("code, fault", [
+    ("#A", "start with '#'"), ("A,B", "contain ',' or '\"'"), ("A\x00", "contain control characters"),
+])
+def test_networks_built_in_the_library_refuse_codes_no_file_can_carry(code, fault):
+    message = f"country code {code!r} must not {fault}"
+    with pytest.raises(ValueError) as caught:
+        ImbalanceNetwork.from_edges([(code, "B", 2.0), ("B", "C", 1.0), ("C", code, 0.5)])
+    assert str(caught.value) == message
+    tm = TradeMatrix(2000, (code, "B"), np.array([[0.0, 2.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError) as caught:
+        build_imbalance_network(tm)
+    assert str(caught.value) == message
 
 
 # whitespace of every kind, comment marks, header words, control characters
