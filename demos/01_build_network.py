@@ -11,11 +11,9 @@ from tradeflux.ingest import (
     parse_dyadic_records,
     reconcile_flows,
     validate_trade_matrix,
-    write_trade_matrix,
 )
 from tradeflux.network import (
     build_imbalance_network,
-    global_balance_residual,
     node_accounts,
     total_flux,
     write_edge_list,
@@ -45,11 +43,6 @@ matrix, report = reconcile_flows(parsed.records, year=2000, policy="average")
 print("reconciliation:", report.summary())
 print("matrix check:  ", validate_trade_matrix(matrix).summary())
 
-buf = io.StringIO()
-write_trade_matrix(matrix, buf)
-print("\ncanonical matrix file:")
-print(buf.getvalue())
-
 # Only the net flow of each pair matters: the deficit side gets an edge
 # pointing at the surplus side, weighted by the difference.
 net = build_imbalance_network(matrix)
@@ -70,4 +63,4 @@ for a in accounts:
 
 # Surpluses and deficits cancel by construction: every edge credits one
 # account with exactly what it debits another.
-print(f"\nsum of imbalances: {global_balance_residual(accounts):.2e}")
+print(f"\nsum of imbalances: {net.delta_s.sum():.2e}")

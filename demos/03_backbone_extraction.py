@@ -41,10 +41,10 @@ comps = connected_components(skeleton)
 print(f"\nat alpha = {tightest.threshold}: {tightest.n_edges} edges remain, "
       f"{len(comps)} weak component(s), largest has {len(comps[0])} nodes")
 
-strongest = sorted(
-    tightest.edges(), key=lambda e: min(e.alpha_at_source, e.alpha_at_target)
-)[:5]
+best = np.minimum(tightest.alpha_at_source, tightest.alpha_at_target)
 print("\nfive most significant edges (best endpoint score):")
-for e in strongest:
-    print(f"  {e.source} -> {e.target}: weight {e.weight:9.1f}, "
-          f"alpha_src {e.alpha_at_source:.2e}, alpha_dst {e.alpha_at_target:.2e}")
+for r in np.argsort(best, kind="stable")[:5]:
+    e = tightest.edge_index[r]
+    print(f"  {codes[net.src[e]]} -> {codes[net.dst[e]]}: weight {net.weight[e]:9.1f}, "
+          f"alpha_src {tightest.alpha_at_source[r]:.2e}, "
+          f"alpha_dst {tightest.alpha_at_target[r]:.2e}")

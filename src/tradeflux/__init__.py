@@ -9,10 +9,6 @@ The pipeline runs in five stages:
 - ``walk`` and ``diffusion``: absorbing random walks attributing deficits
   to surpluses, simulated and solved exactly.
 
-The per-node concentration statistic itself lives at
-``tradeflux.disparity.disparity`` (not re-exported here, to keep the
-submodule importable under its own name).
-
 ``diffusion`` and the three names it defines are imported on first
 access: it is the only submodule that needs scipy at import time, and of
 the CLI steps only ``dollar --exact`` uses it. The walker's names come
@@ -47,17 +43,13 @@ from .ingest import (
     TradeMatrix,
     ValidationReport,
     parse_dyadic_records,
-    read_trade_matrix,
     reconcile_flows,
     validate_trade_matrix,
-    write_trade_matrix,
 )
 from .network import (
     ImbalanceNetwork,
     NodeAccount,
     build_imbalance_network,
-    flux_histogram,
-    global_balance_residual,
     node_accounts,
     read_edge_list,
     total_flux,
@@ -67,7 +59,6 @@ from .network import (
 from .walk import (
     AbsorptionMatrix,
     WalkConfig,
-    absorption_probability,
     backward_walk_mc,
     forward_walk_mc,
     rank_partners,
@@ -85,16 +76,15 @@ __all__ = (
     "ConfigurationError", "DisparityPoint", "DisparityProfile", "DyadicRecord",
     "ImbalanceNetwork", "InsufficientDataError", "NoConvergenceError",
     "NodeAccount", "ScalingFit", "TradeMatrix", "ValidationReport", "WalkConfig",
-    "absorption_probability", "backbone", "backbone_stats", "backbone_sweep",
-    "backward_walk_mc", "build_imbalance_network", "connected_components",
-    "detailed_balance_check", "diffusion", "disparity", "disparity_points",
-    "disparity_profile", "edge_significance_value", "errors", "exact_absorption",
-    "extract_backbone", "fit_scaling_exponent", "flux_histogram", "forward_walk_mc",
-    "global_balance_residual", "imbalance_reconstruction", "ingest", "network",
-    "node_accounts", "null_model_moments", "null_model_sample", "null_model_shares",
-    "parse_dyadic_records", "rank_partners", "read_edge_list", "read_trade_matrix",
+    "backbone", "backbone_stats", "backbone_sweep", "backward_walk_mc",
+    "build_imbalance_network", "connected_components", "detailed_balance_check",
+    "diffusion", "disparity", "disparity_points", "disparity_profile",
+    "edge_significance_value", "errors", "exact_absorption", "extract_backbone",
+    "fit_scaling_exponent", "forward_walk_mc", "imbalance_reconstruction", "ingest",
+    "network", "node_accounts", "null_model_moments", "null_model_sample",
+    "null_model_shares", "parse_dyadic_records", "rank_partners", "read_edge_list",
     "reconcile_flows", "total_flux", "validate_trade_matrix", "write_edge_list",
-    "write_graphml", "write_trade_matrix",
+    "write_graphml",
 )
 
 

@@ -51,17 +51,6 @@ def _edge_alphas(net: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class EdgeSignificance:
-    """One edge with its endpoint significance scores."""
-
-    source: str
-    target: str
-    weight: float
-    alpha_at_source: float
-    alpha_at_target: float
-
-
-@dataclass(frozen=True)
 class BackboneNetwork:
     """Edges of ``base`` whose best endpoint score beats ``threshold``."""
 
@@ -82,21 +71,6 @@ class BackboneNetwork:
             [self.base.src[self.edge_index], self.base.dst[self.edge_index]]
         )
         return np.unique(kept)
-
-    def edges(self) -> list[EdgeSignificance]:
-        countries = self.base.countries
-        return [
-            EdgeSignificance(
-                source=countries[self.base.src[e]],
-                target=countries[self.base.dst[e]],
-                weight=float(self.base.weight[e]),
-                alpha_at_source=float(a_s),
-                alpha_at_target=float(a_t),
-            )
-            for e, a_s, a_t in zip(
-                self.edge_index, self.alpha_at_source, self.alpha_at_target
-            )
-        ]
 
     def as_network(self) -> ImbalanceNetwork:
         """The retained edges as a standalone network on the full node set."""

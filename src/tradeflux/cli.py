@@ -191,7 +191,8 @@ def _cmd_backbone(args) -> int:
     out = _outdir(args)
     results = bb.backbone_sweep(net, alphas)
     for backbone, stats in results:
-        tag = f"{backbone.threshold:g}"
+        # repr, as in backbone_stats.csv: distinct thresholds get distinct files
+        tag = repr(backbone.threshold)
         if args.format == "graphml":
             path = os.path.join(out, f"backbone_a{tag}.graphml")
             _atomic_write(path, lambda tmp, b=backbone: bb.write_backbone_graphml(b, tmp))

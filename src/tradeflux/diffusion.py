@@ -16,8 +16,8 @@ from .errors import NoConvergenceError
 from .network import ImbalanceNetwork, NodeAccount
 from .walk import (
     DIRECTIONS, NON_ABSORBED_WARNING, AbsorptionMatrix, PartnerRank, WalkConfig,
-    _absorb_vector, absorption_probability, backward_walk_mc, forward_walk_mc,
-    rank_partners, write_ranking_csv,
+    _absorb_vector, backward_walk_mc, forward_walk_mc, rank_partners,
+    write_ranking_csv,
 )
 
 

@@ -6,17 +6,20 @@ p = w / s of the node's flux. The concentration statistic is
     kY = k * sum(p ** 2)
 
 which runs from 1 (flux split evenly over k partners) to k (all flux on a
-single partner). Observed values are compared against partitions drawn
-uniformly at random: k shares obtained by breaking the unit interval at
-k - 1 uniform points. Under that null the statistic has closed-form mean
-and variance, so "more concentrated than chance" reduces to a two-sigma
-exceedance without simulation.
+single partner). It is computed one degree class at a time: the nodes of
+degree k are scored together, as one array of k weights per node.
+
+Observed values are compared against partitions drawn uniformly at
+random: k shares obtained by breaking the unit interval at k - 1 uniform
+points. Under that null the statistic has closed-form mean and variance,
+so "more concentrated than chance" reduces to a two-sigma exceedance
+without simulation.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,39 +31,27 @@ from .network import ImbalanceNetwork
 DIRECTIONS = ("in", "out")
 
 
-def _shares(net: ImbalanceNetwork, node: int, direction: str) -> np.ndarray:
+def _by_degree(
+    net: ImbalanceNetwork, direction: str
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(k, nodes, ky)`` for each degree class k >= 1, by increasing k.
+
+    ``nodes`` are the class's node indices in node order and ``ky`` their
+    concentrations. The class's edge weights form one (nodes, k) array,
+    each row in its node's own edge order, so each row is summed exactly as
+    ``np.sum`` sums that node's weights alone.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if direction == "in":
-        _, weights = net.in_edges(node)
+        degrees, ptr, weights = net.k_in, net._in_ptr, net.weight[net._in_order]
     else:
-        _, weights = net.out_edges(node)
-    if weights.size == 0:
-        raise ValueError(
-            f"{net.countries[node]} has no {direction}-edges; "
-            "concentration is undefined at degree zero"
-        )
-    return weights / weights.sum()
-
-
-def _resolve_node(net: ImbalanceNetwork, node) -> int:
-    if isinstance(node, str):
-        try:
-            return net.index[node]
-        except KeyError:
-            raise KeyError(f"unknown country {node!r}") from None
-    return int(node)
-
-
-def disparity(net: ImbalanceNetwork, node, direction: str) -> float:
-    """Concentration kY of one node's incoming or outgoing flux.
-
-    ``node`` may be a country code or an index. Raises ValueError for a
-    node with no edges on the requested side.
-    """
-    idx = _resolve_node(net, node)
-    p = _shares(net, idx, direction)
-    return float(p.size * np.sum(p**2))
+        degrees, ptr, weights = net.k_out, net._out_ptr, net.weight
+    for k in np.unique(degrees[degrees > 0]).tolist():
+        nodes = np.flatnonzero(degrees == k)
+        w = weights[ptr[nodes, None] + np.arange(k)]
+        p = w / w.sum(axis=1, keepdims=True)
+        yield k, nodes, k * np.sum(p**2, axis=1)
 
 
 def null_model_moments(k: int) -> tuple[float, float]:
@@ -127,29 +118,24 @@ class DisparityPoint:
 
 
 def disparity_points(net: ImbalanceNetwork, direction: str) -> list[DisparityPoint]:
-    """One point per node with at least one edge on the requested side."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    degrees = net.k_in if direction == "in" else net.k_out
+    """One point per node with at least one edge on the requested side,
+    in node order."""
     strengths = net.s_in if direction == "in" else net.s_out
-    points = []
-    for i, code in enumerate(net.countries):
-        k = int(degrees[i])
-        if k == 0:
-            continue
+    points = {}
+    for k, nodes, ky in _by_degree(net, direction):
         mean, var = null_model_moments(k)
-        points.append(
-            DisparityPoint(
-                country=code,
+        sigma = float(np.sqrt(var))
+        for i, value in zip(nodes.tolist(), ky.tolist()):
+            points[i] = DisparityPoint(
+                country=net.countries[i],
                 direction=direction,
                 k=k,
                 strength=float(strengths[i]),
-                ky=disparity(net, i, direction),
+                ky=value,
                 null_mean=mean,
-                null_sigma=float(np.sqrt(var)),
+                null_sigma=sigma,
             )
-        )
-    return points
+    return [points[i] for i in sorted(points)]
 
 
 @dataclass(frozen=True)
@@ -175,25 +161,20 @@ def disparity_profile(net: ImbalanceNetwork, direction: str) -> DisparityProfile
     Rows are sorted by degree. Raises ValueError when no node has an edge
     on the requested side.
     """
-    points = disparity_points(net, direction)
-    if not points:
-        raise ValueError(f"network has no {direction}-edges")
-    by_k: dict[int, list[DisparityPoint]] = {}
-    for pt in points:
-        by_k.setdefault(pt.k, []).append(pt)
     rows = []
-    for k in sorted(by_k):
-        group = by_k[k]
+    for k, _, ky in _by_degree(net, direction):
         mean, var = null_model_moments(k)
         rows.append(
             ProfileRow(
                 k=k,
-                mean_ky=float(np.mean([pt.ky for pt in group])),
+                mean_ky=float(np.mean(ky)),
                 null_mean=mean,
                 null_p2sigma=mean + 2.0 * float(np.sqrt(var)),
-                n_nodes=len(group),
+                n_nodes=ky.size,
             )
         )
+    if not rows:
+        raise ValueError(f"network has no {direction}-edges")
     return DisparityProfile(direction=direction, rows=tuple(rows))
 
 

@@ -550,62 +550,3 @@ def validate_trade_matrix(tm: TradeMatrix) -> ValidationReport:
     return ValidationReport(
         n_records=nonzero, violations=tuple(violations), isolated=isolated
     )
-
-
-def _format_matrix_value(value: float) -> str:
-    # Up to six fractional digits when that renders the float exactly;
-    # full shortest-repr precision otherwise so files re-parse bit-exactly.
-    value = float(value)
-    short = f"{value:.6f}".rstrip("0").rstrip(".")
-    if float(short) == value:
-        return short
-    return repr(value)
-
-
-def write_trade_matrix(tm: TradeMatrix, stream) -> None:
-    """Write the canonical matrix file: a year header, a country header, and
-    one ``source destination value`` triple per nonzero entry.
-
-    ``stream`` is a path or an open text file object."""
-    with opened(stream, "w") as stream:
-        stream.write(f"#year {tm.year}\n")
-        stream.write("#countries " + " ".join(tm.countries) + "\n")
-        rows, cols = np.nonzero(tm.exports)
-        for i, j in zip(rows, cols):
-            value = _format_matrix_value(tm.exports[i, j])
-            stream.write(f"{tm.countries[i]} {tm.countries[j]} {value}\n")
-
-
-def read_trade_matrix(stream) -> TradeMatrix:
-    """Parse a canonical matrix file written by :func:`write_trade_matrix`.
-
-    ``stream`` is a path or an open text file object, never file content.
-    The ``#countries`` header is optional; without it the country set is
-    recovered from the triples (isolated countries are then lost).
-    """
-    with opened(stream) as stream:
-        year = None
-        countries: tuple[str, ...] | None = None
-        triples = []
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#year"):
-                year = int(line.split(None, 1)[1])
-            elif line.startswith("#countries"):
-                countries = tuple(line.split()[1:])
-            elif line.startswith("#"):
-                continue
-            else:
-                source, destination, value = line.split()
-                triples.append((source, destination, float(value)))
-    if year is None:
-        raise ValueError("missing '#year' header line")
-    if countries is None:
-        countries = tuple(sorted({c for s, d, _ in triples for c in (s, d)}))
-    index = {code: i for i, code in enumerate(countries)}
-    exports = np.zeros((len(countries), len(countries)))
-    for source, destination, value in triples:
-        exports[index[source], index[destination]] = value
-    return TradeMatrix(year, countries, exports)

@@ -14,7 +14,6 @@ read-only and safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -229,48 +228,9 @@ def node_accounts(net: ImbalanceNetwork) -> list[NodeAccount]:
     ]
 
 
-def global_balance_residual(accounts: list[NodeAccount]) -> float:
-    """Sum of all net imbalances; zero up to rounding for a closed system."""
-    return float(sum(account.delta_s for account in accounts))
-
-
 def total_flux(net: ImbalanceNetwork) -> float:
     """Sum of all edge weights."""
     return float(net.weight.sum())
-
-
-@dataclass(frozen=True)
-class FluxHistogram:
-    """Edge-weight histogram; ``bin_edges`` has one more entry than ``counts``."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    log_scale: bool
-
-
-def flux_histogram(
-    net: ImbalanceNetwork, n_bins: int, log_scale: bool = True
-) -> FluxHistogram:
-    """Histogram of edge weights, log-spaced bins by default.
-
-    Heavy-tailed flux distributions span several orders of magnitude, so
-    log-spaced bins are the useful default. An empty network yields an
-    empty histogram.
-    """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    if net.n_edges == 0:
-        return FluxHistogram(np.array([]), np.array([], dtype=int), log_scale)
-    w = net.weight
-    lo, hi = float(w.min()), float(w.max())
-    if lo == hi:
-        lo, hi = lo * 0.995, hi * 1.005
-    if log_scale:
-        edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
-    else:
-        edges = np.linspace(lo, hi, n_bins + 1)
-    counts, edges = np.histogram(w, bins=edges)
-    return FluxHistogram(edges, counts, log_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import opened
-from .network import ImbalanceNetwork, NodeAccount
+from .network import ImbalanceNetwork
 
 DIRECTIONS = ("forward", "backward")
 
@@ -52,28 +52,6 @@ NON_ABSORBED_WARNING = 0.01
 
 #: Largest walker count: the walk holds per-node counts as int64.
 MAX_WALKERS = 2**63 - 1
-
-
-def absorption_probability(account: NodeAccount, direction: str) -> float:
-    """Chance a walker is absorbed on arrival at this node.
-
-    Forward walkers are absorbed by net producers with probability
-    delta_s / s_in; backward walkers by net consumers with probability
-    |delta_s| / s_out. Everyone else passes walkers through.
-    """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    if direction == "forward":
-        if account.delta_s <= 0:
-            return 0.0
-        if account.s_in <= 0:
-            raise ValueError(f"{account.country}: positive imbalance with no income")
-        return account.delta_s / account.s_in
-    if account.delta_s >= 0:
-        return 0.0
-    if account.s_out <= 0:
-        raise ValueError(f"{account.country}: negative imbalance with no spending")
-    return -account.delta_s / account.s_out
 
 
 @dataclass(frozen=True)

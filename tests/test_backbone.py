@@ -81,16 +81,13 @@ def test_nesting_over_random_networks():
 
 def test_edge_scores_match_scalar_function(net3):
     bb = extract_backbone(net3, 1.0)
-    for e in bb.edges():
-        i = net3.index[e.source]
-        j = net3.index[e.target]
-        p_out = e.weight / net3.s_out[i]
-        p_in = e.weight / net3.s_in[j]
-        assert e.alpha_at_source == pytest.approx(
-            edge_significance_value(p_out, int(net3.k_out[i]))
+    for e, a_s, a_t in zip(bb.edge_index, bb.alpha_at_source, bb.alpha_at_target):
+        i, j, w = net3.src[e], net3.dst[e], net3.weight[e]
+        assert a_s == pytest.approx(
+            edge_significance_value(w / net3.s_out[i], int(net3.k_out[i]))
         )
-        assert e.alpha_at_target == pytest.approx(
-            edge_significance_value(p_in, int(net3.k_in[j]))
+        assert a_t == pytest.approx(
+            edge_significance_value(w / net3.s_in[j], int(net3.k_in[j]))
         )
 
 
@@ -178,7 +175,11 @@ def test_backbone_graphml_carries_alpha_attributes(net3):
         )
         for e in edges
     }
-    expect = {(e.source, e.target): e.alpha_at_source for e in bb.edges()}
+    codes = net3.countries
+    expect = {
+        (codes[net3.src[e]], codes[net3.dst[e]]): a_s
+        for e, a_s in zip(bb.edge_index, bb.alpha_at_source)
+    }
     assert scored == pytest.approx(expect)
 
 

@@ -175,6 +175,19 @@ def test_backbone_default_ladder(net3_file, tmp_path):
     assert stats[1].split(",")[0] == "0.2"
 
 
+def test_backbone_thresholds_that_print_alike_keep_their_own_files(
+    net3_file, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    alphas = ("0.2", "0.05000001", "0.05")
+    assert main(["backbone", net3_file, "--alpha", ",".join(alphas), "-o", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("backbone_a*.tsv")) == sorted(
+        f"backbone_a{a}.tsv" for a in alphas
+    )
+    printed = [line.split(":")[1] for line in capsys.readouterr().err.splitlines()]
+    assert printed == [f" alpha {a}" for a in alphas]
+
+
 def test_backbone_near_one_keeps_everything(net3_file, tmp_path):
     out = tmp_path / "out"
     assert main(["backbone", net3_file, "--alpha", "0.999999999", "-o", str(out)]) == 0
@@ -390,15 +403,14 @@ EXPORTED = (
     "AbsorptionMatrix BackboneNetwork BackboneStats ColumnMap ConfigurationError "
     "DisparityPoint DisparityProfile DyadicRecord ImbalanceNetwork "
     "InsufficientDataError NoConvergenceError NodeAccount ScalingFit TradeMatrix "
-    "ValidationReport WalkConfig absorption_probability backbone backbone_stats "
-    "backbone_sweep backward_walk_mc build_imbalance_network connected_components "
+    "ValidationReport WalkConfig backbone backbone_stats backbone_sweep "
+    "backward_walk_mc build_imbalance_network connected_components "
     "detailed_balance_check diffusion disparity disparity_points disparity_profile "
     "edge_significance_value errors exact_absorption extract_backbone "
-    "fit_scaling_exponent flux_histogram forward_walk_mc global_balance_residual "
-    "imbalance_reconstruction ingest network node_accounts null_model_moments "
-    "null_model_sample null_model_shares parse_dyadic_records rank_partners "
-    "read_edge_list read_trade_matrix reconcile_flows total_flux "
-    "validate_trade_matrix write_edge_list write_graphml write_trade_matrix"
+    "fit_scaling_exponent forward_walk_mc imbalance_reconstruction ingest network "
+    "node_accounts null_model_moments null_model_sample null_model_shares "
+    "parse_dyadic_records rank_partners read_edge_list reconcile_flows total_flux "
+    "validate_trade_matrix write_edge_list write_graphml"
 ).split()
 
 

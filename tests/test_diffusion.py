@@ -9,7 +9,6 @@ from helpers import random_network, reference_walk
 from tradeflux.diffusion import (
     AbsorptionMatrix,
     WalkConfig,
-    absorption_probability,
     backward_walk_mc,
     detailed_balance_check,
     exact_absorption,
@@ -19,7 +18,7 @@ from tradeflux.diffusion import (
     write_ranking_csv,
 )
 from tradeflux.network import ImbalanceNetwork, node_accounts, total_flux
-from tradeflux.walk import _hop_table
+from tradeflux.walk import _absorb_vector, _hop_table
 
 
 def test_fixture_exact_shares(net3):
@@ -62,14 +61,11 @@ def test_fixture_detailed_balance_and_reconstruction(net3):
 
 
 def test_absorption_probability_rules(net3):
-    accounts = {a.country: a for a in node_accounts(net3)}
-    assert absorption_probability(accounts["A"], "forward") == pytest.approx(0.5)
-    assert absorption_probability(accounts["B"], "forward") == pytest.approx(1.0)
-    assert absorption_probability(accounts["S"], "forward") == 0.0
-    assert absorption_probability(accounts["S"], "backward") == pytest.approx(1.0)
-    assert absorption_probability(accounts["A"], "backward") == 0.0
-    with pytest.raises(ValueError, match="direction"):
-        absorption_probability(accounts["A"], "up")
+    assert net3.countries == ("A", "B", "S")
+    # forward walkers are absorbed by producers with probability delta_s / s_in
+    np.testing.assert_allclose(_absorb_vector(net3), [0.5, 1.0, 0.0])
+    # backward walks run forward on the reversed network, where S is the producer
+    np.testing.assert_allclose(_absorb_vector(net3.reverse()), [0.0, 0.0, 1.0])
 
 
 def test_walk_config_validation():

@@ -1,15 +1,17 @@
 import io
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pernode_disparity_points, pernode_profile_rows
 from tradeflux.disparity import (
+    DIRECTIONS,
     DisparityProfile,
     ProfileRow,
-    disparity,
     disparity_points,
     disparity_profile,
     fit_scaling_exponent,
@@ -32,21 +34,26 @@ def star(weights, direction="out"):
     return ImbalanceNetwork.from_edges(edges)
 
 
+def concentration(net, code, direction):
+    """kY of one node, read from its disparity point; None without a point."""
+    return {p.country: p.ky for p in disparity_points(net, direction)}.get(code)
+
+
 def test_known_concentration_values():
     net = star([3.0, 1.0])
     # shares 0.75/0.25: kY = 2 * (9/16 + 1/16) = 1.25
-    assert disparity(net, "HUB", "out") == pytest.approx(1.25)
-    assert disparity(net, "L0", "in") == 1.0
+    assert concentration(net, "HUB", "out") == pytest.approx(1.25)
+    assert concentration(net, "L0", "in") == 1.0
     net = star([1.0, 1.0, 1.0, 1.0], direction="in")
-    assert disparity(net, "HUB", "in") == pytest.approx(1.0)
+    assert concentration(net, "HUB", "in") == pytest.approx(1.0)
 
 
 def test_extremes_hit_the_bounds():
     even = star([2.5] * 8)
-    assert disparity(even, "HUB", "out") == pytest.approx(1.0)
+    assert concentration(even, "HUB", "out") == pytest.approx(1.0)
     # one partner utterly dominant pushes kY toward k
     skewed = star([1e12] + [1e-6] * 7)
-    assert disparity(skewed, "HUB", "out") == pytest.approx(8.0, rel=1e-6)
+    assert concentration(skewed, "HUB", "out") == pytest.approx(8.0, rel=1e-6)
 
 
 @given(
@@ -59,25 +66,85 @@ def test_extremes_hit_the_bounds():
 @settings(max_examples=100, deadline=None)
 def test_concentration_bounds(weights):
     net = star(weights)
-    ky = disparity(net, "HUB", "out")
+    ky = concentration(net, "HUB", "out")
     k = len(weights)
     assert 1.0 - 1e-9 <= ky <= k + 1e-9
 
 
 def test_scale_invariance():
     weights = [5.0, 1.0, 3.5, 0.25]
-    a = disparity(star(weights), "HUB", "out")
-    b = disparity(star([w * 7.3 for w in weights]), "HUB", "out")
+    a = concentration(star(weights), "HUB", "out")
+    b = concentration(star([w * 7.3 for w in weights]), "HUB", "out")
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_degree_zero_and_bad_arguments(net3):
-    with pytest.raises(ValueError, match="no in-edges"):
-        disparity(net3, "S", "in")
+    # concentration is undefined at degree zero: S has no in-edges, so no point
+    assert concentration(net3, "S", "in") is None
     with pytest.raises(ValueError, match="direction"):
-        disparity(net3, "S", "sideways")
-    with pytest.raises(KeyError, match="unknown country"):
-        disparity(net3, "XX", "out")
+        disparity_points(net3, "sideways")
+    with pytest.raises(ValueError, match="direction"):
+        disparity_profile(net3, "sideways")
+
+
+@st.composite
+def concentration_networks(draw):
+    """Networks that stress the per-degree-class kernel.
+
+    A circulant core (node i sends to i+1..i+reach) puts many nodes in one
+    degree class, with rows past 128 edges once reach exceeds 128. Random
+    edges spread the degrees, leaves add degree-1 nodes, and a few nodes
+    stay isolated. Weights span 1e-12..1e12.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_core = draw(st.one_of(st.integers(0, 40), st.integers(260, 320)))
+    reach = draw(st.one_of(st.integers(1, 8), st.integers(129, 159)))
+    reach = min(reach, max(1, (n_core - 1) // 2))
+    n_extra = draw(st.integers(0, 40))
+    n_leaves = draw(st.integers(0, 20))
+    n_isolated = draw(st.integers(0, 3))
+    n_active = n_core + n_extra + n_leaves
+    src, dst = [], []
+    if n_core >= 3:
+        src.append(np.repeat(np.arange(n_core), reach))
+        dst.append((src[-1] + np.tile(np.arange(1, reach + 1), n_core)) % n_core)
+    if n_core + n_extra >= 2:
+        m = draw(st.integers(0, 4 * (n_core + n_extra)))
+        src.append(rng.integers(0, n_core + n_extra, m))
+        dst.append(rng.integers(0, n_core + n_extra, m))
+    if n_leaves and n_core + n_extra:
+        leaves = np.arange(n_core + n_extra, n_active)
+        hubs = rng.integers(0, n_core + n_extra, n_leaves)
+        outward = rng.random(n_leaves) < 0.5
+        src.append(np.where(outward, hubs, leaves))
+        dst.append(np.where(outward, leaves, hubs))
+    src = np.concatenate([np.zeros(0, np.int64), *src])
+    dst = np.concatenate([np.zeros(0, np.int64), *dst])
+    # one direction per unordered pair and no self-loops
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    pair = np.minimum(src, dst) * max(n_active, 1) + np.maximum(src, dst)
+    _, first = np.unique(pair, return_index=True)
+    src, dst = src[first], dst[first]
+    weight = 10.0 ** rng.uniform(-12.0, 12.0, src.size)
+    countries = [f"N{i:03d}" for i in range(n_active + n_isolated)]
+    return ImbalanceNetwork(countries, src, dst, weight)
+
+
+@given(net=concentration_networks(), direction=st.sampled_from(DIRECTIONS))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_per_node_oracle_bit_for_bit(net, direction):
+    want = pernode_disparity_points(net, direction)
+    got = disparity_points(net, direction)
+    assert [repr(astuple(p)) for p in got] == [repr(astuple(p)) for p in want]
+    if not want:
+        with pytest.raises(ValueError, match="no .*-edges"):
+            disparity_profile(net, direction)
+        return
+    rows = disparity_profile(net, direction).rows
+    assert [repr(astuple(r)) for r in rows] == [
+        repr(astuple(r)) for r in pernode_profile_rows(want)
+    ]
 
 
 def test_null_moments_closed_form():

@@ -15,10 +15,8 @@ from tradeflux.ingest import (
     DyadicRecord,
     TradeMatrix,
     parse_dyadic_records,
-    read_trade_matrix,
     reconcile_flows,
     validate_trade_matrix,
-    write_trade_matrix,
 )
 
 CSV = """year,reporter,partner,exports,imports
@@ -418,56 +416,3 @@ def test_matrix_shape_mismatch_rejected():
         TradeMatrix(2000, ("A", "B"), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="duplicate"):
         TradeMatrix(2000, ("A", "A"), np.zeros((2, 2)))
-
-
-def test_matrix_file_round_trip_preserves_everything():
-    exports = np.zeros((3, 3))
-    exports[0, 1] = 0.1 + 0.2            # not exactly representable in 6 digits
-    exports[1, 0] = 1.0 / 3.0
-    exports[1, 2] = 125.25               # exactly representable
-    tm = TradeMatrix(1984, ("A", "B", "ISOLATED"), exports)
-    buf = io.StringIO()
-    write_trade_matrix(tm, buf)
-    buf.seek(0)
-    back = read_trade_matrix(buf)
-    assert back.year == 1984
-    assert back.countries == tm.countries
-    np.testing.assert_array_equal(back.exports, tm.exports)
-
-
-def test_matrix_file_uses_short_decimals_when_exact():
-    tm = TradeMatrix(2000, ("A", "B"), np.array([[0.0, 125.25], [0.5, 0.0]]))
-    buf = io.StringIO()
-    write_trade_matrix(tm, buf)
-    text = buf.getvalue()
-    assert "A B 125.25\n" in text
-    assert "B A 0.5\n" in text
-    assert text.startswith("#year 2000\n#countries A B\n")
-
-
-def test_matrix_file_without_country_header():
-    back = read_trade_matrix(io.StringIO("#year 2000\nB A 2\nA B 5\n"))
-    assert back.countries == ("A", "B")
-    assert back.exports[0, 1] == 5.0
-    with pytest.raises(ValueError, match="#year"):
-        read_trade_matrix(io.StringIO("A B 5\n"))
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=1e-6, max_value=1e9, allow_nan=False), min_size=2, max_size=6
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_matrix_round_trip_is_exact_for_arbitrary_floats(values):
-    n = 3
-    exports = np.zeros((n, n))
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for value, (i, j) in zip(values, slots):
-        exports[i, j] = value
-    tm = TradeMatrix(2000, ("A", "B", "C"), exports)
-    buf = io.StringIO()
-    write_trade_matrix(tm, buf)
-    buf.seek(0)
-    back = read_trade_matrix(buf)
-    np.testing.assert_array_equal(back.exports, tm.exports)
