@@ -8,14 +8,9 @@ The pipeline runs in five stages:
 - ``backbone``: keep edges too heavy to be random splits,
 - ``walk`` and ``diffusion``: absorbing random walks attributing deficits
   to surpluses, simulated and solved exactly.
-
-``diffusion`` and the three names it defines are imported on first
-access: it is the only submodule that needs scipy at import time, and of
-the CLI steps only ``dollar --exact`` uses it. The walker's names come
-from ``walk``, which needs no scipy.
 """
 
-from . import backbone, disparity, ingest, network
+from . import backbone, diffusion, disparity, ingest, network
 from .backbone import (
     BackboneNetwork,
     BackboneStats,
@@ -24,6 +19,11 @@ from .backbone import (
     connected_components,
     edge_significance_value,
     extract_backbone,
+)
+from .diffusion import (
+    detailed_balance_check,
+    exact_absorption,
+    imbalance_reconstruction,
 )
 from .disparity import (
     DisparityPoint,
@@ -66,11 +66,6 @@ from .walk import (
 
 __version__ = "0.1.0"
 
-_DIFFUSION_NAMES = frozenset({
-    "detailed_balance_check", "exact_absorption", "imbalance_reconstruction",
-})
-
-# ``import *`` fetches the lazy names too, through __getattr__
 __all__ = (
     "AbsorptionMatrix", "BackboneNetwork", "BackboneStats", "ColumnMap",
     "ConfigurationError", "DisparityPoint", "DisparityProfile", "DyadicRecord",
@@ -86,19 +81,3 @@ __all__ = (
     "reconcile_flows", "total_flux", "validate_trade_matrix", "write_edge_list",
     "write_graphml",
 )
-
-
-def __getattr__(name):
-    """Import ``diffusion`` when it or a name it exports is first used (PEP 562)."""
-    if name != "diffusion" and name not in _DIFFUSION_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    diffusion = importlib.import_module(".diffusion", __name__)
-    value = diffusion if name == "diffusion" else getattr(diffusion, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

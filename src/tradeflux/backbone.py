@@ -157,21 +157,22 @@ def connected_components(
     """Weakly connected components, largest first.
 
     Nodes without edges are skipped unless ``include_isolated`` is set,
-    in which case they appear as trailing singletons.
+    in which case they appear as trailing singletons. Each component is
+    one flood, both ways along the edges, from its lowest unseen node.
     """
-    # imported here so that importing the package does not load scipy
-    import scipy.sparse
-    from scipy.sparse import csgraph
-
-    adjacency = scipy.sparse.coo_matrix(
-        (np.ones(net.n_edges), (net.src, net.dst)), shape=(net.n_nodes, net.n_nodes)
-    )
-    _, labels = csgraph.connected_components(adjacency, connection="weak")
-    groups: dict[int, list[int]] = {}
-    active = net.k_in + net.k_out > 0
-    for node in np.flatnonzero(active | include_isolated):
-        groups.setdefault(labels[node], []).append(int(node))
-    return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
+    isolated = net.k_in + net.k_out == 0
+    unseen = ~isolated
+    comps = []
+    while unseen.any():
+        seed = np.zeros(net.n_nodes, dtype=bool)
+        seed[np.argmax(unseen)] = True
+        comp = net._flood(seed, weak=True)
+        unseen &= ~comp
+        comps.append(np.flatnonzero(comp).tolist())
+    comps.sort(key=lambda g: (-len(g), g[0]))
+    if include_isolated:
+        comps += [[node] for node in np.flatnonzero(isolated).tolist()]
+    return comps
 
 
 def write_backbone_tsv(backbone: BackboneNetwork, stream) -> None:

@@ -19,6 +19,7 @@ import tempfile
 import numpy as np
 
 from . import backbone as bb
+from . import diffusion as dif
 from . import disparity as disp
 from . import ingest
 from . import network as nw
@@ -246,9 +247,6 @@ def _cmd_dollar(args) -> int:
     diagnostics = {"focal": focal, "direction": args.direction}
     try:
         if args.exact:
-            # the exact solve is the only step that loads scipy
-            from . import diffusion as dif
-
             matrix = dif.exact_absorption(net, args.direction)
             other = dif.exact_absorption(
                 net, "backward" if args.direction == "forward" else "forward"

@@ -3,14 +3,12 @@
 ``tradeflux.walk`` simulates the absorbing walks; this module solves the
 same system exactly for every start node. A forward and a backward solution
 satisfy detailed balance, and each reconstructs the other side's imbalances.
-Only this module loads scipy (``csgraph``, on import); it re-exports ``walk``.
+It re-exports the walker's names from ``walk``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import csgraph
 
 from .errors import NoConvergenceError
 from .network import ImbalanceNetwork, NodeAccount
@@ -22,22 +20,8 @@ from .walk import (
 
 
 def _reaches(work: ImbalanceNetwork, seed_mask: np.ndarray) -> np.ndarray:
-    """Mask of nodes from which some seed node is reachable.
-
-    A breadth-first search over the reversed edges, started at an extra
-    node with one edge into every seed.
-    """
-    n = work.n_nodes
-    seeds = np.flatnonzero(seed_mask)
-    rows = np.concatenate([work.dst, np.full(seeds.size, n)])
-    cols = np.concatenate([work.src, seeds])
-    reversed_graph = scipy.sparse.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1)
-    )
-    found = csgraph.breadth_first_order(reversed_graph, n, return_predecessors=False)
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[found] = True
-    return reach[:n]
+    """Mask of nodes from which some seed node is reachable."""
+    return work._flood(seed_mask)
 
 
 def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:

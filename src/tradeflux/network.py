@@ -160,6 +160,35 @@ class ImbalanceNetwork:
         e = lo + np.searchsorted(self.dst[lo:hi], target)
         return float(self.weight[e]) if e < hi and self.dst[e] == target else 0.0
 
+    def _flood(self, seed_mask, weak: bool = False) -> np.ndarray:
+        """Mask of the nodes from which a node of ``seed_mask`` is reachable,
+        by a breadth-first search against the edges; with ``weak``, along
+        them too, which gives the seeds' weakly connected components.
+
+        Each pass gathers the edges of the whole frontier at once, as
+        ``np.repeat`` of their CSR row starts plus an ``arange``, so the
+        Python loop runs once per BFS level, never once per node.
+        """
+        walks = [(self._in_ptr, self._in_order, self.src)]
+        if weak:
+            walks.append((self._out_ptr, None, self.dst))
+        seen = np.array(seed_mask, dtype=bool)
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            reached = []
+            for ptr, order, ends in walks:
+                lo = ptr[frontier]
+                count = ptr[frontier + 1] - lo
+                at = np.repeat(lo - (np.cumsum(count) - count), count)
+                at += np.arange(at.size)
+                reached.append(ends[at if order is None else order[at]])
+            fresh = np.zeros_like(seen)
+            fresh[np.concatenate(reached)] = True
+            fresh &= ~seen
+            seen |= fresh
+            frontier = np.flatnonzero(fresh)
+        return seen
+
     def reverse(self) -> "ImbalanceNetwork":
         """The same network with every edge flipped (weights kept)."""
         return ImbalanceNetwork(

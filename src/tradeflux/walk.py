@@ -33,7 +33,7 @@ consumer, must also contain a net producer. A walker can therefore never
 be trapped in a sink-free region, and dead-end nodes (no outgoing edges)
 are always full absorbers.
 
-This module needs no scipy; the exact solve lives in ``tradeflux.diffusion``.
+The exact solve lives in ``tradeflux.diffusion``.
 """
 
 from __future__ import annotations

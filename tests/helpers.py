@@ -6,8 +6,9 @@ closed form against adaptive quadrature, the vectorised walker
 against a one-walker-at-a-time Python loop, the streamed GraphML writer
 against an ElementTree build of the same document, the vectorised
 reconciliation against a dict loop over the claims, the columnar
-readers against the row-at-a-time readers they replaced, and the
-per-degree-class concentration kernel against a per-node loop.
+readers against the row-at-a-time readers they replaced, the
+per-degree-class concentration kernel against a per-node loop, and the
+numpy reachability search against the scipy ``csgraph`` one it replaced.
 """
 
 import csv
@@ -16,7 +17,9 @@ import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import scipy.sparse
 from scipy import integrate
+from scipy.sparse import csgraph
 
 from tradeflux.disparity import (
     DIRECTIONS,
@@ -120,6 +123,25 @@ def first_pair_violation(countries, edges) -> str | None:
             return f"reciprocal edges for pair {countries[i]}/{countries[j]}"
         seen.add((i, j))
     return None
+
+
+def csgraph_reaches(work: ImbalanceNetwork, seed_mask: np.ndarray) -> np.ndarray:
+    """Mask of nodes from which some seed node is reachable.
+
+    A breadth-first search over the reversed edges, started at an extra
+    node with one edge into every seed.
+    """
+    n = work.n_nodes
+    seeds = np.flatnonzero(seed_mask)
+    rows = np.concatenate([work.dst, np.full(seeds.size, n)])
+    cols = np.concatenate([work.src, seeds])
+    reversed_graph = scipy.sparse.csr_matrix(
+        (np.ones(rows.size), (rows, cols)), shape=(n + 1, n + 1)
+    )
+    found = csgraph.breadth_first_order(reversed_graph, n, return_predecessors=False)
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[found] = True
+    return reach[:n]
 
 
 def weak_components(n: int, edges, include_isolated: bool) -> list[list[int]]:

@@ -195,9 +195,13 @@ def test_stats_csv_format(net3):
 
 def test_connected_components_match_flooding():
     rng = np.random.default_rng(23)
+    nets = [random_network(rng, n=30, density=0.04) for _ in range(20)]
+    # a 500-node chain each way, beside a pair and two isolated nodes
+    codes, link = [f"N{i:03d}" for i in range(504)], np.arange(499)
+    nets.append(ImbalanceNetwork(codes, [*link, 502], [*(link + 1), 503], np.ones(500)))
+    nets.append(ImbalanceNetwork(codes, [*(link + 1), 503], [*link, 500], np.ones(500)))
     for include_isolated in (False, True):
-        for _ in range(10):
-            net = random_network(rng, n=30, density=0.04)
+        for net in nets:
             edges = list(zip(net.src.tolist(), net.dst.tolist()))
             assert connected_components(net, include_isolated) == weak_components(
                 net.n_nodes, edges, include_isolated

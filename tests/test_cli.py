@@ -13,8 +13,9 @@ import pytest
 
 import tradeflux
 from helpers import random_network, random_trade_matrix
+from tradeflux import diffusion, walk
 from tradeflux.cli import main
-from tradeflux.network import build_imbalance_network, write_edge_list
+from tradeflux.network import ImbalanceNetwork, build_imbalance_network, write_edge_list
 
 TWO_COUNTRY = """year,reporter,partner,exports,imports
 2000,C1,C2,5,3
@@ -346,7 +347,7 @@ def _run_fresh(script: str, *args: str) -> str:
     return result.stdout
 
 
-def test_only_exact_dollar_loads_scipy(tmp_path):
+def test_no_step_needs_scipy(tmp_path):
     tm = random_trade_matrix(np.random.default_rng(5), n=30, density=0.5)
     flows = tm.exports.tolist()
     lines = ["year,reporter,partner,exports,imports"]
@@ -366,39 +367,21 @@ def test_only_exact_dollar_loads_scipy(tmp_path):
         "dollar": ["dollar", network, "--from", consumer, "--walkers", "2000", "-o", out],
         "dollar --exact": ["dollar", network, "--from", consumer, "--exact", "-o", out],
     }
-    loaded = json.loads(_run_fresh("""
+    out = _run_fresh("""
         import json, sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
         import tradeflux
         from tradeflux.cli import main
-        loaded = {"import": "scipy" in sys.modules}
         for step, argv in json.loads(sys.argv[1]).items():
-            assert main(argv) == 0, argv
-            loaded[step] = "scipy" in sys.modules
-        print(json.dumps(loaded))
-    """, json.dumps(steps)))
-    assert loaded == {"import": False, "build": False, "disparity": False,
-                      "backbone": False, "export": False, "dollar": False,
-                      "dollar --exact": True}
-
-
-def test_walker_names_are_the_walk_module_objects():
-    out = _run_fresh("""
-        import sys
-        import tradeflux
-        tradeflux.forward_walk_mc, tradeflux.AbsorptionMatrix  # first use
-        assert "scipy" not in sys.modules
-        from tradeflux import diffusion, walk
-        for name in ("forward_walk_mc", "AbsorptionMatrix"):
-            assert getattr(tradeflux, name) is getattr(walk, name) is getattr(diffusion, name)
-        from tradeflux.network import ImbalanceNetwork
-        net = ImbalanceNetwork.from_edges([("S", "A", 2.0), ("S", "B", 1.0), ("A", "B", 1.0)])
-        assert type(diffusion.exact_absorption(net)) is walk.AbsorptionMatrix
+            assert main(argv) == 0, step
+        exec("from tradeflux import *", {})
+        assert sys.modules["scipy"] is None
         print("ok")
-    """)
+    """, json.dumps(steps))
     assert out == "ok\n"
 
 
-#: Every public name ``tradeflux`` has exported, diffusion's included.
+#: Every public name ``tradeflux`` has exported.
 EXPORTED = (
     "AbsorptionMatrix BackboneNetwork BackboneStats ColumnMap ConfigurationError "
     "DisparityPoint DisparityProfile DyadicRecord ImbalanceNetwork "
@@ -419,21 +402,23 @@ def test_all_lists_exactly_the_exported_names():
 
 
 def test_every_exported_name_still_imports():
-    out = _run_fresh("""
-        import sys
-        import tradeflux
-        star = {}
-        exec("from tradeflux import *", star)
-        assert set(sys.argv[1:]) <= set(star), set(sys.argv[1:]) - set(star)
-        for name in sys.argv[1:]:
-            exec(f"from tradeflux import {name}")
-            assert name in dir(tradeflux), name
-        diffusion = sys.modules["tradeflux.diffusion"]
-        assert tradeflux.diffusion is diffusion
-        assert tradeflux.exact_absorption is diffusion.exact_absorption
-        print("ok")
-    """, *EXPORTED)
-    assert out == "ok\n"
+    star = {}
+    exec("from tradeflux import *", star)
+    assert set(EXPORTED) <= set(star), set(EXPORTED) - set(star)
+    for name in EXPORTED:
+        exec(f"from tradeflux import {name}", {})
+        assert name in dir(tradeflux), name
+    assert tradeflux.diffusion is diffusion
+    assert tradeflux.exact_absorption is diffusion.exact_absorption
+
+
+def test_walker_names_are_the_walk_module_objects():
+    # the walker's names are walk's own objects, re-exported by diffusion
+    for name in ("AbsorptionMatrix", "WalkConfig", "backward_walk_mc", "forward_walk_mc",
+                 "rank_partners"):
+        assert getattr(tradeflux, name) is getattr(walk, name) is getattr(diffusion, name)
+    net = ImbalanceNetwork.from_edges([("S", "A", 2.0), ("S", "B", 1.0), ("A", "B", 1.0)])
+    assert type(diffusion.exact_absorption(net)) is walk.AbsorptionMatrix
 
 
 _HEADER = b"year,reporter,partner,exports,imports\n"

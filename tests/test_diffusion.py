@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_network, reference_walk
+from helpers import csgraph_reaches, random_network, reference_walk
 from tradeflux.diffusion import (
     AbsorptionMatrix,
     WalkConfig,
+    _reaches,
     backward_walk_mc,
     detailed_balance_check,
     exact_absorption,
@@ -247,6 +248,51 @@ def test_hop_table_reproduces_hop_shares(rows):
             assert share[v, -1] > 0.0
             # numpy accepts the row: the shares before the last sum to at most 1
             np.random.default_rng(0).multinomial(10**6, share[v])
+
+
+@st.composite
+def _reach_cases(draw):
+    """A network of random edges, closed balanced cycles, a chain of up to
+    500 nodes and isolated nodes, sometimes linked, with its producers or
+    one node as the seeds."""
+    n_random = draw(st.integers(1, 12))
+    cycles = draw(st.lists(st.integers(3, 6), max_size=2))
+    chain = draw(st.sampled_from([0, 2, 500]))
+    n = n_random + sum(cycles) + chain + draw(st.integers(0, 4))
+    edges = {}  # one edge per unordered pair, the first one drawn
+
+    def add(i, j, w=1.0):
+        if i != j:
+            edges.setdefault((min(i, j), max(i, j)), (i, j, w))
+
+    pair = st.tuples(st.integers(0, n_random - 1), st.integers(0, n_random - 1))
+    for i, j in draw(st.lists(pair, max_size=30)):
+        add(i, j, draw(st.floats(0.5, 4.0)))
+    at = n_random
+    for size in cycles:
+        for k in range(size):
+            add(at + k, at + (k + 1) % size)
+        at += size
+    downhill = draw(st.booleans())
+    for k in range(at, at + chain - 1):
+        i, j = (k, k + 1) if downhill else (k + 1, k)
+        add(i, j)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4)):
+        add(i, j, 2.0)
+    src, dst, weight = zip(*edges.values()) if edges else ((), (), ())
+    net = ImbalanceNetwork([f"N{i:03d}" for i in range(n)], src, dst, weight)
+    seed = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if seed is None:
+        return net, net.delta_s > 0
+    return net, np.arange(n) == seed
+
+
+@given(case=_reach_cases())
+@settings(max_examples=100, deadline=None)
+def test_reaches_matches_csgraph_search(case):
+    net, seeds = case
+    np.testing.assert_array_equal(_reaches(net, seeds), csgraph_reaches(net, seeds))
 
 
 def test_every_source_agrees_with_exact_small():
