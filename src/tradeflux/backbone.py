@@ -70,7 +70,7 @@ class BackboneNetwork:
         kept = np.concatenate(
             [self.base.src[self.edge_index], self.base.dst[self.edge_index]]
         )
-        return np.unique(kept)
+        return np.flatnonzero(np.bincount(kept))
 
     def as_network(self) -> ImbalanceNetwork:
         """The retained edges as a standalone network on the full node set."""
@@ -130,7 +130,7 @@ def backbone_stats(backbone: BackboneNetwork) -> BackboneStats:
     base = backbone.base
     if base.n_edges == 0:
         raise ValueError("base network has no edges")
-    base_nodes = np.unique(np.concatenate([base.src, base.dst])).size
+    base_nodes = int(np.count_nonzero(base.k_in + base.k_out))
     kept_w = float(base.weight[backbone.edge_index].sum())
     return BackboneStats(
         alpha=backbone.threshold,

@@ -47,7 +47,8 @@ def _by_degree(
         degrees, ptr, weights = net.k_in, net._in_ptr, net.weight[net._in_order]
     else:
         degrees, ptr, weights = net.k_out, net._out_ptr, net.weight
-    for k in np.unique(degrees[degrees > 0]).tolist():
+    # each degree that occurs, increasing; np.unique would load numpy.ma
+    for k in (np.flatnonzero(np.bincount(degrees)[1:]) + 1).tolist():
         nodes = np.flatnonzero(degrees == k)
         w = weights[ptr[nodes, None] + np.arange(k)]
         p = w / w.sum(axis=1, keepdims=True)

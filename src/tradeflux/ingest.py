@@ -20,7 +20,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -332,11 +332,12 @@ def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]
     return delimiter, header, positions
 
 
-def _parse_rows(stream, columns: ColumnMap) -> ParseResult:
-    """Every row through the ``csv`` module and ``_parse_row``, one at a time."""
-    delimiter, header, positions = _header(stream.readline(), columns)
+def _parse_rows(lines, delimiter: str, header: list[str], positions: dict, line_no: int):
+    """Every row of ``lines`` through the ``csv`` module and ``_parse_row``,
+    one at a time, the first being line ``line_no``: the kept rows' table
+    and the dropped rows."""
     records, dropped = [], []
-    for line_no, row in enumerate(csv.reader(stream, delimiter=delimiter), start=2):
+    for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=line_no):
         try:
             record = _parse_row(row, positions, len(header))
         except ValueError as exc:
@@ -344,12 +345,14 @@ def _parse_rows(stream, columns: ColumnMap) -> ParseResult:
             continue
         if record is not None:
             records.append(record)
-    return ParseResult(DyadicTable.from_records(records), dropped)
+    return DyadicTable.from_records(records), dropped
 
 
-def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int):
+def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
+                   line_no: int):
     """Rows split on ``\\n`` and the delimiter and checked a column at a
-    time; ``None`` when the rows differ in width.
+    time, the first being line ``line_no``: the kept rows' table and the
+    dropped rows, or ``None`` when the rows differ in width.
 
     A row that fails a check goes through ``_parse_row``, which words the
     reason it is dropped (or finds it blank).
@@ -387,9 +390,79 @@ def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int):
         try:
             _parse_row(fields[i * width:(i + 1) * width], positions, n_header)
         except ValueError as exc:
-            dropped.append((f"line {i + 2}", str(exc)))
+            dropped.append((f"line {line_no + i}", str(exc)))
     table = DyadicTable(tuple(codes), year, reporter, partner, exports, imports)
-    return ParseResult(table.select(~bad), dropped)
+    return table.select(~bad), dropped
+
+
+def _universal_lines(texts):
+    """The lines of the concatenated ``texts``, each ending at ``\\n``,
+    ``\\r\\n`` or ``\\r`` as in a file opened with ``newline=""``."""
+    held = ""
+    for text in texts:
+        lines = io.StringIO(held + text, newline="").readlines()
+        # a closing \r may be the first half of a \r\n
+        held = lines.pop() if text.endswith("\r") else ""
+        yield from lines
+    if held:
+        yield held
+
+
+def _concat(tables: list[DyadicTable]) -> DyadicTable:
+    """The rows of ``tables`` one after another, over the union of their
+    codes."""
+    codes = sorted(set().union(*(t.codes for t in tables)))
+    index = {code: i for i, code in enumerate(codes)}
+    # an empty table's columns may be of another dtype; leave them out
+    tables = [t for t in tables if len(t)] or tables[:1]
+    number = [np.array([index[c] for c in t.codes], dtype=np.intp) for t in tables]
+    return DyadicTable(
+        tuple(codes),
+        np.concatenate([t.year for t in tables]),
+        np.concatenate([n[t.reporter] for n, t in zip(number, tables)]),
+        np.concatenate([n[t.partner] for n, t in zip(number, tables)]),
+        np.concatenate([t.exports for t in tables]),
+        np.concatenate([t.imports for t in tables]),
+    )
+
+
+#: Characters of records text read and parsed at a time, in whole lines.
+_PARSE_CHUNK = 1 << 20
+
+
+def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
+    """Records from ``chunks``, lists of whole lines, the first holding the
+    header."""
+    tables, dropped = [], []
+    header = None
+    line_no = 1  # of the next line to parse
+    for lines in chunks:
+        text = "".join(lines)
+        if '"' not in text and text.count("\r") == text.count("\r\n"):
+            text = text.replace("\r\n", "\n")
+            if header is None:
+                header_line, _, text = text.partition("\n")
+                header = _header(header_line, columns)
+                line_no += 1
+            delimiter, names, positions = header
+            part = _parse_columns(text, delimiter, positions, len(names), line_no)
+            if part is not None:
+                tables.append(part[0])
+                dropped += part[1]
+                line_no += text.count("\n")
+                continue
+        # a quoted field may span lines: from here on, one csv row at a time
+        rest = _universal_lines(chain([text], map("".join, chunks)))
+        if header is None:
+            header = _header(next(rest), columns)
+            line_no += 1
+        table, rest_dropped = _parse_rows(rest, *header, line_no)
+        tables.append(table)
+        dropped += rest_dropped
+        break
+    if not tables:
+        return ParseResult()
+    return ParseResult(_concat(tables), dropped)
 
 
 def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResult:
@@ -400,31 +473,24 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     Malformed rows are collected in ``ParseResult.dropped`` with their line
     numbers, never silently skipped.
 
-    The file is read whole and split into columns, which are checked a
-    column at a time. A file holding a ``"``, a carriage return outside a
-    ``\\r\\n`` line end, or rows of differing width is read row by row
-    through the ``csv`` module instead; either way the records and the
-    dropped rows come out the same.
+    The file is read in chunks of whole lines, about ``_PARSE_CHUNK``
+    characters each, and each chunk is split into columns that are checked
+    a column at a time, so the file is never held whole. From the first
+    chunk holding a ``"``, a carriage return outside a ``\\r\\n`` line
+    end, or rows of differing width, the rest of the file is read row by
+    row through the ``csv`` module instead, since a quoted field may span
+    lines. Either way the records and the dropped rows come out the same.
 
     Raises :class:`ConfigurationError` when a required column named by
     ``columns`` is absent from the header.
     """
     columns = columns or ColumnMap()
     with opened(stream) as stream:
-        text = stream.read()
-    if not text:
-        return ParseResult()
-    try:
-        if '"' not in text and text.count("\r") == text.count("\r\n"):
-            header_line, _, body = text.replace("\r\n", "\n").partition("\n")
-            delimiter, header, positions = _header(header_line, columns)
-            result = _parse_columns(body, delimiter, positions, len(header))
-            if result is not None:
-                return result
-        # lines end where a file opened by path ends them: at \n, \r\n and \r
-        return _parse_rows(io.StringIO(text, newline=""), columns)
-    except csv.Error as exc:
-        raise ValueError(f"malformed CSV: {exc}") from None
+        chunks = iter(functools.partial(stream.readlines, _PARSE_CHUNK), [])
+        try:
+            return _parse_chunks(chunks, columns)
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV: {exc}") from None
 
 
 def reconcile_flows(

@@ -226,8 +226,10 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
     ``ZERO_IMBALANCE_RTOL`` relative to the larger gross flow.
     """
     exports = np.asarray(tm.exports, dtype=float)
-    n = len(tm.countries)
-    iu, ju = np.triu_indices(n, k=1)
+    # the pairs i < j trading either way, row by row; the rest make no edge
+    trades = exports != 0
+    trades |= trades.T
+    iu, ju = np.nonzero(np.triu(trades, k=1))
     e_ij = exports[iu, ju]
     e_ji = exports[ju, iu]
     net_flow = e_ij - e_ji
@@ -270,10 +272,15 @@ def total_flux(net: ImbalanceNetwork) -> float:
 def write_edge_list(net: ImbalanceNetwork, stream) -> None:
     """Write the tab-separated edge list ``src dst weight`` with a header.
 
-    ``stream`` is a path or an open text file object."""
+    ``stream`` is a path or an open text file object. When a country has no
+    edge, a ``#countries`` line after the header lists every country, so
+    that ``read_edge_list`` keeps it; readers that skip comments still read
+    the edges."""
     with opened(stream, "w") as stream:
         stream.write("src\tdst\tweight\n")
         codes = net.countries
+        if not np.all(net.k_in + net.k_out):
+            stream.write("\t".join(("#countries", *codes)) + "\n")
         for i, j, w in zip(net.src.tolist(), net.dst.tolist(), net.weight.tolist()):
             stream.write(f"{codes[i]}\t{codes[j]}\t{w!r}\n")
 
@@ -287,6 +294,10 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
     line ``line_no`` + 1 of the file, found one line at a time."""
     for line_no, line in enumerate(lines, start=line_no + 1):
         parts = line.split()
+        if parts[:1] == ["#countries"]:
+            for code in parts[1:]:
+                if fault := code_fault(code):
+                    return ValueError(f"line {line_no}: country code {code!r} must not {fault}")
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 3:
@@ -307,11 +318,12 @@ def read_edge_list(stream) -> ImbalanceNetwork:
     """Parse an edge-list file (tab- or space-separated, optional header).
 
     ``stream`` is a path or an open text file object, never file content.
-    Node identity is recovered from the edge endpoints; countries isolated
-    in the original network are not representable in this format.
+    The countries are the edge endpoints and the codes of any ``#countries``
+    line, which names countries that may have no edge, in sorted order.
 
-    Each line is ``src dst weight``; blank lines and lines starting with
-    ``#`` are skipped, and so is a first line whose weight is not a number.
+    Each line is ``src dst weight``; blank lines and other lines starting
+    with ``#`` are skipped, and so is a first line whose weight is not a
+    number.
     The text is read, split and converted in chunks of whole lines; a bad
     line raises ``ValueError`` naming the first one.
     """
@@ -328,11 +340,15 @@ def read_edge_list(stream) -> ImbalanceNetwork:
                 except ValueError:
                     data = lines[1:]
             text = "".join(data)
+            known = len(codes)
             if "#" in text:
+                for line in data:
+                    if (parts := line.split())[:1] == ["#countries"]:
+                        for code in parts[1:]:
+                            codes.setdefault(code, code)
                 data = [line for line in data if not line.lstrip().startswith("#")]
                 text = "".join(data)
             fields = text.split()
-            known = len(codes)
             src += map(codes.setdefault, fields[0::3], fields[0::3])
             dst += map(codes.setdefault, fields[1::3], fields[1::3])
             weight = None

@@ -361,17 +361,34 @@ def rowwise_parse_dyadic_records(path, columns):
         return records, dropped
 
 
+def _linewise_code_fault(code: str) -> str | None:
+    if any(ord(c) < 0x20 for c in code):
+        return "contain control characters"
+    if code[0] == "#":
+        return "start with '#'"
+    if set(code) & {",", '"'}:
+        return "contain ',' or '\"'"
+    return None
+
+
 def linewise_read_edge_list(path) -> ImbalanceNetwork:
     """Edge list read one line at a time into ``(src, dst, weight)`` tuples.
 
     Beyond the reader it replaced, it rejects, after the weight check,
     codes that some output could not carry: with a C0 control character
-    (GraphML), a leading ``#`` (the edge list) or a ``,`` or ``"`` (CSV).
+    (GraphML), a leading ``#`` (the edge list) or a ``,`` or ``"`` (CSV);
+    and it adds the codes of ``#countries`` lines to the countries.
     """
-    edges = []
+    edges, listed = [], []
     with open(path, encoding="utf-8", newline="") as stream:
         for line_no, line in enumerate(stream, start=1):
             parts = line.split()
+            if parts[:1] == ["#countries"]:
+                for code in parts[1:]:
+                    if fault := _linewise_code_fault(code):
+                        raise ValueError(f"line {line_no}: country code {code!r} must not {fault}")
+                listed += parts[1:]
+                continue
             if not parts or line.lstrip().startswith("#"):
                 continue
             if len(parts) != 3:
@@ -383,17 +400,11 @@ def linewise_read_edge_list(path) -> ImbalanceNetwork:
                     continue  # header row
                 raise ValueError(f"line {line_no}: bad weight {parts[2]!r}") from None
             for code in parts[:2]:
-                if any(ord(c) < 0x20 for c in code):
-                    fault = "contain control characters"
-                elif code[0] == "#":
-                    fault = "start with '#'"
-                elif set(code) & {",", '"'}:
-                    fault = "contain ',' or '\"'"
-                else:
-                    continue
-                raise ValueError(f"line {line_no}: country code {code!r} must not {fault}")
+                if fault := _linewise_code_fault(code):
+                    raise ValueError(f"line {line_no}: country code {code!r} must not {fault}")
             edges.append((parts[0], parts[1], w))
-    return ImbalanceNetwork.from_edges(edges)
+    countries = sorted({*listed, *(code for s, d, _ in edges for code in (s, d))})
+    return ImbalanceNetwork.from_edges(edges, countries)
 
 
 def pernode_disparity_points(net: ImbalanceNetwork, direction: str) -> list:

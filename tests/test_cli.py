@@ -15,7 +15,12 @@ import tradeflux
 from helpers import random_network, random_trade_matrix
 from tradeflux import diffusion, walk
 from tradeflux.cli import main
-from tradeflux.network import ImbalanceNetwork, build_imbalance_network, write_edge_list
+from tradeflux.network import (
+    ImbalanceNetwork,
+    build_imbalance_network,
+    read_edge_list,
+    write_edge_list,
+)
 
 TWO_COUNTRY = """year,reporter,partner,exports,imports
 2000,C1,C2,5,3
@@ -61,6 +66,23 @@ def test_build_drops_codes_a_later_file_cannot_carry(tmp_path, capsys):
     assert main(export) == 0
     assert (out / "x" / "network.tsv").read_bytes() == (out / "network.tsv").read_bytes()
     assert {line.count(",") for line in (out / "accounts.csv").read_text().splitlines()} == {6}
+
+
+def test_build_keeps_a_country_whose_trade_balances(tmp_path):
+    src = tmp_path / "records.csv"
+    # A's trade with B balances, so A has no edge but is still a country
+    src.write_text("year,reporter,partner,exports,imports\n2000,A,B,5,5\n2000,B,C,3,1\n")
+    out = tmp_path / "out"
+    assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
+    assert (out / "accounts.csv").read_text().splitlines()[1] == "A,0,0,0.0,0.0,0.0,neutral"
+    network = str(out / "network.tsv")
+    assert read_edge_list(network).countries == ("A", "B", "C")
+    assert main(["export", network, "-o", str(out / "x")]) == 0
+    graphml = ET.parse(out / "x" / "network.graphml")
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    assert [node.get("id") for node in graphml.iter(f"{ns}node")] == ["A", "B", "C"]
+    assert main(["export", network, "--format", "tsv", "-o", str(out / "x")]) == 0
+    assert (out / "x" / "network.tsv").read_bytes() == (out / "network.tsv").read_bytes()
 
 
 def test_outputs_follow_the_umask(tmp_path):
@@ -347,7 +369,8 @@ def _run_fresh(script: str, *args: str) -> str:
     return result.stdout
 
 
-def test_no_step_needs_scipy(tmp_path):
+def _every_step(tmp_path) -> dict:
+    """The argv of each CLI step, by name, on a 30-country pipeline."""
     tm = random_trade_matrix(np.random.default_rng(5), n=30, density=0.5)
     flows = tm.exports.tolist()
     lines = ["year,reporter,partner,exports,imports"]
@@ -359,7 +382,7 @@ def test_no_step_needs_scipy(tmp_path):
     net = build_imbalance_network(tm)
     consumer = tm.countries[int(np.argmin(net.delta_s))]
     network, out = str(tmp_path / "network.tsv"), str(tmp_path / "out")
-    steps = {
+    return {
         "build": ["build", str(tmp_path / "records.csv"), "--year", "2000", "-o", str(tmp_path)],
         "disparity": ["disparity", network, "-o", out],
         "backbone": ["backbone", network, "-o", out],
@@ -367,6 +390,9 @@ def test_no_step_needs_scipy(tmp_path):
         "dollar": ["dollar", network, "--from", consumer, "--walkers", "2000", "-o", out],
         "dollar --exact": ["dollar", network, "--from", consumer, "--exact", "-o", out],
     }
+
+
+def test_no_step_needs_scipy(tmp_path):
     out = _run_fresh("""
         import json, sys
         sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -377,7 +403,20 @@ def test_no_step_needs_scipy(tmp_path):
         exec("from tradeflux import *", {})
         assert sys.modules["scipy"] is None
         print("ok")
-    """, json.dumps(steps))
+    """, json.dumps(_every_step(tmp_path)))
+    assert out == "ok\n"
+
+
+def test_no_step_loads_numpy_ma(tmp_path):
+    # numpy.ma costs ~15 ms to import; np.unique without return_index loads it
+    out = _run_fresh("""
+        import json, sys
+        from tradeflux.cli import main
+        for step, argv in json.loads(sys.argv[1]).items():
+            assert main(argv) == 0, step
+            assert "numpy.ma" not in sys.modules, step
+        print("ok")
+    """, json.dumps(_every_step(tmp_path)))
     assert out == "ok\n"
 
 

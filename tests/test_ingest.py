@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dict_loop_reconcile, rowwise_parse_dyadic_records
+from tradeflux import ingest
 from tradeflux.errors import ConfigurationError
 from tradeflux.ingest import (
     RECONCILE_POLICIES,
@@ -381,6 +383,73 @@ def test_parse_and_reconcile_match_the_row_loop(tmp_path_factory, case):
         assert tm.exports.tobytes() == ref_tm.exports.tobytes()
         assert report == ref_report
         assert validate_trade_matrix(tm) == validate_trade_matrix(ref_tm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records_files(), st.integers(1, 48))
+def test_parse_in_chunks_of_a_few_characters_matches_the_row_loop(
+    tmp_path_factory, case, chunk
+):
+    # each file spans many chunks, so line ends, quotes, ragged and bad rows
+    # fall on either side of a chunk boundary
+    with mock.patch.object(ingest, "_PARSE_CHUNK", chunk):
+        test_parse_and_reconcile_match_the_row_loop.hypothesis.inner_test(
+            tmp_path_factory, case
+        )
+
+
+class _ChunkedReadsOnly(io.StringIO):
+    """A text file that fails any read of all that is left in it."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.chunks = 0
+
+    def read(self, size=-1):
+        assert size is not None and size >= 0, "unbounded read()"
+        return super().read(size)
+
+    def readlines(self, hint=-1):
+        assert hint is not None and hint > 0, "unbounded readlines()"
+        self.chunks += 1
+        return super().readlines(hint)
+
+
+@pytest.mark.parametrize("tail", ["", '2000,C,D,"3",1\n'])
+def test_parse_never_reads_the_file_whole(tmp_path, tail):
+    rows = [f"2000,R{i % 37},P{i % 41},{i}.5,NA" for i in range(3000)]
+    rows[1500] = "2000,A,A,1,2"  # self-trade
+    rows[2100] = "2000,A,B"  # short row
+    text = "year,reporter,partner,exports,imports\r\n" + "\r\n".join(rows) + "\n" + tail
+    path = tmp_path / "records.csv"
+    path.write_text(text, newline="")
+    stream = _ChunkedReadsOnly(text)
+    with mock.patch.object(ingest, "_PARSE_CHUNK", 4096):
+        parsed = parse_dyadic_records(stream)
+    records, dropped = rowwise_parse_dyadic_records(path, None)
+    assert stream.chunks > 10
+    assert parsed.dropped == dropped == [
+        ("line 1502", "self-trade"), ("line 2102", "expected 5 columns, got 3")
+    ]
+    assert repr(parsed.records) == repr(records)
+
+
+@pytest.mark.parametrize("newline", ["", "\n", "\r", "\r\n"])
+def test_parse_splits_lines_alike_whatever_the_stream_splits_them_at(tmp_path, newline):
+    # a stream that ends lines at \r alone cuts \r\n in two at a chunk boundary
+    text = (
+        "year,reporter,partner,exports,imports\r\n2000,A,B,1,2\r\n2000,A,A,1,2\r"
+        '2000,B,C,"3\r\n",4\n2000,C,D,x,1\r\n2000,D,A,5,6\r\n2000,D,D,1,1\r\n'
+    )
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode())
+    records, dropped = rowwise_parse_dyadic_records(path, None)
+    assert [where for where, _ in dropped] == ["line 3", "line 5", "line 7"]
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+    with mock.patch.object(ingest, "_PARSE_CHUNK", 8):
+        parsed = parse_dyadic_records(stream)
+    assert repr(parsed.records) == repr(records)
+    assert parsed.dropped == dropped
 
 
 # --- matrix validation and file format ------------------------------------

@@ -187,6 +187,25 @@ def test_edge_list_round_trip(net3):
     assert list(back.iter_edges()) == list(net3.iter_edges())
 
 
+def test_edge_list_keeps_countries_without_edges():
+    net = ImbalanceNetwork(["A", "B", "C", "D"], [1], [3], [2.5])
+    buf = io.StringIO()
+    write_edge_list(net, buf)
+    assert buf.getvalue() == "src\tdst\tweight\n#countries\tA\tB\tC\tD\nB\tD\t2.5\n"
+    back = read_edge_list(io.StringIO(buf.getvalue()))
+    assert back.countries == net.countries
+    assert list(back.iter_edges()) == list(net.iter_edges())
+    # a reader that skips comment lines still reads the edges
+    edges = [line for line in buf.getvalue().splitlines()[1:] if not line.startswith("#")]
+    assert edges == ["B\tD\t2.5"]
+
+
+def test_edge_list_without_isolated_countries_has_no_countries_line(net3):
+    buf = io.StringIO()
+    write_edge_list(net3, buf)
+    assert "#" not in buf.getvalue()
+
+
 def test_edge_list_reader_tolerates_headerless_and_spaces():
     back = read_edge_list(io.StringIO("S A 2.0\nS B 1.0\nA B 1.0\n"))
     assert back.n_edges == 3
@@ -342,6 +361,7 @@ _edge_line = st.one_of(
     _edge_triple,
     st.lists(_edge_code | _edge_weight, max_size=4).map(" ".join),
     st.sampled_from(["", "  ", "# a comment", "src\tdst\tweight"]),
+    st.lists(_edge_code, max_size=3).map(lambda codes: "\t".join(("#countries", *codes))),
 )
 
 
