@@ -6,8 +6,8 @@ The pipeline runs in five stages:
 - ``network``: turn pairwise imbalances into a directed weighted graph,
 - ``disparity``: score flux concentration per node against an exact null,
 - ``backbone``: keep edges too heavy to be random splits,
-- ``walk`` and ``diffusion``: absorbing random walks attributing deficits
-  to surpluses, simulated and solved exactly.
+- ``diffusion``: absorbing random walks attributing deficits to surpluses,
+  simulated and solved exactly.
 """
 
 from . import backbone, diffusion, disparity, ingest, network
@@ -21,9 +21,14 @@ from .backbone import (
     extract_backbone,
 )
 from .diffusion import (
+    AbsorptionMatrix,
+    WalkConfig,
+    backward_walk_mc,
     detailed_balance_check,
     exact_absorption,
+    forward_walk_mc,
     imbalance_reconstruction,
+    rank_partners,
 )
 from .disparity import (
     DisparityPoint,
@@ -55,13 +60,6 @@ from .network import (
     total_flux,
     write_edge_list,
     write_graphml,
-)
-from .walk import (
-    AbsorptionMatrix,
-    WalkConfig,
-    backward_walk_mc,
-    forward_walk_mc,
-    rank_partners,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from . import diffusion as dif
 from . import disparity as disp
 from . import ingest
 from . import network as nw
-from . import walk
 from ._io import opened
 from .errors import ConfigurationError, InsufficientDataError, NoConvergenceError
 
@@ -88,7 +87,8 @@ def _cmd_build(args) -> int:
 
     for where, reason in parsed.dropped:
         _err(f"dropped {where}: {reason}")
-    table = parsed.table.select(parsed.table.year == args.year)
+    rows = parsed.table.year == args.year
+    table = parsed.table if rows.all() else parsed.table.select(rows)
     if not len(table):
         _err(f"no records for year {args.year}")
         return 1
@@ -109,17 +109,9 @@ def _cmd_build(args) -> int:
     _atomic_write(
         os.path.join(out, "network.tsv"), lambda tmp: nw.write_edge_list(net, tmp)
     )
-
-    def write_accounts(path):
-        with opened(path, "w") as fh:
-            fh.write("country,k_in,k_out,s_in,s_out,delta_s,class\n")
-            for a in accounts:
-                fh.write(
-                    f"{a.country},{a.k_in},{a.k_out},{a.s_in!r},{a.s_out!r},"
-                    f"{a.delta_s!r},{a.classification}\n"
-                )
-
-    _atomic_write(os.path.join(out, "accounts.csv"), write_accounts)
+    _atomic_write(
+        os.path.join(out, "accounts.csv"), lambda tmp: nw.write_accounts_csv(accounts, tmp)
+    )
     _err(
         f"built network: {net.n_nodes} countries, {net.n_edges} edges, "
         f"total flux {nw.total_flux(net)!r}"
@@ -224,8 +216,8 @@ def _cmd_dollar(args) -> int:
         if value < least:
             _err(f"{flag} must be >= {least}, got {value}")
             return 2
-    if args.walkers > walk.MAX_WALKERS:
-        _err(f"--walkers must be <= {walk.MAX_WALKERS}, got {args.walkers}")
+    if args.walkers > dif.MAX_WALKERS:
+        _err(f"--walkers must be <= {dif.MAX_WALKERS}, got {args.walkers}")
         return 2
     net = nw.read_edge_list(args.network)
     focal = args.focal
@@ -247,33 +239,27 @@ def _cmd_dollar(args) -> int:
     diagnostics = {"focal": focal, "direction": args.direction}
     try:
         if args.exact:
-            matrix = dif.exact_absorption(net, args.direction)
-            other = dif.exact_absorption(
-                net, "backward" if args.direction == "forward" else "forward"
-            )
-            fwd = matrix if args.direction == "forward" else other
-            bwd = other if args.direction == "forward" else matrix
-            flux = nw.total_flux(net)
-            balance = dif.detailed_balance_check(fwd, bwd, accounts)
+            solved = {d: dif.exact_absorption(net, d) for d in dif.DIRECTIONS}
+            matrix = solved[args.direction]
+            balance = dif.detailed_balance_check(*solved.values(), accounts)
             diagnostics["method"] = matrix.method
             diagnostics["detailed_balance_max_abs"] = balance
-            diagnostics["detailed_balance_rel_flux"] = balance / flux
+            diagnostics["detailed_balance_rel_flux"] = balance / nw.total_flux(net)
 
-            for label, m in (("forward", fwd), ("backward", bwd)):
+            actual = {a.country: abs(a.delta_s) for a in accounts}
+            for label, m in solved.items():
                 recon = dif.imbalance_reconstruction(m, accounts)
-                actual = {a.country: abs(a.delta_s) for a in accounts}
-                rel = max(
+                diagnostics[f"reconstruction_rel_err_{label}"] = max(
                     abs(v - actual[c]) / actual[c] for c, v in recon.items()
                 )
-                diagnostics[f"reconstruction_rel_err_{label}"] = rel
         else:
-            config = walk.WalkConfig(
+            config = dif.WalkConfig(
                 n_walkers=args.walkers, seed=args.seed, max_steps=args.max_steps
             )
             if args.direction == "forward":
-                matrix = walk.forward_walk_mc(net, focal, config)
+                matrix = dif.forward_walk_mc(net, focal, config)
             else:
-                matrix = walk.backward_walk_mc(net, focal, config)
+                matrix = dif.backward_walk_mc(net, focal, config)
             diagnostics["method"] = "monte-carlo"
             diagnostics["n_walkers"] = config.n_walkers
             diagnostics["seed"] = config.seed
@@ -289,11 +275,11 @@ def _cmd_dollar(args) -> int:
         _err(str(exc))
         return 1
 
-    ranking = walk.rank_partners(net, matrix, focal, top=args.top)
+    ranking = dif.rank_partners(net, matrix, focal, top=args.top)
     out = _outdir(args)
     name = f"ranking_{_safe_token(focal)}_{args.direction}.csv"
     _atomic_write(
-        os.path.join(out, name), lambda tmp: walk.write_ranking_csv(ranking, tmp)
+        os.path.join(out, name), lambda tmp: dif.write_ranking_csv(ranking, tmp)
     )
 
     def write_diagnostics(path):

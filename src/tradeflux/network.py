@@ -264,6 +264,18 @@ def total_flux(net: ImbalanceNetwork) -> float:
     return float(net.weight.sum())
 
 
+def write_accounts_csv(accounts: list[NodeAccount], stream) -> None:
+    """One ``country,k_in,k_out,s_in,s_out,delta_s,class`` row per account;
+    ``stream`` is a path or an open text file object."""
+    with opened(stream, "w") as stream:
+        stream.write("country,k_in,k_out,s_in,s_out,delta_s,class\n")
+        for a in accounts:
+            stream.write(
+                f"{a.country},{a.k_in},{a.k_out},{a.s_in!r},{a.s_out!r},"
+                f"{a.delta_s!r},{a.classification}\n"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Graph file formats
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import tradeflux
 from helpers import random_network, random_trade_matrix
-from tradeflux import diffusion, walk
+from tradeflux import diffusion, ingest
 from tradeflux.cli import main
 from tradeflux.network import (
     ImbalanceNetwork,
@@ -158,6 +158,26 @@ def test_build_filters_by_year(tmp_path, capsys):
     assert main(["build", str(src), "--year", "1999", "-o", str(out)]) == 0
     assert main(["build", str(src), "--year", "1998", "-o", str(out)]) == 1
     assert "no records for year 1998" in capsys.readouterr().err
+
+
+def test_build_uses_a_single_year_table_as_parsed(tmp_path, monkeypatch):
+    # a file holding only --year needs no filtered copy of its parsed table
+    def select(self, keep):
+        raise AssertionError("select() copied a table whose rows are all of --year")
+
+    parse = ingest.parse_dyadic_records
+
+    def parse_then_forbid_select(*args, **kwargs):
+        parsed = parse(*args, **kwargs)
+        monkeypatch.setattr(ingest.DyadicTable, "select", select)
+        return parsed
+
+    monkeypatch.setattr(ingest, "parse_dyadic_records", parse_then_forbid_select)
+    src = tmp_path / "records.csv"
+    src.write_text(TWO_COUNTRY)
+    out = tmp_path / "out"
+    assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
+    assert (out / "network.tsv").read_text().splitlines() == ["src\tdst\tweight", "C2\tC1\t2.0"]
 
 
 def test_disparity_outputs(tmp_path):
@@ -451,13 +471,12 @@ def test_every_exported_name_still_imports():
     assert tradeflux.exact_absorption is diffusion.exact_absorption
 
 
-def test_walker_names_are_the_walk_module_objects():
-    # the walker's names are walk's own objects, re-exported by diffusion
+def test_walker_names_are_the_diffusion_module_objects():
     for name in ("AbsorptionMatrix", "WalkConfig", "backward_walk_mc", "forward_walk_mc",
                  "rank_partners"):
-        assert getattr(tradeflux, name) is getattr(walk, name) is getattr(diffusion, name)
+        assert getattr(tradeflux, name) is getattr(diffusion, name)
     net = ImbalanceNetwork.from_edges([("S", "A", 2.0), ("S", "B", 1.0), ("A", "B", 1.0)])
-    assert type(diffusion.exact_absorption(net)) is walk.AbsorptionMatrix
+    assert type(diffusion.exact_absorption(net)) is diffusion.AbsorptionMatrix
 
 
 _HEADER = b"year,reporter,partner,exports,imports\n"

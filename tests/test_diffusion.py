@@ -9,7 +9,8 @@ from helpers import csgraph_reaches, random_network, reference_walk
 from tradeflux.diffusion import (
     AbsorptionMatrix,
     WalkConfig,
-    _reaches,
+    _hop_table,
+    _walk,
     backward_walk_mc,
     detailed_balance_check,
     exact_absorption,
@@ -19,7 +20,6 @@ from tradeflux.diffusion import (
     write_ranking_csv,
 )
 from tradeflux.network import ImbalanceNetwork, node_accounts, total_flux
-from tradeflux.walk import _absorb_vector, _hop_table
 
 
 def test_fixture_exact_shares(net3):
@@ -64,9 +64,9 @@ def test_fixture_detailed_balance_and_reconstruction(net3):
 def test_absorption_probability_rules(net3):
     assert net3.countries == ("A", "B", "S")
     # forward walkers are absorbed by producers with probability delta_s / s_in
-    np.testing.assert_allclose(_absorb_vector(net3), [0.5, 1.0, 0.0])
+    np.testing.assert_allclose(_walk(net3, "forward")[2], [0.5, 1.0, 0.0])
     # backward walks run forward on the reversed network, where S is the producer
-    np.testing.assert_allclose(_absorb_vector(net3.reverse()), [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(_walk(net3, "backward")[2], [0.0, 0.0, 1.0])
 
 
 def test_walk_config_validation():
@@ -233,7 +233,8 @@ def test_hop_table_reproduces_hop_shares(rows):
     net = ImbalanceNetwork.from_edges(
         [(f"R{r}", f"T{j:03d}", w) for r, row in enumerate(rows) for j, w in enumerate(row)]
     )
-    share, target = _hop_table(net)
+    work, _, _, hop = _walk(net, "forward")
+    share, target = _hop_table(work, hop)
     assert share.shape == target.shape == (net.n_nodes, net.k_out.max())
     for v in range(net.n_nodes):
         k = net.k_out[v]
@@ -292,7 +293,7 @@ def _reach_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_reaches_matches_csgraph_search(case):
     net, seeds = case
-    np.testing.assert_array_equal(_reaches(net, seeds), csgraph_reaches(net, seeds))
+    np.testing.assert_array_equal(net._flood(seeds), csgraph_reaches(net, seeds))
 
 
 def test_every_source_agrees_with_exact_small():
