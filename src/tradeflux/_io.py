@@ -19,14 +19,17 @@ import re
 #: makes an edge-list line a comment.
 BAD_CHARS = '\x00-\x1f,"'
 
+_control = re.compile("[\x00-\x1f]").search
+_bad_char = re.compile(f"[{BAD_CHARS}]").search
+
 
 def code_fault(code: str) -> str | None:
     """The rule ``code`` breaks, worded to follow "must not", or ``None``."""
-    if re.search("[\x00-\x1f]", code):
+    if _control(code):
         return "contain control characters"
     if code.startswith("#"):
         return "start with '#'"
-    if re.search(f"[{BAD_CHARS}]", code):
+    if _bad_char(code):
         return "contain ',' or '\"'"
     return None
 

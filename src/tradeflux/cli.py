@@ -89,11 +89,13 @@ def _cmd_build(args) -> int:
         _err(f"dropped {where}: {reason}")
     rows = parsed.table.year == args.year
     table = parsed.table if rows.all() else parsed.table.select(rows)
+    del parsed, rows  # from here on only the matrix, then the network, is held
     if not len(table):
         _err(f"no records for year {args.year}")
         return 1
 
     matrix, report = ingest.reconcile_flows(table, args.year, policy=args.policy)
+    del table
     check = ingest.validate_trade_matrix(matrix)
     if not check.ok:
         _err(check.summary())
@@ -103,6 +105,7 @@ def _cmd_build(args) -> int:
     _err(report.summary())
 
     net = nw.build_imbalance_network(matrix)
+    del matrix
     accounts = nw.node_accounts(net)
     out = _outdir(args)
 

@@ -391,8 +391,10 @@ def detailed_balance_check(
     if missing:
         raise ValueError(f"accounts missing for: {', '.join(sorted(missing))}")
 
-    row_perm = [backward.starts.index(t) for t in forward.targets]
-    col_perm = [backward.targets.index(s) for s in forward.starts]
+    row_of = {code: i for i, code in enumerate(backward.starts)}
+    col_of = {code: i for i, code in enumerate(backward.targets)}
+    row_perm = [row_of[t] for t in forward.targets]
+    col_perm = [col_of[s] for s in forward.starts]
     G = backward.shares[np.ix_(row_perm, col_perm)]
     d_src = np.array([delta[c] for c in forward.starts])
     d_snk = np.array([delta[c] for c in forward.targets])

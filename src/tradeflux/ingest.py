@@ -349,10 +349,16 @@ def _parse_rows(lines, delimiter: str, header: list[str], positions: dict, line_
 
 
 def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
-                   line_no: int):
+                   line_no: int, number: dict):
     """Rows split on ``\\n`` and the delimiter and checked a column at a
-    time, the first being line ``line_no``: the kept rows' table and the
-    dropped rows, or ``None`` when the rows differ in width.
+    time, the first being line ``line_no``: the kept rows' columns (year,
+    reporter, partner, exports, imports) and the dropped rows, or ``None``
+    when the rows differ in width.
+
+    ``number`` maps each code met so far in the parse to its number, or to
+    -1 when it fails ``DyadicRecord``'s checks; codes new here are checked
+    and added, so each code is checked once per parse. The reporter and
+    partner columns hold these numbers.
 
     A row that fails a check goes through ``_parse_row``, which words the
     reason it is dropped (or finds it blank).
@@ -375,9 +381,10 @@ def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
     year = np.array([y or 0 for y in years])[inverse]
 
     stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
-    codes = sorted({code for code in stripped if _valid_code(code)})
-    index = {code: i for i, code in enumerate(codes)}
-    ends = np.array([index.get(code, -1) for code in stripped], dtype=np.intp)[inverse]
+    for code in stripped:
+        if code not in number:
+            number[code] = len(number) if _valid_code(code) else -1
+    ends = np.fromiter(map(number.__getitem__, stripped), np.intp, len(stripped))[inverse]
     reporter, partner = ends[:n], ends[n:]
     bad |= (reporter < 0) | (partner < 0) | (reporter == partner)
 
@@ -391,8 +398,10 @@ def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
             _parse_row(fields[i * width:(i + 1) * width], positions, n_header)
         except ValueError as exc:
             dropped.append((f"line {line_no + i}", str(exc)))
-    table = DyadicTable(tuple(codes), year, reporter, partner, exports, imports)
-    return table.select(~bad), dropped
+    kept = (year, reporter, partner, exports, imports)
+    if bad.any():
+        kept = tuple(column[~bad] for column in kept)
+    return kept, dropped
 
 
 def _universal_lines(texts):
@@ -408,32 +417,38 @@ def _universal_lines(texts):
         yield held
 
 
-def _concat(tables: list[DyadicTable]) -> DyadicTable:
-    """The rows of ``tables`` one after another, over the union of their
-    codes."""
-    codes = sorted(set().union(*(t.codes for t in tables)))
-    index = {code: i for i, code in enumerate(codes)}
-    # an empty table's columns may be of another dtype; leave them out
-    tables = [t for t in tables if len(t)] or tables[:1]
-    number = [np.array([index[c] for c in t.codes], dtype=np.intp) for t in tables]
-    return DyadicTable(
-        tuple(codes),
-        np.concatenate([t.year for t in tables]),
-        np.concatenate([n[t.reporter] for n, t in zip(number, tables)]),
-        np.concatenate([n[t.partner] for n, t in zip(number, tables)]),
-        np.concatenate([t.exports for t in tables]),
-        np.concatenate([t.imports for t in tables]),
-    )
+def _append(columns: list[np.ndarray], parts) -> None:
+    """Append ``parts``, one array per column, to ``columns`` in place.
+
+    Each column grows by ``ndarray.resize``, which the allocator can often
+    do without a copy, so the parsed rows are never held twice over, as
+    they would be while ``np.concatenate`` joins the parts. A part of a
+    wider dtype (an ``object`` year too large for int64) widens the column.
+    """
+    if not len(parts[0]):
+        return  # an empty part's columns may be of another dtype
+    for i, part in enumerate(parts):
+        column = columns[i]
+        if column.dtype != np.result_type(column, part):
+            column = columns[i] = column.astype(np.result_type(column, part))
+        size = len(column)
+        column.resize(size + len(part), refcheck=False)
+        column[size:] = part
 
 
 #: Characters of records text read and parsed at a time, in whole lines.
-_PARSE_CHUNK = 1 << 20
+_PARSE_CHUNK = 1 << 18
+
+#: Rows renumbered after a parse, or reconciled, at a time.
+_BLOCK = 1 << 16
 
 
 def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
     """Records from ``chunks``, lists of whole lines, the first holding the
     header."""
-    tables, dropped = [], []
+    number = {}  # each code met, to its number or -1; see _parse_columns
+    kept = [np.empty(0, dtype) for dtype in (np.int64, np.intp, np.intp, float, float)]
+    dropped = []
     header = None
     line_no = 1  # of the next line to parse
     for lines in chunks:
@@ -445,9 +460,9 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
                 header = _header(header_line, columns)
                 line_no += 1
             delimiter, names, positions = header
-            part = _parse_columns(text, delimiter, positions, len(names), line_no)
+            part = _parse_columns(text, delimiter, positions, len(names), line_no, number)
             if part is not None:
-                tables.append(part[0])
+                _append(kept, part[0])
                 dropped += part[1]
                 line_no += text.count("\n")
                 continue
@@ -457,12 +472,24 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
             header = _header(next(rest), columns)
             line_no += 1
         table, rest_dropped = _parse_rows(rest, *header, line_no)
-        tables.append(table)
+        # the rows' codes passed DyadicRecord's checks
+        renumber = np.array([number.setdefault(code, len(number)) for code in table.codes],
+                            dtype=np.intp)
+        _append(kept, (table.year, renumber[table.reporter], renumber[table.partner],
+                       table.exports, table.imports))
         dropped += rest_dropped
         break
-    if not tables:
+    if header is None:
         return ParseResult()
-    return ParseResult(_concat(tables), dropped)
+    # number the codes in sorted order, a block of rows at a time
+    codes = sorted(code for code, i in number.items() if i >= 0)
+    rank = np.zeros(len(number), dtype=np.intp)
+    rank[[number[code] for code in codes]] = np.arange(len(codes))
+    for ends in kept[1:3]:
+        for start in range(0, len(ends), _BLOCK):
+            block = ends[start:start + _BLOCK]
+            block[:] = rank[block]
+    return ParseResult(DyadicTable(tuple(codes), *kept), dropped)
 
 
 def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResult:
@@ -475,7 +502,11 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
 
     The file is read in chunks of whole lines, about ``_PARSE_CHUNK``
     characters each, and each chunk is split into columns that are checked
-    a column at a time, so the file is never held whole. From the first
+    a column at a time, so the file is never held whole. Each country code
+    is checked once per call, however many chunks it appears in. A chunk's
+    kept rows are appended in place to the result's columns, so this path
+    holds the table and a few chunks' worth of strings, never the table
+    twice. From the first
     chunk holding a ``"``, a carriage return outside a ``\\r\\n`` line
     end, or rows of differing width, the rest of the file is read row by
     row through the ``csv`` module instead, since a quoted field may span
@@ -491,6 +522,23 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
             return _parse_chunks(chunks, columns)
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from None
+
+
+def _resolve(policy: str, exp: np.ndarray, imp: np.ndarray) -> np.ndarray:
+    """One flow from its exporter and importer claims, under ``policy``."""
+    if policy == "average":
+        with np.errstate(over="ignore"):
+            resolved = 0.5 * (exp + imp)
+        # two claims near the float limit overflow their sum; halve each first
+        over = np.isinf(resolved)
+        resolved[over] = 0.5 * exp[over] + 0.5 * imp[over]
+        return resolved
+    if policy == "prefer-importer":
+        return imp
+    if policy == "prefer-exporter":
+        return exp
+    # max, keeping the exporter side on ties as max() does
+    return np.where(imp > exp, imp, exp)
 
 
 def reconcile_flows(
@@ -521,66 +569,70 @@ def reconcile_flows(
             f"record for year {table.year[wrong[0]]} passed to reconcile_flows({year})"
         )
     codes = table.codes
-    _, first = np.unique(table.reporter * len(codes) + table.partner, return_index=True)
-    later = np.ones(len(table), dtype=bool)
-    later[first] = False
+    # the countries of the rows, numbered in the table's sorted order; each
+    # pair's first report names the same two countries as its later ones
+    present = np.zeros(len(codes), dtype=bool)
+    present[table.reporter] = True
+    present[table.partner] = True
+    countries = tuple(compress(codes, present))
+    number = np.cumsum(present) - 1
+    n = len(countries)
+    # no column of the table is copied whole: rows go _BLOCK at a time
+    blocks = [slice(i, min(i + _BLOCK, len(table))) for i in range(0, len(table), _BLOCK)]
+
+    def flat_at(rows: slice) -> np.ndarray:
+        # each row's flow reporter->partner, as a flat matrix position
+        return number[table.reporter[rows]] * n + number[table.partner[rows]]
+
+    # A pair's first report is the least row at its position: one entry per
+    # matrix cell finds it, with no sort.
+    row_type = np.min_scalar_type(len(table))
+    least = np.full(n * n, len(table), dtype=row_type)
+    for rows in blocks:
+        np.minimum.at(least, flat_at(rows), np.arange(rows.start, rows.stop, dtype=row_type))
+    first = np.empty(len(table), dtype=bool)
+    for rows in blocks:
+        first[rows] = least[flat_at(rows)] == np.arange(rows.start, rows.stop, dtype=row_type)
+    del least
+    later = ~first
     dropped = tuple(
         (f"{codes[r]}->{codes[p]}", "duplicate report for pair")
         for r, p in zip(table.reporter[later].tolist(), table.partner[later].tolist())
     )
 
-    # the countries of the first reports, numbered in the table's sorted order
-    present = np.zeros(len(codes), dtype=bool)
-    present[table.reporter[first]] = True
-    present[table.partner[first]] = True
-    countries = tuple(compress(codes, present))
-    number = np.cumsum(present) - 1
-    n = len(countries)
-    reporter = number[table.reporter[first]]
-    partner = number[table.partner[first]]
-    # a missing side is NaN; present values are finite by construction
-    stated_exports = table.exports[first]
-    stated_imports = table.imports[first]
-
-    # Claims about the flow a->b, as flat matrix positions: the exporter
-    # side from a's record, the importer side from b's record.
-    has_exp = ~np.isnan(stated_exports)
-    has_imp = ~np.isnan(stated_imports)
-    exp_at = (reporter * n + partner)[has_exp]
-    imp_at = (partner * n + reporter)[has_imp]
-    exp_side = stated_exports[has_exp]
-    imp_side = stated_imports[has_imp]
-    _, in_exp, in_imp = np.intersect1d(
-        exp_at, imp_at, assume_unique=True, return_indices=True
-    )
-    both_exp, both_imp = exp_side[in_exp], imp_side[in_imp]
-    if policy == "average":
-        with np.errstate(over="ignore"):
-            resolved = 0.5 * (both_exp + both_imp)
-        # two claims near the float limit overflow their sum; halve each first
-        over = np.isinf(resolved)
-        resolved[over] = 0.5 * both_exp[over] + 0.5 * both_imp[over]
-    elif policy == "prefer-importer":
-        resolved = both_imp
-    elif policy == "prefer-exporter":
-        resolved = both_exp
-    else:  # max, keeping the exporter side on ties as max() does
-        resolved = np.where(both_imp > both_exp, both_imp, both_exp)
-
+    # Claims about the flow a->b: the exporter side from a's first report,
+    # then the importer side from b's. A missing side is NaN; present values
+    # are finite by construction.
     exports = np.zeros((n, n))
-    exports.flat[exp_at] = exp_side
-    exports.flat[imp_at] = imp_side
-    exports.flat[exp_at[in_exp]] = resolved
+    claimed = np.zeros(n * n, dtype=bool)  # the cells with an exporter claim
+    for rows in blocks:
+        keep = first[rows] & ~np.isnan(table.exports[rows])
+        at = flat_at(rows)[keep]
+        exports.flat[at] = table.exports[rows][keep]
+        claimed[at] = True
+    n_conflicts, max_conflict = 0, 0.0
+    for rows in blocks:
+        keep = first[rows] & ~np.isnan(table.imports[rows])
+        importer, exporter = np.divmod(flat_at(rows)[keep], n)
+        at = exporter * n + importer
+        claims = table.imports[rows][keep]
+        both = claimed[at]
+        both_exp, both_imp = exports.flat[at[both]], claims[both]
+        claims[both] = _resolve(policy, both_exp, both_imp)
+        exports.flat[at] = claims
 
-    denom = np.maximum(np.abs(both_exp), np.abs(both_imp))
-    rel = np.divide(
-        np.abs(both_exp - both_imp), denom, out=np.zeros_like(denom), where=denom > 0
-    )
+        denom = np.maximum(np.abs(both_exp), np.abs(both_imp))
+        rel = np.divide(
+            np.abs(both_exp - both_imp), denom, out=np.zeros_like(denom), where=denom > 0
+        )
+        n_conflicts += int(np.count_nonzero(rel > CONFLICT_TOLERANCE))
+        max_conflict = max(max_conflict, float(rel.max(initial=0.0)))
+
     report = ValidationReport(
         n_records=len(table),
-        n_conflicts=int(np.count_nonzero(rel > CONFLICT_TOLERANCE)),
-        max_relative_conflict=float(rel.max(initial=0.0)),
-        dropped=tuple(dropped),
+        n_conflicts=n_conflicts,
+        max_relative_conflict=max_conflict,
+        dropped=dropped,
     )
     return TradeMatrix(year, countries, exports), report
 

@@ -50,7 +50,8 @@ class ImbalanceNetwork:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weight = np.asarray(weight, dtype=float)
-        order = np.lexsort((dst, src))
+        # lexsort's order by (src, dst); linear time on edges already in it
+        order = np.argsort(src * len(self.countries) + dst, kind="stable")
         self.src = src[order]
         self.dst = dst[order]
         self.weight = weight[order]
@@ -191,8 +192,11 @@ class ImbalanceNetwork:
 
     def reverse(self) -> "ImbalanceNetwork":
         """The same network with every edge flipped (weights kept)."""
+        # by target, then source: the flipped edges' canonical order
+        order = self._in_order
         return ImbalanceNetwork(
-            self.countries, self.dst, self.src, self.weight, validate=False
+            self.countries, self.dst[order], self.src[order], self.weight[order],
+            validate=False,
         )
 
 

@@ -161,18 +161,12 @@ def test_build_filters_by_year(tmp_path, capsys):
 
 
 def test_build_uses_a_single_year_table_as_parsed(tmp_path, monkeypatch):
-    # a file holding only --year needs no filtered copy of its parsed table
+    # a file of good rows, all of --year, is never copied row by row: not by
+    # the parser, nor by build's year filter
     def select(self, keep):
-        raise AssertionError("select() copied a table whose rows are all of --year")
+        raise AssertionError("select() copied a table none of whose rows go")
 
-    parse = ingest.parse_dyadic_records
-
-    def parse_then_forbid_select(*args, **kwargs):
-        parsed = parse(*args, **kwargs)
-        monkeypatch.setattr(ingest.DyadicTable, "select", select)
-        return parsed
-
-    monkeypatch.setattr(ingest, "parse_dyadic_records", parse_then_forbid_select)
+    monkeypatch.setattr(ingest.DyadicTable, "select", select)
     src = tmp_path / "records.csv"
     src.write_text(TWO_COUNTRY)
     out = tmp_path / "out"

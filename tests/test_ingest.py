@@ -1,5 +1,7 @@
+import collections
 import io
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from helpers import dict_loop_reconcile, rowwise_parse_dyadic_records
 from tradeflux import ingest
+from tradeflux._io import code_fault
 from tradeflux.errors import ConfigurationError
 from tradeflux.ingest import (
     RECONCILE_POLICIES,
     ColumnMap,
     DyadicRecord,
+    DyadicTable,
     TradeMatrix,
     parse_dyadic_records,
     reconcile_flows,
@@ -218,15 +222,15 @@ _claims = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 2.5, 1.7e308]),
     st.floats(min_value=0.0, allow_infinity=False),
 )
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), _claims, _claims)
-        .filter(lambda t: t[0] != t[1]),
-        max_size=40,
-    ),
-    st.sampled_from(RECONCILE_POLICIES),
+_reconcile_rows = st.lists(
+    st.tuples(st.sampled_from("ABCDE"), st.sampled_from("ABCDE"), _claims, _claims)
+    .filter(lambda t: t[0] != t[1]),
+    max_size=40,
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reconcile_rows, st.sampled_from(RECONCILE_POLICIES))
 # max() keeps its first argument, the exporter side, when the claims tie
 @example([("A", "B", -0.0, None), ("B", "A", None, 0.0)], "max")
 def test_reconcile_matches_dict_loop(rows, policy):
@@ -237,6 +241,14 @@ def test_reconcile_matches_dict_loop(rows, policy):
     assert tm.exports.shape == ref_tm.exports.shape
     assert tm.exports.tobytes() == ref_tm.exports.tobytes()
     assert report == ref_report
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reconcile_rows, st.sampled_from(RECONCILE_POLICIES), st.integers(1, 5))
+def test_reconcile_a_few_rows_at_a_time_matches_dict_loop(rows, policy, block):
+    # a pair's reports and its mirror's fall in different blocks
+    with mock.patch.object(ingest, "_BLOCK", block):
+        test_reconcile_matches_dict_loop.hypothesis.inner_test(rows, policy)
 
 
 def test_reconcile_average_halves_claims_near_the_float_limit():
@@ -391,8 +403,10 @@ def test_parse_in_chunks_of_a_few_characters_matches_the_row_loop(
     tmp_path_factory, case, chunk
 ):
     # each file spans many chunks, so line ends, quotes, ragged and bad rows
-    # fall on either side of a chunk boundary
-    with mock.patch.object(ingest, "_PARSE_CHUNK", chunk):
+    # fall on either side of a chunk boundary; rows are renumbered and
+    # reconciled a few at a time too
+    with mock.patch.object(ingest, "_PARSE_CHUNK", chunk), \
+            mock.patch.object(ingest, "_BLOCK", chunk):
         test_parse_and_reconcile_match_the_row_loop.hypothesis.inner_test(
             tmp_path_factory, case
         )
@@ -432,6 +446,71 @@ def test_parse_never_reads_the_file_whole(tmp_path, tail):
         ("line 1502", "self-trade"), ("line 2102", "expected 5 columns, got 3")
     ]
     assert repr(parsed.records) == repr(records)
+
+
+def test_parse_checks_each_code_once(tmp_path):
+    rows = [f"2000,R{i % 37},P{i % 41},{i}.5,NA" for i in range(3000)]
+    rows[1500] = "2000,R1,R1,1,2"  # self-trade
+    stream = _ChunkedReadsOnly("year,reporter,partner,exports,imports\n" + "\n".join(rows))
+    checked = collections.Counter()
+
+    def counted_code_fault(code):
+        checked[code] += 1
+        return code_fault(code)
+
+    with mock.patch.object(ingest, "_PARSE_CHUNK", 4096), \
+            mock.patch.object(ingest, "code_fault", counted_code_fault):
+        parsed = parse_dyadic_records(stream)
+    assert stream.chunks >= 8
+    assert parsed.dropped == [("line 1502", "self-trade")]
+    codes = [f"R{i}" for i in range(37)] + [f"P{i}" for i in range(41)]
+    assert checked == collections.Counter(codes)
+
+
+def _traced_peak(call):
+    """What ``call()`` returns, and the most memory tracemalloc saw it hold
+    beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _nbytes(table):
+    return sum(c.nbytes for c in (table.year, table.reporter, table.partner,
+                                  table.exports, table.imports))
+
+
+def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path):
+    # the chunks' parts are not held beside a second, joined copy of them
+    rows = [f"2000,R{i % 97},P{i % 89},{i}.5,{i}.25" for i in range(40_000)]
+    path = tmp_path / "records.csv"
+    path.write_text("year,reporter,partner,exports,imports\n" + "\n".join(rows) + "\n")
+    with mock.patch.object(ingest, "_PARSE_CHUNK", 1 << 14):
+        parsed, peak = _traced_peak(lambda: parse_dyadic_records(path))
+        assert peak <= _nbytes(parsed.table) + 64 * ingest._PARSE_CHUNK
+    assert len(parsed.table) == len(rows)
+
+
+def test_reconcile_holds_the_matrix_and_a_few_copies_of_the_table_at_most():
+    rng = np.random.default_rng(3)
+    n = 400
+    reporter, partner = np.nonzero(rng.random((n, n)) < 0.2)
+    keep = reporter != partner
+    reporter, partner = reporter[keep], partner[keep]
+    again = rng.integers(0, reporter.size, 500)  # duplicate reports
+    reporter = np.concatenate([reporter, reporter[again]])
+    partner = np.concatenate([partner, partner[again]])
+    flows = rng.lognormal(size=(2, reporter.size))
+    flows[rng.random(flows.shape) < 0.1] = np.nan
+    table = DyadicTable(tuple(f"C{i:03d}" for i in range(n)),
+                        np.full(reporter.size, 2000), reporter, partner, *flows)
+    (matrix, report), peak = _traced_peak(lambda: reconcile_flows(table, 2000))
+    assert len(report.dropped) == again.size
+    assert peak <= matrix.exports.nbytes + 2 * _nbytes(table)
 
 
 @pytest.mark.parametrize("newline", ["", "\n", "\r", "\r\n"])

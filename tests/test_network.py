@@ -173,6 +173,33 @@ def test_canonical_edge_order():
     assert pairs == sorted(pairs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    st.booleans(),
+)))
+def test_canonical_order_is_lexsorts(case):
+    # random, presorted and repeated pairs all land where lexsort puts them;
+    # distinct weights show the whole permutation, ties included
+    n, pairs, presort = case
+    if presort:
+        pairs = sorted(pairs)
+    src = np.array([i for i, _ in pairs], dtype=np.int64)
+    dst = np.array([j for _, j in pairs], dtype=np.int64)
+    weight = np.arange(1.0, len(pairs) + 1)
+    order = np.lexsort((dst, src))
+    net = ImbalanceNetwork([f"C{i}" for i in range(n)], src, dst, weight, validate=False)
+    np.testing.assert_array_equal(net.src, src[order])
+    np.testing.assert_array_equal(net.dst, dst[order])
+    np.testing.assert_array_equal(net.weight, weight[order])
+    rev = net.reverse()
+    back = np.lexsort((net.src, net.dst))
+    np.testing.assert_array_equal(rev.src, net.dst[back])
+    np.testing.assert_array_equal(rev.dst, net.src[back])
+    np.testing.assert_array_equal(rev.weight, net.weight[back])
+
+
 def test_total_flux(net3):
     assert total_flux(net3) == 4.0
 
