@@ -400,7 +400,7 @@ def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
             dropped.append((f"line {line_no + i}", str(exc)))
     kept = (year, reporter, partner, exports, imports)
     if bad.any():
-        kept = tuple(column[~bad] for column in kept)
+        kept = tuple(values[~bad] for values in kept)
     return kept, dropped
 
 

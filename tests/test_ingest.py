@@ -495,10 +495,11 @@ def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path):
     assert len(parsed.table) == len(rows)
 
 
-def test_reconcile_holds_the_matrix_and_a_few_copies_of_the_table_at_most():
+def test_reconcile_holds_the_matrix_and_at_most_a_table_more():
+    # 300k rows: several blocks of _BLOCK rows
     rng = np.random.default_rng(3)
-    n = 400
-    reporter, partner = np.nonzero(rng.random((n, n)) < 0.2)
+    n = 1000
+    reporter, partner = np.nonzero(rng.random((n, n)) < 0.3)
     keep = reporter != partner
     reporter, partner = reporter[keep], partner[keep]
     again = rng.integers(0, reporter.size, 500)  # duplicate reports
@@ -510,7 +511,7 @@ def test_reconcile_holds_the_matrix_and_a_few_copies_of_the_table_at_most():
                         np.full(reporter.size, 2000), reporter, partner, *flows)
     (matrix, report), peak = _traced_peak(lambda: reconcile_flows(table, 2000))
     assert len(report.dropped) == again.size
-    assert peak <= matrix.exports.nbytes + 2 * _nbytes(table)
+    assert peak <= matrix.exports.nbytes + _nbytes(table)
 
 
 @pytest.mark.parametrize("newline", ["", "\n", "\r", "\r\n"])
