@@ -106,9 +106,6 @@ class TradeMatrix:
             raise ValueError("duplicate country codes")
         object.__setattr__(self, "exports", matrix)
 
-    def index(self, country: str) -> int:
-        return self.countries.index(country)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -157,8 +154,10 @@ class ColumnMap:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ColumnMap":
-        known = {"year", "reporter", "partner", "exports", "imports"}
-        unknown = set(mapping) - known
+        """The map given by a parsed JSON object of field names to column names."""
+        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+            raise ConfigurationError(f"not a JSON object of column names: {mapping!r}")
+        unknown = set(mapping) - {"year", "reporter", "partner", "exports", "imports"}
         if unknown:
             raise ConfigurationError(f"unknown format-map keys: {sorted(unknown)}")
         return cls(**mapping)
@@ -242,7 +241,7 @@ class ParseResult:
 
 
 def _parse_flow(token: str, name: str) -> float | None:
-    if token is None or token.strip().lower() in MISSING_TOKENS:
+    if token.strip().lower() in MISSING_TOKENS:
         return None
     try:
         value = float(token)
@@ -316,62 +315,40 @@ def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]
     """Delimiter, header cells, and the position of each required column."""
     delimiter = "\t" if "\t" in header_line else ","
     header = next(csv.reader([header_line], delimiter=delimiter))
+    lowered = [h.strip().lower() for h in header]
     positions = {}
     for name in ("year", "reporter", "partner", "exports", "imports"):
         wanted = getattr(columns, name)
-        try:
+        if wanted in header:
             positions[name] = header.index(wanted)
-        except ValueError:
-            lowered = [h.strip().lower() for h in header]
-            if wanted.lower() in lowered:
-                positions[name] = lowered.index(wanted.lower())
-            else:
-                raise ConfigurationError(
-                    f"required column {wanted!r} not found in header {header}"
-                ) from None
+        elif wanted.lower() in lowered:
+            positions[name] = lowered.index(wanted.lower())
+        else:
+            raise ConfigurationError(f"required column {wanted!r} not found in header {header}")
     return delimiter, header, positions
 
 
-def _parse_rows(lines, delimiter: str, header: list[str], positions: dict, line_no: int):
-    """Every row of ``lines`` through the ``csv`` module and ``_parse_row``,
-    one at a time, the first being line ``line_no``: the kept rows' table
-    and the dropped rows."""
-    records, dropped = [], []
-    for line_no, row in enumerate(csv.reader(lines, delimiter=delimiter), start=line_no):
-        try:
-            record = _parse_row(row, positions, len(header))
-        except ValueError as exc:
-            dropped.append((f"line {line_no}", str(exc)))
-            continue
-        if record is not None:
-            records.append(record)
-    return DyadicTable.from_records(records), dropped
+def _parse_columns(line_nos, header: tuple, number: dict, rows=None, fields=None,
+                   width: int = 0):
+    """Rows checked a column at a time: the kept rows' columns (year,
+    reporter, partner, exports, imports) and the dropped rows.
 
-
-def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
-                   line_no: int, number: dict):
-    """Rows split on ``\\n`` and the delimiter and checked a column at a
-    time, the first being line ``line_no``: the kept rows' columns (year,
-    reporter, partner, exports, imports) and the dropped rows, or ``None``
-    when the rows differ in width.
+    The rows come as ``rows``, lists of fields as read, or as ``fields``,
+    one list of every row's fields, ``width`` to a row. Row ``i`` starts at
+    line ``line_nos[i]``; ``header`` is what ``_header`` returns. A row
+    that fails a check goes through ``_parse_row``, which words the reason
+    it is dropped (or finds it blank) from the row as read.
 
     ``number`` maps each code met so far in the parse to its number, or to
     -1 when it fails ``DyadicRecord``'s checks; codes new here are checked
     and added, so each code is checked once per parse. The reporter and
     partner columns hold these numbers.
-
-    A row that fails a check goes through ``_parse_row``, which words the
-    reason it is dropped (or finds it blank).
     """
-    body = body.removesuffix("\n")
-    lines = body.split("\n") if body else []
-    widths = set(map(str.count, lines, repeat(delimiter)))
-    if len(widths) > 1 or widths and min(widths) < max(positions.values()):
-        return None
-    width = widths.pop() + 1 if widths else 1
-    n = len(lines)
-    del lines
-    fields = body.replace("\n", delimiter).split(delimiter) if body else []
+    _, names, positions = header
+    if fields is None:  # each row padded with empty fields or cut to the header's width
+        width, pad = len(names), [""] * len(names)
+        fields = list(chain.from_iterable((row + pad)[:width] for row in rows))
+    n = len(fields) // width
 
     def column(name: str) -> list[str]:
         return fields[positions[name]::width]
@@ -379,6 +356,8 @@ def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
     years, inverse = _by_distinct(column("year"), _year)
     bad = np.array([y is None for y in years], dtype=bool)[inverse]
     year = np.array([y or 0 for y in years])[inverse]
+    if rows is not None:
+        bad |= np.fromiter(map(len, rows), np.intp, n) <= max(positions.values())
 
     stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
     for code in stripped:
@@ -395,9 +374,10 @@ def _parse_columns(body: str, delimiter: str, positions: dict, n_header: int,
     dropped = []
     for i in np.flatnonzero(bad).tolist():
         try:
-            _parse_row(fields[i * width:(i + 1) * width], positions, n_header)
+            _parse_row(fields[i * width:(i + 1) * width] if rows is None else rows[i],
+                       positions, len(names))
         except ValueError as exc:
-            dropped.append((f"line {line_no + i}", str(exc)))
+            dropped.append((f"line {line_nos[i]}", str(exc)))
     kept = (year, reporter, partner, exports, imports)
     if bad.any():
         kept = tuple(values[~bad] for values in kept)
@@ -451,34 +431,51 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
     dropped = []
     header = None
     line_no = 1  # of the next line to parse
+
+    def check(line_nos, rows=None, fields=None, width=0):
+        part, part_dropped = _parse_columns(line_nos, header, number, rows, fields, width)
+        _append(kept, part)
+        dropped.extend(part_dropped)
+
     for lines in chunks:
         text = "".join(lines)
-        if '"' not in text and text.count("\r") == text.count("\r\n"):
-            text = text.replace("\r\n", "\n")
+        if '"' in text or text.count("\r") != text.count("\r\n"):
+            # a quoted field may span lines: one csv reader reads the rest
+            rest = _universal_lines(chain([text], map("".join, chunks)))
             if header is None:
-                header_line, _, text = text.partition("\n")
-                header = _header(header_line, columns)
+                header = _header(next(rest), columns)
                 line_no += 1
-            delimiter, names, positions = header
-            part = _parse_columns(text, delimiter, positions, len(names), line_no, number)
-            if part is not None:
-                _append(kept, part[0])
-                dropped += part[1]
-                line_no += text.count("\n")
-                continue
-        # a quoted field may span lines: from here on, one csv row at a time
-        rest = _universal_lines(chain([text], map("".join, chunks)))
+            reader = csv.reader(rest, delimiter=header[0])
+            first, rows, starts, read = line_no, [], [], 0
+            for row in reader:  # each row numbered by the line it starts at
+                rows.append(row)
+                starts.append(line_no)
+                line_no = first + reader.line_num
+                read += sum(map(len, row))
+                if read >= _PARSE_CHUNK:  # about a chunk's characters
+                    check(starts, rows)
+                    rows, starts, read = [], [], 0
+            check(starts, rows)
+            break
+        text = text.replace("\r\n", "\n")
         if header is None:
-            header = _header(next(rest), columns)
+            header_line, _, text = text.partition("\n")
+            header = _header(header_line, columns)
             line_no += 1
-        table, rest_dropped = _parse_rows(rest, *header, line_no)
-        # the rows' codes passed DyadicRecord's checks
-        renumber = np.array([number.setdefault(code, len(number)) for code in table.codes],
-                            dtype=np.intp)
-        _append(kept, (table.year, renumber[table.reporter], renumber[table.partner],
-                       table.exports, table.imports))
-        dropped += rest_dropped
-        break
+        delimiter, _, positions = header
+        body = text.removesuffix("\n")
+        lines = body.split("\n") if body else []
+        widths = set(map(str.count, lines, repeat(delimiter)))
+        width = widths.pop() + 1 if len(widths) == 1 else 0
+        line_nos = range(line_no, line_no + len(lines))
+        if width > max(positions.values()):
+            # the rows are of one width, wide enough for the columns: one split
+            del lines
+            check(line_nos, fields=body.replace("\n", delimiter).split(delimiter), width=width)
+        elif lines:
+            # ragged rows, or a blank line: each row split alone
+            check(line_nos, [line.split(delimiter) for line in lines])
+        line_no += text.count("\n")
     if header is None:
         return ParseResult()
     # number the codes in sorted order, a block of rows at a time
@@ -501,16 +498,18 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     numbers, never silently skipped.
 
     The file is read in chunks of whole lines, about ``_PARSE_CHUNK``
-    characters each, and each chunk is split into columns that are checked
-    a column at a time, so the file is never held whole. Each country code
-    is checked once per call, however many chunks it appears in. A chunk's
-    kept rows are appended in place to the result's columns, so this path
+    characters each, so it is never held whole, and every row goes through
+    one checker, which checks a chunk's rows a column at a time. Only how a
+    chunk is split into fields depends on the input: ``str.split`` splits
+    the whole chunk when its rows are of one width, or each line alone when
+    they are ragged or one is blank; from the first chunk holding a ``"``
+    or a carriage return outside a ``\\r\\n`` line end, since a quoted field
+    may span lines, one ``csv`` reader reads the rest of the file and hands
+    on its rows a chunk's worth at a time. A row is numbered by the line it
+    starts at. Each country code is checked once per call, and a chunk's
+    kept rows are appended in place to the result's columns, so a parse
     holds the table and a few chunks' worth of strings, never the table
-    twice. From the first
-    chunk holding a ``"``, a carriage return outside a ``\\r\\n`` line
-    end, or rows of differing width, the rest of the file is read row by
-    row through the ``csv`` module instead, since a quoted field may span
-    lines. Either way the records and the dropped rows come out the same.
+    twice.
 
     Raises :class:`ConfigurationError` when a required column named by
     ``columns`` is absent from the header.

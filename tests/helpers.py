@@ -338,7 +338,9 @@ def rowwise_parse_dyadic_records(path, columns):
 
         records, dropped = [], []
         reader = csv.reader(stream, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=2):
+        line_no = 2  # where the next row starts: rows are numbered by physical line
+        for row in reader:
+            where, line_no = f"line {line_no}", 2 + reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
@@ -355,7 +357,7 @@ def rowwise_parse_dyadic_records(path, columns):
                     raise ValueError("self-trade")
                 record = DyadicRecord(year, reporter, partner, exports, imports)
             except ValueError as exc:
-                dropped.append((f"line {line_no}", str(exc)))
+                dropped.append((where, str(exc)))
                 continue
             records.append(record)
         return records, dropped

@@ -138,13 +138,20 @@ def test_build_format_map_inline_and_file(tmp_path):
     assert (out1 / "network.tsv").read_text() == (out2 / "network.tsv").read_text()
 
 
-def test_build_bad_format_map_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("mapping", [
+    '{"bogus": "x"}', '{"year": 5}', '{"year": null}', '{"reporter": ["a"]}', '["year"]',
+], ids=["unknown-key", "number", "null", "array-value", "array"])
+def test_build_bad_format_map_is_usage_error(tmp_path, capsys, mapping):
     src = tmp_path / "records.csv"
     src.write_text(TWO_COUNTRY)
+    if not mapping.startswith("{"):  # only an object is taken inline
+        (tmp_path / "map.json").write_text(mapping)
+        mapping = str(tmp_path / "map.json")
     code = main(["build", str(src), "--year", "2000",
-                 "--format-map", '{"bogus": "x"}', "-o", str(tmp_path)])
+                 "--format-map", mapping, "-o", str(tmp_path)])
     assert code == 2
-    assert "bad --format-map" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("tradeflux: bad --format-map: ") and err.count("\n") == 1
 
 
 def test_build_filters_by_year(tmp_path, capsys):

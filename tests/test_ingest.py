@@ -163,6 +163,10 @@ def test_record_validation():
 # --- reconciliation -------------------------------------------------------
 
 
+def _flow(tm, exporter, importer):
+    return tm.exports[tm.countries.index(exporter), tm.countries.index(importer)]
+
+
 def _two_sided(exporter_says, importer_says):
     return [
         DyadicRecord(2000, "A", "B", exporter_says, None),
@@ -176,7 +180,7 @@ def _two_sided(exporter_says, importer_says):
 )
 def test_reconcile_policies(policy, expected):
     tm, report = reconcile_flows(_two_sided(10.0, 12.0), 2000, policy=policy)
-    assert tm.exports[tm.index("A"), tm.index("B")] == expected
+    assert _flow(tm, "A", "B") == expected
     assert report.n_conflicts == 1
 
 
@@ -184,14 +188,14 @@ def test_reconcile_single_sided_claim_taken_as_is():
     records = [DyadicRecord(2000, "A", "B", 10.0, None)]
     for policy in ("average", "prefer-importer", "prefer-exporter", "max"):
         tm, report = reconcile_flows(records, 2000, policy=policy)
-        assert tm.exports[tm.index("A"), tm.index("B")] == 10.0
+        assert _flow(tm, "A", "B") == 10.0
         assert report.n_conflicts == 0
 
 
 def test_reconcile_mirror_consistent_no_conflict():
     for policy in ("average", "prefer-importer", "prefer-exporter", "max"):
         tm, report = reconcile_flows(_two_sided(10.0, 10.0), 2000, policy=policy)
-        assert tm.exports[tm.index("A"), tm.index("B")] == 10.0
+        assert _flow(tm, "A", "B") == 10.0
         assert report.n_conflicts == 0
         assert report.max_relative_conflict == 0.0
 
@@ -211,7 +215,7 @@ def test_reconcile_duplicate_pair_first_wins():
         DyadicRecord(2000, "A", "B", 99.0, None),
     ]
     tm, report = reconcile_flows(records, 2000)
-    assert tm.exports[tm.index("A"), tm.index("B")] == 10.0
+    assert _flow(tm, "A", "B") == 10.0
     assert report.dropped == (("A->B", "duplicate report for pair"),)
 
 
@@ -259,8 +263,8 @@ def test_reconcile_average_halves_claims_near_the_float_limit():
         warnings.simplefilter("error")
         tm, _ = reconcile_flows(records, 2000, policy="average")
         assert validate_trade_matrix(tm).ok
-    assert tm.exports[tm.index("A"), tm.index("B")] == 0.5 * 1.7e308 + 0.5 * 1.6e308
-    assert tm.exports[tm.index("C"), tm.index("D")] == 0.5 * (3.0 + 4.5)
+    assert _flow(tm, "A", "B") == 0.5 * 1.7e308 + 0.5 * 1.6e308
+    assert _flow(tm, "C", "D") == 0.5 * (3.0 + 4.5)
 
 
 def test_reconcile_wrong_year_rejected():
@@ -293,8 +297,7 @@ def test_reconcile_average_symmetric_in_reporting_side(x, y):
     # change the averaged flow
     tm1, _ = reconcile_flows(_two_sided(x, y), 2000, policy="average")
     tm2, _ = reconcile_flows(_two_sided(y, x), 2000, policy="average")
-    a, b = tm1.index("A"), tm1.index("B")
-    assert tm1.exports[a, b] == tm2.exports[a, b]
+    assert _flow(tm1, "A", "B") == _flow(tm2, "A", "B")
 
 
 # --- the columnar parser against the row-at-a-time one ----------------------
@@ -348,7 +351,8 @@ def _records_files(draw):
         tokens = draw(st.sampled_from([clean, clean, hostile]))
         row = [draw(tokens[f]) for f in order]
         shape = draw(st.sampled_from(
-            ["row"] * 6 + ["short", "long", "blank", "spaces", "empty", "quoted", "quote"]
+            ["row"] * 6 + ["short", "long", "blank", "spaces", "empty", "quoted", "quote",
+                           "broken"]
         ))
         if shape == "short":
             row = row[:draw(st.integers(0, len(row) - 1))]
@@ -361,6 +365,11 @@ def _records_files(draw):
             row[i] = f'"{row[i]}"'
         elif shape == "quote":
             row[-1] += '"'
+        elif shape == "broken":  # a line break inside a quoted field
+            i = draw(st.integers(0, len(row) - 1))
+            at = draw(st.integers(0, len(row[i])))
+            brk = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            row[i] = f'"{row[i][:at]}{brk}{row[i][at:]}"'
         lines.append("" if shape == "empty" else delimiter.join(row))
     ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
@@ -484,15 +493,21 @@ def _nbytes(table):
                                   table.exports, table.imports))
 
 
-def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path):
-    # the chunks' parts are not held beside a second, joined copy of them
+@pytest.mark.parametrize("first_row", [
+    "2000,R0,P0,0.5,0.25", '2000,"R0",P0,0.5,0.25', "2000,R0,P0,0.5,0.25\n",
+], ids=["plain", "quoted", "blank-line"])
+def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path, first_row):
+    # the chunks' parts are not held beside a second, joined copy of them;
+    # a quote or a blank line in the first row changes how the rows are
+    # split, not how many are held at a time
     rows = [f"2000,R{i % 97},P{i % 89},{i}.5,{i}.25" for i in range(40_000)]
+    rows[0] = first_row
     path = tmp_path / "records.csv"
     path.write_text("year,reporter,partner,exports,imports\n" + "\n".join(rows) + "\n")
     with mock.patch.object(ingest, "_PARSE_CHUNK", 1 << 14):
         parsed, peak = _traced_peak(lambda: parse_dyadic_records(path))
         assert peak <= _nbytes(parsed.table) + 64 * ingest._PARSE_CHUNK
-    assert len(parsed.table) == len(rows)
+    assert len(parsed.table) == len(rows) and not parsed.dropped
 
 
 def test_reconcile_holds_the_matrix_and_at_most_a_table_more():
@@ -524,7 +539,8 @@ def test_parse_splits_lines_alike_whatever_the_stream_splits_them_at(tmp_path, n
     path = tmp_path / "records.csv"
     path.write_bytes(text.encode())
     records, dropped = rowwise_parse_dyadic_records(path, None)
-    assert [where for where, _ in dropped] == ["line 3", "line 5", "line 7"]
+    # rows are numbered by the physical line they start at
+    assert [where for where, _ in dropped] == ["line 3", "line 6", "line 8"]
     stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
     with mock.patch.object(ingest, "_PARSE_CHUNK", 8):
         parsed = parse_dyadic_records(stream)
