@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import opened
+from ._io import row_texts, write_text
 from .network import ImbalanceNetwork, write_graphml
 
 
@@ -179,19 +179,13 @@ def write_backbone_tsv(backbone: BackboneNetwork, stream) -> None:
     """Tab-separated retained edges with both endpoint scores.
 
     ``stream`` is a path or an open text file object."""
-    with opened(stream, "w") as stream:
-        stream.write("src\tdst\tweight\talpha_at_source\talpha_at_target\n")
-        base, kept = backbone.base, backbone.edge_index
-        codes = base.countries
-        rows = zip(
-            base.src[kept].tolist(),
-            base.dst[kept].tolist(),
-            base.weight[kept].tolist(),
-            backbone.alpha_at_source.tolist(),
-            backbone.alpha_at_target.tolist(),
-        )
-        for i, j, w, a_s, a_t in rows:
-            stream.write(f"{codes[i]}\t{codes[j]}\t{w!r}\t{a_s!r}\t{a_t!r}\n")
+    base, kept = backbone.base, backbone.edge_index
+    codes = np.array(base.countries, dtype=object)
+    rows = row_texts("{}\t{}\t{}\t{}\t{}\n", len(kept), lambda at: (
+        codes[base.src[kept[at]]], codes[base.dst[kept[at]]], base.weight[kept[at]],
+        backbone.alpha_at_source[at], backbone.alpha_at_target[at],
+    ))
+    write_text(stream, "src\tdst\tweight\talpha_at_source\talpha_at_target\n", rows)
 
 
 def write_backbone_graphml(backbone: BackboneNetwork, stream) -> None:
@@ -214,7 +208,6 @@ def write_stats_csv(stats: list[BackboneStats], stream) -> None:
     """One ``alpha,pct_flux,pct_nodes,pct_edges`` row per threshold.
 
     ``stream`` is a path or an open text file object."""
-    with opened(stream, "w") as stream:
-        stream.write("alpha,pct_flux,pct_nodes,pct_edges\n")
-        for s in stats:
-            stream.write(f"{s.alpha!r},{s.pct_flux!r},{s.pct_nodes!r},{s.pct_edges!r}\n")
+    write_text(stream, "alpha,pct_flux,pct_nodes,pct_edges\n", (
+        f"{s.alpha!r},{s.pct_flux!r},{s.pct_nodes!r},{s.pct_edges!r}\n" for s in stats
+    ))

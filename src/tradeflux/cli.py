@@ -23,7 +23,7 @@ from . import diffusion as dif
 from . import disparity as disp
 from . import ingest
 from . import network as nw
-from ._io import opened
+from ._io import opened, write_text
 from .errors import ConfigurationError, InsufficientDataError, NoConvergenceError
 
 DEFAULT_ALPHAS = (0.2, 0.1, 0.05, 0.01)
@@ -285,12 +285,8 @@ def _cmd_dollar(args) -> int:
         os.path.join(out, name), lambda tmp: dif.write_ranking_csv(ranking, tmp)
     )
 
-    def write_diagnostics(path):
-        with opened(path, "w") as fh:
-            json.dump(diagnostics, fh, indent=2)
-            fh.write("\n")
-
-    _atomic_write(os.path.join(out, "dollar_diagnostics.json"), write_diagnostics)
+    text = json.dumps(diagnostics, indent=2) + "\n"
+    _atomic_write(os.path.join(out, "dollar_diagnostics.json"), lambda tmp: write_text(tmp, text))
     for r in ranking:
         mark = "direct" if r.direct else "indirect"
         _err(

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import opened
+from ._io import write_text
 from .errors import NoConvergenceError
 from .network import ImbalanceNetwork, NodeAccount
 
@@ -281,13 +281,10 @@ def write_ranking_csv(rows: list[PartnerRank], stream) -> None:
     """One ``rank,partner,global_share_pct,local_share_pct,direct`` row per partner.
 
     ``stream`` is a path or an open text file object."""
-    with opened(stream, "w") as stream:
-        stream.write("rank,partner,global_share_pct,local_share_pct,direct\n")
-        for r in rows:
-            stream.write(
-                f"{r.rank},{r.partner},{r.global_share_pct!r},"
-                f"{r.local_share_pct!r},{'true' if r.direct else 'false'}\n"
-            )
+    write_text(stream, "rank,partner,global_share_pct,local_share_pct,direct\n", (
+        f"{r.rank},{r.partner},{r.global_share_pct!r},"
+        f"{r.local_share_pct!r},{'true' if r.direct else 'false'}\n" for r in rows
+    ))
 
 
 def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:

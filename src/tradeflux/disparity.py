@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import opened
+from ._io import write_text
 from .errors import InsufficientDataError
 from .network import ImbalanceNetwork
 
@@ -233,14 +233,10 @@ def write_profile_csv(profiles: Sequence[DisparityProfile], stream) -> None:
     rows for each profile in turn.
 
     ``stream`` is a path or an open text file object."""
-    with opened(stream, "w") as stream:
-        stream.write("direction,k,mean_kY,null_mean,null_p2sigma,n_nodes\n")
-        for profile in profiles:
-            for r in profile.rows:
-                stream.write(
-                    f"{profile.direction},{r.k},{r.mean_ky!r},{r.null_mean!r},"
-                    f"{r.null_p2sigma!r},{r.n_nodes}\n"
-                )
+    write_text(stream, "direction,k,mean_kY,null_mean,null_p2sigma,n_nodes\n", (
+        f"{profile.direction},{r.k},{r.mean_ky!r},{r.null_mean!r},"
+        f"{r.null_p2sigma!r},{r.n_nodes}\n" for profile in profiles for r in profile.rows
+    ))
 
 
 def write_fit_json(fits: Sequence[ScalingFit], stream) -> None:
@@ -257,6 +253,4 @@ def write_fit_json(fits: Sequence[ScalingFit], stream) -> None:
         }
         for fit in fits
     }
-    with opened(stream, "w") as stream:
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+    write_text(stream, json.dumps(payload, indent=2) + "\n")

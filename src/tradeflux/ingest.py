@@ -25,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._io import BAD_CHARS, code_fault, opened
+from ._io import BAD_CHARS, CodeNumbers, _append, blocks, code_fault, opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -183,16 +183,12 @@ class DyadicTable:
     @classmethod
     def from_records(cls, records) -> "DyadicTable":
         """The table of a ``DyadicRecord`` sequence."""
-        reporters = list(map(attrgetter("reporter"), records))
-        partners = list(map(attrgetter("partner"), records))
-        codes = sorted({*reporters, *partners})
-        index = {code: i for i, code in enumerate(codes)}
-        n = len(records)
+        number, n = CodeNumbers(_refused_code), len(records)
+        ends = number.of([r.reporter for r in records] + [r.partner for r in records])
         return cls(
-            tuple(codes),
+            number.renumber([ends]),
             np.array(list(map(attrgetter("year"), records))),
-            np.fromiter(map(index.__getitem__, reporters), np.intp, n),
-            np.fromiter(map(index.__getitem__, partners), np.intp, n),
+            ends[:n], ends[n:],
             # None becomes NaN
             np.array(list(map(attrgetter("exports"), records)), dtype=float),
             np.array(list(map(attrgetter("imports"), records)), dtype=float),
@@ -299,9 +295,9 @@ def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
     return list(map(convert, position)), inverse
 
 
-def _valid_code(code: str) -> bool:
-    """Whether a stripped code passes ``DyadicRecord``'s code checks."""
-    return bool(code) and not _has_space(code) and not code_fault(code)
+def _refused_code(code: str) -> bool:
+    """Whether a stripped code fails ``DyadicRecord``'s code checks."""
+    return not code or bool(_has_space(code) or code_fault(code))
 
 
 def _year(token: str) -> int | None:
@@ -328,7 +324,7 @@ def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]
     return delimiter, header, positions
 
 
-def _parse_columns(line_nos, header: tuple, number: dict, rows=None, fields=None,
+def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fields=None,
                    width: int = 0):
     """Rows checked a column at a time: the kept rows' columns (year,
     reporter, partner, exports, imports) and the dropped rows.
@@ -339,10 +335,7 @@ def _parse_columns(line_nos, header: tuple, number: dict, rows=None, fields=None
     that fails a check goes through ``_parse_row``, which words the reason
     it is dropped (or finds it blank) from the row as read.
 
-    ``number`` maps each code met so far in the parse to its number, or to
-    -1 when it fails ``DyadicRecord``'s checks; codes new here are checked
-    and added, so each code is checked once per parse. The reporter and
-    partner columns hold these numbers.
+    The reporter and partner columns hold the codes' numbers in ``number``.
     """
     _, names, positions = header
     if fields is None:  # each row padded with empty fields or cut to the header's width
@@ -360,10 +353,7 @@ def _parse_columns(line_nos, header: tuple, number: dict, rows=None, fields=None
         bad |= np.fromiter(map(len, rows), np.intp, n) <= max(positions.values())
 
     stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
-    for code in stripped:
-        if code not in number:
-            number[code] = len(number) if _valid_code(code) else -1
-    ends = np.fromiter(map(number.__getitem__, stripped), np.intp, len(stripped))[inverse]
+    ends = number.of(stripped)[inverse]
     reporter, partner = ends[:n], ends[n:]
     bad |= (reporter < 0) | (partner < 0) | (reporter == partner)
 
@@ -397,36 +387,14 @@ def _universal_lines(texts):
         yield held
 
 
-def _append(columns: list[np.ndarray], parts) -> None:
-    """Append ``parts``, one array per column, to ``columns`` in place.
-
-    Each column grows by ``ndarray.resize``, which the allocator can often
-    do without a copy, so the parsed rows are never held twice over, as
-    they would be while ``np.concatenate`` joins the parts. A part of a
-    wider dtype (an ``object`` year too large for int64) widens the column.
-    """
-    if not len(parts[0]):
-        return  # an empty part's columns may be of another dtype
-    for i, part in enumerate(parts):
-        column = columns[i]
-        if column.dtype != np.result_type(column, part):
-            column = columns[i] = column.astype(np.result_type(column, part))
-        size = len(column)
-        column.resize(size + len(part), refcheck=False)
-        column[size:] = part
-
-
 #: Characters of records text read and parsed at a time, in whole lines.
 _PARSE_CHUNK = 1 << 18
-
-#: Rows renumbered after a parse, or reconciled, at a time.
-_BLOCK = 1 << 16
 
 
 def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
     """Records from ``chunks``, lists of whole lines, the first holding the
     header."""
-    number = {}  # each code met, to its number or -1; see _parse_columns
+    number = CodeNumbers(_refused_code)
     kept = [np.empty(0, dtype) for dtype in (np.int64, np.intp, np.intp, float, float)]
     dropped = []
     header = None
@@ -478,15 +446,7 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
         line_no += text.count("\n")
     if header is None:
         return ParseResult()
-    # number the codes in sorted order, a block of rows at a time
-    codes = sorted(code for code, i in number.items() if i >= 0)
-    rank = np.zeros(len(number), dtype=np.intp)
-    rank[[number[code] for code in codes]] = np.arange(len(codes))
-    for ends in kept[1:3]:
-        for start in range(0, len(ends), _BLOCK):
-            block = ends[start:start + _BLOCK]
-            block[:] = rank[block]
-    return ParseResult(DyadicTable(tuple(codes), *kept), dropped)
+    return ParseResult(DyadicTable(number.renumber(kept[1:3]), *kept), dropped)
 
 
 def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResult:
@@ -516,8 +476,8 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     """
     columns = columns or ColumnMap()
     with opened(stream) as stream:
-        chunks = iter(functools.partial(stream.readlines, _PARSE_CHUNK), [])
         try:
+            chunks = iter(functools.partial(stream.readlines, _PARSE_CHUNK), [])
             return _parse_chunks(chunks, columns)
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from None
@@ -576,21 +536,20 @@ def reconcile_flows(
     countries = tuple(compress(codes, present))
     number = np.cumsum(present) - 1
     n = len(countries)
-    # no column of the table is copied whole: rows go _BLOCK at a time
-    blocks = [slice(i, min(i + _BLOCK, len(table))) for i in range(0, len(table), _BLOCK)]
 
     def flat_at(rows: slice) -> np.ndarray:
         # each row's flow reporter->partner, as a flat matrix position
         return number[table.reporter[rows]] * n + number[table.partner[rows]]
 
     # A pair's first report is the least row at its position: one entry per
-    # matrix cell finds it, with no sort.
+    # matrix cell finds it, with no sort. No column of the table is copied
+    # whole: rows go a block at a time.
     row_type = np.min_scalar_type(len(table))
     least = np.full(n * n, len(table), dtype=row_type)
-    for rows in blocks:
+    for rows in blocks(len(table)):
         np.minimum.at(least, flat_at(rows), np.arange(rows.start, rows.stop, dtype=row_type))
     first = np.empty(len(table), dtype=bool)
-    for rows in blocks:
+    for rows in blocks(len(table)):
         first[rows] = least[flat_at(rows)] == np.arange(rows.start, rows.stop, dtype=row_type)
     del least
     later = ~first
@@ -604,13 +563,13 @@ def reconcile_flows(
     # are finite by construction.
     exports = np.zeros((n, n))
     claimed = np.zeros(n * n, dtype=bool)  # the cells with an exporter claim
-    for rows in blocks:
+    for rows in blocks(len(table)):
         keep = first[rows] & ~np.isnan(table.exports[rows])
         at = flat_at(rows)[keep]
         exports.flat[at] = table.exports[rows][keep]
         claimed[at] = True
     n_conflicts, max_conflict = 0, 0.0
-    for rows in blocks:
+    for rows in blocks(len(table)):
         keep = first[rows] & ~np.isnan(table.imports[rows])
         importer, exporter = np.divmod(flat_at(rows)[keep], n)
         at = exporter * n + importer

@@ -13,13 +13,11 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import code_fault, opened
+from ._io import CodeNumbers, _append, code_fault, opened, row_texts, write_text
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -271,13 +269,10 @@ def total_flux(net: ImbalanceNetwork) -> float:
 def write_accounts_csv(accounts: list[NodeAccount], stream) -> None:
     """One ``country,k_in,k_out,s_in,s_out,delta_s,class`` row per account;
     ``stream`` is a path or an open text file object."""
-    with opened(stream, "w") as stream:
-        stream.write("country,k_in,k_out,s_in,s_out,delta_s,class\n")
-        for a in accounts:
-            stream.write(
-                f"{a.country},{a.k_in},{a.k_out},{a.s_in!r},{a.s_out!r},"
-                f"{a.delta_s!r},{a.classification}\n"
-            )
+    write_text(stream, "country,k_in,k_out,s_in,s_out,delta_s,class\n", (
+        f"{a.country},{a.k_in},{a.k_out},{a.s_in!r},{a.s_out!r},"
+        f"{a.delta_s!r},{a.classification}\n" for a in accounts
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +287,13 @@ def write_edge_list(net: ImbalanceNetwork, stream) -> None:
     edge, a ``#countries`` line after the header lists every country, so
     that ``read_edge_list`` keeps it; readers that skip comments still read
     the edges."""
-    with opened(stream, "w") as stream:
-        stream.write("src\tdst\tweight\n")
-        codes = net.countries
-        if not np.all(net.k_in + net.k_out):
-            stream.write("\t".join(("#countries", *codes)) + "\n")
-        for i, j, w in zip(net.src.tolist(), net.dst.tolist(), net.weight.tolist()):
-            stream.write(f"{codes[i]}\t{codes[j]}\t{w!r}\n")
+    codes = np.array(net.countries, dtype=object)
+    header = "src\tdst\tweight\n"
+    if not np.all(net.k_in + net.k_out):
+        header += "\t".join(("#countries", *codes)) + "\n"
+    write_text(stream, header, row_texts("{}\t{}\t{}\n", net.n_edges, lambda at: (
+        codes[net.src[at]], codes[net.dst[at]], net.weight[at]
+    )))
 
 
 #: Characters of edge-list text read, split and converted at a time.
@@ -310,24 +305,57 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
     line ``line_no`` + 1 of the file, found one line at a time."""
     for line_no, line in enumerate(lines, start=line_no + 1):
         parts = line.split()
-        if parts[:1] == ["#countries"]:
-            for code in parts[1:]:
-                if fault := code_fault(code):
-                    return ValueError(f"line {line_no}: country code {code!r} must not {fault}")
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 3:
-            return ValueError(f"line {line_no}: expected 'src dst weight'")
-        try:
-            float(parts[2])
-        except ValueError:
-            if line_no == 1:
-                continue  # header row
-            return ValueError(f"line {line_no}: bad weight {parts[2]!r}")
-        for code in parts[:2]:
+        codes = parts[1:] if parts[:1] == ["#countries"] else []
+        if parts and not parts[0].startswith("#"):
+            if len(parts) != 3:
+                return ValueError(f"line {line_no}: expected 'src dst weight'")
+            try:
+                float(parts[2])
+            except ValueError:
+                if line_no == 1:
+                    continue  # header row
+                return ValueError(f"line {line_no}: bad weight {parts[2]!r}")
+            codes = parts[:2]
+        for code in codes:
             if fault := code_fault(code):
                 return ValueError(f"line {line_no}: country code {code!r} must not {fault}")
     raise AssertionError("no bad line")
+
+
+def _edge_columns(stream) -> tuple:
+    """The countries, then the src, dst and weight columns, of edge-list text."""
+    number = CodeNumbers(code_fault)
+    columns = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
+    line_no = 0
+    while lines := stream.readlines(_READ_CHUNK):
+        data = lines
+        header = lines[0].split() if line_no == 0 else ()
+        if len(header) == 3 and header[0][0] != "#":
+            try:
+                float(header[2])
+            except ValueError:
+                data = lines[1:]
+        text = "".join(data)
+        listed = []
+        if "#" in text:
+            for line in data:
+                if (parts := line.split())[:1] == ["#countries"]:
+                    listed += parts[1:]
+            data = [line for line in data if not line.lstrip().startswith("#")]
+            text = "".join(data)
+        fields = text.split()
+        m = len(fields) // 3
+        ends = number.of(fields[0::3] + fields[1::3] + listed)
+        try:
+            # every line holds three fields or none, and no code breaks a code rule
+            if not set(map(len, map(str.split, data))) <= {0, 3} or ends.min(initial=0) < 0:
+                raise ValueError
+            weight = np.fromiter(map(float, fields[2::3]), float, m)
+        except ValueError:
+            raise _edge_list_error(lines, line_no) from None
+        _append(columns, (ends[:m], ends[m:2 * m], weight))
+        line_no += len(lines)
+    return number.renumber(columns[:2]), *columns
 
 
 def read_edge_list(stream) -> ImbalanceNetwork:
@@ -340,115 +368,20 @@ def read_edge_list(stream) -> ImbalanceNetwork:
     Each line is ``src dst weight``; blank lines and other lines starting
     with ``#`` are skipped, and so is a first line whose weight is not a
     number.
-    The text is read, split and converted in chunks of whole lines; a bad
-    line raises ``ValueError`` naming the first one.
+    The text is read, split and converted in chunks of whole lines, its
+    codes numbered and its columns grown in place as the records' are; a
+    bad line raises ``ValueError`` naming the first one.
     """
-    src, dst, weights = [], [], []
-    codes = {}  # each code to its first string, so repeats of it are freed
-    line_no = 0
-    with opened(stream) as stream:
-        while lines := stream.readlines(_READ_CHUNK):
-            data = lines
-            header = lines[0].split() if line_no == 0 else ()
-            if len(header) == 3 and header[0][0] != "#":
-                try:
-                    float(header[2])
-                except ValueError:
-                    data = lines[1:]
-            text = "".join(data)
-            known = len(codes)
-            if "#" in text:
-                for line in data:
-                    if (parts := line.split())[:1] == ["#countries"]:
-                        for code in parts[1:]:
-                            codes.setdefault(code, code)
-                data = [line for line in data if not line.lstrip().startswith("#")]
-                text = "".join(data)
-            fields = text.split()
-            src += map(codes.setdefault, fields[0::3], fields[0::3])
-            dst += map(codes.setdefault, fields[1::3], fields[1::3])
-            weight = None
-            # every line holds three fields or none, and no new code breaks a code rule
-            if set(map(len, map(str.split, data))) <= {0, 3} and not any(
-                map(code_fault, itertools.islice(codes, known, None))
-            ):
-                try:
-                    weight = np.fromiter(map(float, fields[2::3]), float, len(fields) // 3)
-                except ValueError:
-                    pass
-            if weight is None:
-                raise _edge_list_error(lines, line_no)
-            weights.append(weight)
-            line_no += len(lines)
-    countries = sorted(codes)
-    index = {code: i for i, code in enumerate(countries)}
-    return ImbalanceNetwork(
-        countries,
-        np.fromiter(map(index.__getitem__, src), np.int64, len(src)),
-        np.fromiter(map(index.__getitem__, dst), np.int64, len(dst)),
-        np.concatenate([np.zeros(0), *weights]),
-    )
+    with opened(stream) as stream:  # the chunks' text is freed before the network is built
+        return ImbalanceNetwork(*_edge_columns(stream))
 
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
-#: Pieces of GraphML text joined, encoded and written at a time.
-_GRAPHML_CHUNK = 1 << 14
 
-
-def _xml_attr(text: str) -> str:
-    """Escape an attribute value the way ``xml.etree.ElementTree`` does."""
-    for raw, escaped in (
-        ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
-        ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
-    ):
-        text = text.replace(raw, escaped)
-    return text
-
-
-def _graphml_pieces(net: ImbalanceNetwork, edge_attrs: dict) -> Iterator[str]:
-    """The GraphML document as consecutive pieces of text."""
-    # node and edge keys apart, so an edge attribute may share a node attribute's name
-    keys = {
-        kind: {name: _xml_attr(f"{kind[0]}_{name}") for name in names}
-        for kind, names in (
-            ("node", ("s_in", "s_out", "delta_s")), ("edge", ("weight", *edge_attrs))
-        )
-    }
-    yield f"<?xml version='1.0' encoding='utf-8'?>\n<graphml xmlns=\"{_GRAPHML_NS}\">\n"
-    for kind, ids in keys.items():
-        for name, key in ids.items():
-            yield (
-                f'  <key for="{kind}" attr.name="{_xml_attr(name)}" '
-                f'attr.type="double" id="{key}" />\n'
-            )
-    codes = [_xml_attr(code) for code in net.countries]
-    if not codes:
-        yield '  <graph id="G" edgedefault="directed" />\n</graphml>'
-        return
-    yield '  <graph id="G" edgedefault="directed">\n'
-    # an edgeless network has integer strengths; written as floats all the same
-    strengths = (a.astype(float).tolist() for a in (net.s_in, net.s_out, net.delta_s))
-    node = keys["node"]
-    for code, s_in, s_out, delta_s in zip(codes, *strengths):
-        yield (
-            f'    <node id="{code}">\n'
-            f'      <data key="{node["s_in"]}">{s_in!r}</data>\n'
-            f'      <data key="{node["s_out"]}">{s_out!r}</data>\n'
-            f'      <data key="{node["delta_s"]}">{delta_s!r}</data>\n'
-            "    </node>\n"
-        )
-    edge = keys["edge"]
-    data = [
-        (f'      <data key="{edge[name]}">', np.asarray(values, dtype=float).tolist())
-        for name, values in (("weight", net.weight), *edge_attrs.items())
-    ]
-    for e, (i, j) in enumerate(zip(net.src.tolist(), net.dst.tolist())):
-        yield f'    <edge source="{codes[i]}" target="{codes[j]}">\n'
-        for opener, column in data:
-            yield f"{opener}{column[e]!r}</data>\n"
-        yield "    </edge>\n"
-    yield "  </graph>\n</graphml>"
+#: ``str.translate`` table escaping an attribute value as ``xml.etree.ElementTree`` does.
+_XML_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                           "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 
 def write_graphml(
@@ -461,13 +394,44 @@ def write_graphml(
     canonical edge order (used for backbone significance exports); the
     name ``weight`` is taken by the edge weight.
 
-    The document is streamed out in chunks, byte for byte as an indented
-    ``xml.etree.ElementTree`` serialisation would write it.
+    Nodes and edges are written a block at a time, byte for byte as an
+    indented ``xml.etree.ElementTree`` serialisation would write them.
     """
     edge_attrs = edge_attrs or {}
     if "weight" in edge_attrs:
         raise ValueError("edge attribute 'weight' would repeat the edge weight's key")
-    pieces = _graphml_pieces(net, edge_attrs)
+    values = {  # an edgeless network has integer strengths; written as floats all the same
+        "node": {"s_in": net.s_in, "s_out": net.s_out, "delta_s": net.delta_s},
+        "edge": {"weight": net.weight, **edge_attrs},
+    }
+    # node and edge keys apart, so an edge attribute may share a node attribute's name
+    keys = {kind: [f"{kind[0]}_{name}".translate(_XML_ATTR) for name in names]
+            for kind, names in values.items()}
+    codes = np.array([code.translate(_XML_ATTR) for code in net.countries], dtype=object)
     with opened(stream, "wb") as stream:
-        while chunk := "".join(itertools.islice(pieces, _GRAPHML_CHUNK)):
-            stream.write(chunk.encode("utf-8", "xmlcharrefreplace"))
+
+        def write(text: str) -> None:
+            stream.write(text.encode("utf-8", "xmlcharrefreplace"))
+
+        write(f"<?xml version='1.0' encoding='utf-8'?>\n<graphml xmlns=\"{_GRAPHML_NS}\">\n")
+        for kind, names in values.items():
+            for name, key in zip(names, keys[kind]):
+                write(f'  <key for="{kind}" attr.name="{name.translate(_XML_ATTR)}" '
+                      f'attr.type="double" id="{key}" />\n')
+        if not len(codes):
+            write('  <graph id="G" edgedefault="directed" />\n</graphml>')
+            return
+        write('  <graph id="G" edgedefault="directed">\n')
+        for kind, opening, n, ends in (
+            ("node", '    <node id="{}">\n', len(codes), lambda at: (codes[at],)),
+            ("edge", '    <edge source="{}" target="{}">\n', net.n_edges,
+             lambda at: (codes[net.src[at]], codes[net.dst[at]])),
+        ):
+            data = "".join(f'      <data key="{key}">'.replace("{", "{{").replace("}", "}}")
+                           + "{}</data>\n" for key in keys[kind])
+            # one value to a node or edge: a column of another length raises ValueError
+            columns = [np.asarray(c, dtype=float).reshape(n) for c in values[kind].values()]
+            for text in row_texts(f"{opening}{data}    </{kind}>\n", n,
+                                  lambda at: (*ends(at), *(column[at] for column in columns))):
+                write(text)
+        write("  </graph>\n</graphml>")

@@ -14,6 +14,7 @@ numpy reachability search against the scipy ``csgraph`` one it replaced.
 import csv
 import io
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -37,6 +38,18 @@ from tradeflux.ingest import (
     ValidationReport,
 )
 from tradeflux.network import ImbalanceNetwork, build_imbalance_network
+
+
+def traced_peak(call):
+    """What ``call()`` returns, and the most memory tracemalloc saw it hold
+    beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def random_trade_matrix(rng, n=20, density=0.4, year=2000) -> TradeMatrix:

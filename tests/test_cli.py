@@ -366,6 +366,20 @@ def test_directory_arguments_end_in_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"tradeflux: {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("step, text", [
+    (["build", "--year", "2000"], TWO_COUNTRY.encode() + b"2000,C1,C3,1,2\r\n" * 2000
+     + b"2000,C2,\xe9C3,1,2\n"),
+    (["backbone"], b"src\tdst\tweight\r\n" + b"S\tA\t2.0\r" * 5000 + b"S\tB\t1.\xff\n"),
+], ids=["build", "backbone"])
+def test_text_that_is_not_utf8_ends_in_its_path_and_line(step, text, tmp_path, capsys):
+    src = tmp_path / "input.txt"
+    src.write_bytes(text)
+    assert main([step[0], str(src), *step[1:], "-o", str(tmp_path / "out")]) == 1
+    line_no = text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+    assert capsys.readouterr().err == f"tradeflux: {src}: line {line_no}: not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point_prints_no_runpy_warning(tmp_path):
     src_root = Path(tradeflux.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src_root), PYTHONWARNINGS="default")

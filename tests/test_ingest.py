@@ -1,7 +1,6 @@
 import collections
 import io
 import math
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_loop_reconcile, rowwise_parse_dyadic_records
-from tradeflux import ingest
+from helpers import dict_loop_reconcile, rowwise_parse_dyadic_records, traced_peak
+from tradeflux import _io, ingest
 from tradeflux._io import code_fault
 from tradeflux.errors import ConfigurationError
 from tradeflux.ingest import (
@@ -61,6 +60,32 @@ def test_path_with_comma_is_a_path_not_content(tmp_path):
     assert len(parse_dyadic_records(path).records) == 2
     with pytest.raises(FileNotFoundError):
         parse_dyadic_records(CSV)
+
+
+def test_parse_skips_a_byte_order_mark(tmp_path):
+    text = CSV + "2000,USA,USA,1,2\n"  # a dropped row keeps its line number
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfyear,")
+    expected, result = parse_dyadic_records(plain), parse_dyadic_records(marked)
+    assert result.table.codes == expected.table.codes == ("JPN", "USA")
+    assert repr(result.records) == repr(expected.records)
+    assert result.dropped == expected.dropped == [("line 4", "self-trade")]
+
+
+def test_text_that_is_not_utf8_is_named_by_its_line(tmp_path):
+    # the bad byte lies past the decoder's first buffer, after \r\n and \r line ends
+    path = tmp_path / "records.csv"
+    path.write_bytes(CSV.encode() + b"2000,USA,JPN,1,2\r\n" * 3000 + b"2000,A,B,1,2\r"
+                     + b"2000,A,\xffB,1,2\n2000,B,C,1,2\n")
+    with pytest.raises(ValueError) as caught:
+        parse_dyadic_records(path)
+    assert str(caught.value) == f"{path}: line 3005: not UTF-8 text"
+    with open(path, encoding="utf-8", newline="") as stream:
+        with pytest.raises(ValueError) as caught:
+            parse_dyadic_records(stream)
+    assert str(caught.value) == "line 3005: not UTF-8 text"
 
 
 def test_parse_case_insensitive_header_fallback():
@@ -251,7 +276,7 @@ def test_reconcile_matches_dict_loop(rows, policy):
 @given(_reconcile_rows, st.sampled_from(RECONCILE_POLICIES), st.integers(1, 5))
 def test_reconcile_a_few_rows_at_a_time_matches_dict_loop(rows, policy, block):
     # a pair's reports and its mirror's fall in different blocks
-    with mock.patch.object(ingest, "_BLOCK", block):
+    with mock.patch.object(_io, "_BLOCK", block):
         test_reconcile_matches_dict_loop.hypothesis.inner_test(rows, policy)
 
 
@@ -415,7 +440,7 @@ def test_parse_in_chunks_of_a_few_characters_matches_the_row_loop(
     # fall on either side of a chunk boundary; rows are renumbered and
     # reconciled a few at a time too
     with mock.patch.object(ingest, "_PARSE_CHUNK", chunk), \
-            mock.patch.object(ingest, "_BLOCK", chunk):
+            mock.patch.object(_io, "_BLOCK", chunk):
         test_parse_and_reconcile_match_the_row_loop.hypothesis.inner_test(
             tmp_path_factory, case
         )
@@ -476,18 +501,6 @@ def test_parse_checks_each_code_once(tmp_path):
     assert checked == collections.Counter(codes)
 
 
-def _traced_peak(call):
-    """What ``call()`` returns, and the most memory tracemalloc saw it hold
-    beyond what was held before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def _nbytes(table):
     return sum(c.nbytes for c in (table.year, table.reporter, table.partner,
                                   table.exports, table.imports))
@@ -505,13 +518,13 @@ def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path, first_row):
     path = tmp_path / "records.csv"
     path.write_text("year,reporter,partner,exports,imports\n" + "\n".join(rows) + "\n")
     with mock.patch.object(ingest, "_PARSE_CHUNK", 1 << 14):
-        parsed, peak = _traced_peak(lambda: parse_dyadic_records(path))
+        parsed, peak = traced_peak(lambda: parse_dyadic_records(path))
         assert peak <= _nbytes(parsed.table) + 64 * ingest._PARSE_CHUNK
     assert len(parsed.table) == len(rows) and not parsed.dropped
 
 
 def test_reconcile_holds_the_matrix_and_at_most_a_table_more():
-    # 300k rows: several blocks of _BLOCK rows
+    # 300k rows: many blocks of _io._BLOCK rows
     rng = np.random.default_rng(3)
     n = 1000
     reporter, partner = np.nonzero(rng.random((n, n)) < 0.3)
@@ -524,7 +537,7 @@ def test_reconcile_holds_the_matrix_and_at_most_a_table_more():
     flows[rng.random(flows.shape) < 0.1] = np.nan
     table = DyadicTable(tuple(f"C{i:03d}" for i in range(n)),
                         np.full(reporter.size, 2000), reporter, partner, *flows)
-    (matrix, report), peak = _traced_peak(lambda: reconcile_flows(table, 2000))
+    (matrix, report), peak = traced_peak(lambda: reconcile_flows(table, 2000))
     assert len(report.dropped) == again.size
     assert peak <= matrix.exports.nbytes + _nbytes(table)
 

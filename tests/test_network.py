@@ -1,4 +1,5 @@
 import io
+import os
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -15,8 +16,10 @@ from helpers import (
     linewise_read_edge_list,
     random_network,
     random_trade_matrix,
+    traced_peak,
 )
 from tradeflux import network
+from tradeflux.backbone import extract_backbone, write_backbone_tsv
 from tradeflux._io import code_fault
 from tradeflux.ingest import TradeMatrix
 from tradeflux.network import (
@@ -240,6 +243,69 @@ def test_edge_list_reader_tolerates_headerless_and_spaces():
         read_edge_list(io.StringIO("S A\n"))
     with pytest.raises(ValueError, match="bad weight"):
         read_edge_list(io.StringIO("src dst weight\nS A x\n"))
+
+
+@pytest.mark.parametrize("text", ["A\tB\t1.0\nB\tC\t2.0\n", "src\tdst\tweight\nA\tB\t1.0\n"],
+                         ids=["headerless", "header"])
+def test_edge_list_reader_skips_a_byte_order_mark(tmp_path, text):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    expected, net = read_edge_list(plain), read_edge_list(marked)
+    assert net.countries == expected.countries
+    assert list(net.iter_edges()) == list(expected.iter_edges())
+
+
+def test_edge_list_text_that_is_not_utf8_is_named_by_its_line(tmp_path):
+    path = tmp_path / "network.tsv"
+    path.write_bytes(b"A\tB\t1.0\r\n" * 5000 + b"B\tC\t2.0\r" + b"C\t\xffD\t3\n")
+    with pytest.raises(ValueError) as caught:
+        read_edge_list(path)
+    assert str(caught.value) == f"{path}: line 5002: not UTF-8 text"
+    with open(path, encoding="utf-8", newline="") as stream:
+        with pytest.raises(ValueError) as caught:
+            read_edge_list(stream)
+    assert str(caught.value) == "line 5002: not UTF-8 text"
+
+
+def _offset_network(offsets: int, n: int = 1000) -> ImbalanceNetwork:
+    """Each node sends to the ``offsets`` nodes after it, modulo ``n``."""
+    src = np.repeat(np.arange(n), offsets)
+    dst = (src + np.tile(np.arange(1, offsets + 1), n)) % n
+    weight = np.random.default_rng(offsets).lognormal(size=src.size)
+    return ImbalanceNetwork([f"C{i:04d}" for i in range(n)], src, dst, weight)
+
+
+@pytest.fixture(scope="module")
+def networks_4x_apart():
+    return [_offset_network(24), _offset_network(96)]  # 24k and 96k edges
+
+
+def test_writers_hold_a_block_of_edges_not_the_network(networks_4x_apart):
+    bound = 4 << 20  # bytes: half a KiB for each of a block's 8,192 rows
+    for net in networks_4x_apart:
+        backbone = extract_backbone(net, 1.0)
+        assert backbone.n_edges == net.n_edges
+        for write in (
+            lambda: write_edge_list(net, os.devnull),
+            lambda: write_backbone_tsv(backbone, os.devnull),
+            lambda: write_graphml(net, os.devnull),
+        ):
+            _, peak = traced_peak(write)
+            assert peak <= bound, (net.n_edges, peak)
+
+
+def test_edge_list_reader_holds_the_network_and_a_few_chunks(networks_4x_apart, tmp_path):
+    for net in networks_4x_apart:
+        path = tmp_path / f"{net.n_edges}.tsv"
+        write_edge_list(net, path)
+        back, peak = traced_peak(lambda: read_edge_list(path))
+        assert list(back.iter_edges())[-3:] == list(net.iter_edges())[-3:]
+        columns = back.src.nbytes + back.dst.nbytes + back.weight.nbytes
+        _, built = traced_peak(
+            lambda: ImbalanceNetwork(back.countries, back.src, back.dst, back.weight)
+        )
+        assert peak <= columns + built + 6 * network._READ_CHUNK, (net.n_edges, peak)
 
 
 def test_edge_list_round_trip_exact_weights():
