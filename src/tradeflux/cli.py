@@ -227,14 +227,13 @@ def _cmd_dollar(args) -> int:
     if focal not in net.index:
         _err(f"unknown country {focal!r}")
         return 2
-    accounts = nw.node_accounts(net)
-    account = accounts[net.index[focal]]
+    delta_s = float(net.delta_s[net.index[focal]])
     forward = args.direction == "forward"
-    if (account.delta_s >= 0) if forward else (account.delta_s <= 0):
-        kind = "neutral" if account.delta_s == 0 else "producer" if forward else "consumer"
+    if (delta_s >= 0) if forward else (delta_s <= 0):
+        kind = "neutral" if delta_s == 0 else "producer" if forward else "consumer"
         starts, other = ("consumers", "backward") if forward else ("producers", "forward")
         _err(
-            f"{focal} is a net {kind} (delta_s = {account.delta_s!r}); "
+            f"{focal} is a net {kind} (delta_s = {delta_s!r}); "
             f"{args.direction} walks start at net {starts}. Try --direction {other}."
         )
         return 2
@@ -242,19 +241,13 @@ def _cmd_dollar(args) -> int:
     diagnostics = {"focal": focal, "direction": args.direction}
     try:
         if args.exact:
-            solved = {d: dif.exact_absorption(net, d) for d in dif.DIRECTIONS}
-            matrix = solved[args.direction]
-            balance = dif.detailed_balance_check(*solved.values(), accounts)
+            matrix, probe, reconstruction = dif._focal_solve(net, focal, args.direction)
             diagnostics["method"] = matrix.method
-            diagnostics["detailed_balance_max_abs"] = balance
-            diagnostics["detailed_balance_rel_flux"] = balance / nw.total_flux(net)
-
-            actual = {a.country: abs(a.delta_s) for a in accounts}
-            for label, m in solved.items():
-                recon = dif.imbalance_reconstruction(m, accounts)
-                diagnostics[f"reconstruction_rel_err_{label}"] = max(
-                    abs(v - actual[c]) / actual[c] for c, v in recon.items()
-                )
+            diagnostics["detailed_balance_probe_abs"] = probe
+            diagnostics["detailed_balance_rel_flux"] = probe / nw.total_flux(net)
+            for label, err in reconstruction.items():
+                diagnostics[f"reconstruction_rel_err_{label}"] = err
+            diagnostics["mean_hops"] = matrix.mean_hops
         else:
             config = dif.WalkConfig(
                 n_walkers=args.walkers, seed=args.seed, max_steps=args.max_steps
@@ -271,12 +264,12 @@ def _cmd_dollar(args) -> int:
             p = matrix.shares[0]
             se = np.sqrt(p * (1 - p) / config.n_walkers)
             diagnostics["max_share_se"] = float(se.max())
-            for warning in matrix.warnings:
-                _err(f"warning: {warning}")
-            diagnostics["warnings"] = list(matrix.warnings)
     except (ValueError, NoConvergenceError) as exc:
         _err(str(exc))
         return 1
+    for warning in matrix.warnings:
+        _err(f"warning: {warning}")
+    diagnostics["warnings"] = list(matrix.warnings)
 
     ranking = dif.rank_partners(net, matrix, focal, top=args.top)
     out = _outdir(args)

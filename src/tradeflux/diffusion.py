@@ -33,8 +33,13 @@ consumer, must also contain a net producer. A walker can therefore never
 be trapped in a sink-free region, and dead-end nodes (no outgoing edges)
 are always full absorbers.
 
-The exact solve covers every start node at once; detailed balance and
-imbalance reconstruction check a forward and a backward solution.
+``exact_absorption`` solves for every start node at once, and
+``detailed_balance_check`` and ``imbalance_reconstruction`` check a pair of
+such full solutions. ``dollar --exact`` reports one start, so it solves the
+transposed system for that start's row of the fundamental matrix instead,
+with a few more right-hand sides that rebuild every imbalance and probe
+detailed balance (``_focal_solve``): memory one m x m matrix and its LAPACK
+copy, not the start x absorber blocks of both directions.
 """
 
 from __future__ import annotations
@@ -83,8 +88,9 @@ class AbsorptionMatrix:
     ``starts[i]`` is absorbed at ``targets[j]``; rows sum to one minus
     ``non_absorbed[i]``. ``method`` records how the numbers were produced:
     ``monte-carlo`` or ``dense`` (the exact solve). ``mean_hops`` is the
-    hops a simulated walker took on average; the exact solve leaves it
-    ``None``.
+    expected number of hops from the one start: the simulated walkers'
+    average, or exact from the focal solve of ``dollar --exact``;
+    ``exact_absorption`` leaves it ``None``.
     """
 
     direction: str
@@ -287,13 +293,32 @@ def write_ranking_csv(rows: list[PartnerRank], stream) -> None:
     ))
 
 
-def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
-    """Absorption shares for every start node by solving the hitting system.
+@dataclass(frozen=True)
+class _System:
+    """One direction's hitting system ``A F = B``: A dense, B as edge entries.
+
+    ``A = I - Q`` lives on the m nodes that can reach an absorber; ``b``
+    holds the ``(row, column, value)`` entries of B, which has one column
+    per absorber in ``sinks``. Row ``start_rows[i]`` of ``F = A^-1 B`` holds
+    ``starts[i]``'s absorption shares.
+    """
+
+    direction: str
+    starts: np.ndarray
+    sinks: np.ndarray
+    start_rows: np.ndarray
+    a: np.ndarray
+    b: tuple[np.ndarray, np.ndarray, np.ndarray]
+    warnings: tuple[str, ...]
+
+
+def _system(net: ImbalanceNetwork, direction: str) -> _System:
+    """The absorbing system of the walk in ``direction``, checked for being one.
 
     With hop matrix P and per-node absorption vector a, the absorbed-at-t
-    probabilities f satisfy f = P (a 1_t + (1 - a) f); the solve inverts
-    ``I - P diag(1 - a)`` restricted to nodes that can reach an absorber,
-    by one dense LAPACK solve for all absorbers at once.
+    probabilities f satisfy f = P (a 1_t + (1 - a) f), so ``Q = P diag(1 - a)``
+    and ``B = P diag(a)``, both restricted to the nodes that can reach an
+    absorber. The walk's network is dropped before A is allocated.
     """
     work, sinks, absorb_p, hop = _walk(net, direction)
     starts = np.flatnonzero(work.delta_s < 0)
@@ -321,9 +346,8 @@ def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> Absor
         )
 
     nodes = np.flatnonzero(reach)
-    m = nodes.size
     pos = np.full(work.n_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(m)
+    pos[nodes] = np.arange(nodes.size)
     sink_pos = np.full(work.n_nodes, -1, dtype=np.int64)
     sink_pos[sinks] = np.arange(sinks.size)
 
@@ -336,34 +360,129 @@ def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> Absor
     if np.any(np.abs(row_sum[active & reach] - 1.0) > 1e-9):
         raise ValueError("outgoing hop probabilities do not sum to one")
 
-    into = reach[ed]
-    rows = pos[es[into]]
-    cols = pos[ed[into]]
-    vals = hop[into] * (1.0 - absorb_p[ed[into]])
-
-    B = np.zeros((m, sinks.size))
     hits = sink_pos[ed] >= 0
-    np.add.at(B, (pos[es[hits]], sink_pos[ed[hits]]), hop[hits] * absorb_p[ed[hits]])
+    b = (pos[es[hits]], sink_pos[ed[hits]], hop[hits] * absorb_p[ed[hits]])
+    into = reach[ed]
+    es, ed, hop = pos[es[into]], ed[into], hop[into]
+    del work, live, hits, into
+    a = np.eye(nodes.size)
+    a[es, pos[ed]] -= hop * (1.0 - absorb_p[ed])
+    return _System(direction, starts, sinks, pos[starts], a, b, warnings)
 
-    A = np.eye(m)
-    A[rows, cols] -= vals
+
+def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        F = np.linalg.solve(A, B)
+        return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
 
-    shares = np.clip(F[pos[starts], :], 0.0, 1.0)
+
+def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
+    """Absorption shares for every start node by solving the hitting system.
+
+    One dense LAPACK solve ``A F = B`` for all absorbers at once (see
+    ``_system``). The matrix leaves ``mean_hops`` ``None``: expected hops
+    are a per-start figure that only ``dollar --exact``'s focal solve reports.
+    """
+    system = _system(net, direction)
+    b = np.zeros((system.a.shape[0], system.sinks.size))
+    rows, cols, vals = system.b
+    b[rows, cols] = vals  # one edge per (node, absorber) pair
+    f = _solve(system.a, b)
+
+    shares = np.clip(f[system.start_rows], 0.0, 1.0)
     non_absorbed = np.maximum(1.0 - shares.sum(axis=1), 0.0)
     return AbsorptionMatrix(
         direction=direction,
-        starts=tuple(work.countries[i] for i in starts),
-        targets=tuple(work.countries[i] for i in sinks),
+        starts=tuple(net.countries[i] for i in system.starts),
+        targets=tuple(net.countries[i] for i in system.sinks),
         shares=shares,
         non_absorbed=non_absorbed,
         method="dense",
         n_walkers=None,
-        warnings=warnings,
+        warnings=system.warnings,
     )
+
+
+def _row_totals(system: _System, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``weights @ F`` and ``weights @ N 1`` for rows of ``weights`` over the starts.
+
+    ``N = A^-1`` is the fundamental matrix: ``N[i, v]`` is the expected
+    number of visits a walker from ``i`` pays to ``v`` before absorption,
+    each followed by one hop, so ``N 1`` is every node's expected hop count.
+    One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``. ``Y^T B``
+    is summed edge by edge into the absorbers, so neither F nor B is formed.
+    """
+    rhs = np.zeros((system.a.shape[0], len(weights)))
+    rhs[system.start_rows] = np.transpose(weights)
+    y = _solve(system.a.T, rhs)
+    rows, cols, vals = system.b
+    totals = np.array([
+        np.bincount(cols, weights=y[rows, k] * vals, minlength=system.sinks.size)
+        for k in range(y.shape[1])
+    ])
+    return totals, y.sum(axis=0)
+
+
+def _focal_solve(
+    net: ImbalanceNetwork, focal: str, direction: str
+) -> tuple[AbsorptionMatrix, float, dict[str, float]]:
+    """One start's exact shares, and both directions' checks, without full blocks.
+
+    Returns ``(matrix, probe_abs, reconstruction)``. ``matrix`` holds
+    ``focal``'s clipped shares in ``direction``, its exact ``mean_hops`` and
+    both directions' warnings. ``probe_abs`` checks detailed balance
+    ``D_S F = (D_P G)^T`` on probes (Freivalds): the larger of
+    ``|u' D_S F v - v' D_P G u|`` and the same with u and v swapped, for F
+    and G the forward and backward shares and D_S and D_P the consumers'
+    and producers' ``|delta_s|``. ``reconstruction`` maps each direction to
+    the largest relative error of its absorbers' ``|delta_s|`` rebuilt
+    from unclipped shares. Each direction makes one ``_row_totals`` solve,
+    for ``|delta|``, ``|delta| u`` and ``|delta| v`` on its starts and, in
+    ``direction``, the focal start's unit vector.
+    """
+    # probes in [1/2, 1) from the Weyl sequences k / phi and k (sqrt(2) - 1)
+    # mod 1: a formula keeps runs byte-identical and numpy.random unloaded,
+    # and entries below one keep probed sums within the network's flux
+    k = np.arange(net.n_nodes)
+    u = 0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)
+    v = 0.5 + 0.5 * (k * 0.41421356237309503 % 1.0)
+    size = np.abs(net.delta_s)
+    focal_idx = net.index[focal]
+    sums, reconstruction, warnings = {}, {}, {}
+    for d in DIRECTIONS:
+        system = _system(net, d)
+        starts, sinks = system.starts, system.sinks
+        mass = size[starts]
+        weights = [mass, mass * u[starts], mass * v[starts]]
+        if d == direction:
+            if focal_idx not in starts:
+                raise ValueError(f"{focal!r} is not a start node of {d} walks")
+            weights.append(starts == focal_idx)
+        totals, hops = _row_totals(system, np.array(weights, dtype=float))
+        warnings.update(dict.fromkeys(system.warnings))
+        del system  # free this direction's A before the next is built
+        reconstruction[d] = float(np.max(np.abs(totals[0] - size[sinks]) / size[sinks]))
+        sums[d] = (totals[1] @ v[sinks], totals[2] @ u[sinks])
+        if d == direction:
+            row = np.clip(totals[3], 0.0, 1.0)
+            targets = tuple(net.countries[i] for i in sinks)
+            mean_hops = float(hops[3])
+
+    (fwd_uv, fwd_vu), (bwd_uv, bwd_vu) = sums["forward"], sums["backward"]
+    probe_abs = float(max(abs(fwd_uv - bwd_vu), abs(fwd_vu - bwd_uv)))
+    matrix = AbsorptionMatrix(
+        direction=direction,
+        starts=(focal,),
+        targets=targets,
+        shares=row[None, :],
+        non_absorbed=np.array([max(1.0 - row.sum(), 0.0)]),
+        method="dense",
+        n_walkers=None,
+        warnings=tuple(warnings),
+        mean_hops=mean_hops,
+    )
+    return matrix, probe_abs, reconstruction
 
 
 def detailed_balance_check(

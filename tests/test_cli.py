@@ -281,6 +281,30 @@ def test_dollar_mc_reports_hops_and_standard_error(net3_file, tmp_path):
     assert diag["max_share_se"] == pytest.approx(np.sqrt(p * (1 - p) / 40000).max(), rel=1e-9)
 
 
+def test_dollar_exact_reports_hops(net3_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["dollar", net3_file, "--from", "S", "--exact", "-o", str(out)]) == 0
+    diag = json.loads((out / "dollar_diagnostics.json").read_text())
+    # the value the MC run above estimates: 1 + (2/3)(1/2)
+    assert diag["mean_hops"] == pytest.approx(4.0 / 3.0, rel=1e-12, abs=1e-12)
+
+
+def test_dollar_exact_reports_excluded_nodes(tmp_path, capsys):
+    net = ImbalanceNetwork.from_edges([
+        ("S", "A", 2.0), ("S", "B", 1.0), ("A", "B", 1.0),
+        ("X", "Y", 1.0), ("Y", "Z", 1.0), ("Z", "X", 1.0),
+    ])
+    path = tmp_path / "network.tsv"
+    write_edge_list(net, path)
+    out = tmp_path / "out"
+    assert main(["dollar", str(path), "--from", "S", "--exact", "-o", str(out)]) == 0
+    warning = ("excluded 3 node(s) unreachable from any start and unable to reach "
+               "an absorber: X, Y, Z")
+    assert f"tradeflux: warning: {warning}\n" in capsys.readouterr().err
+    diag = json.loads((out / "dollar_diagnostics.json").read_text())
+    assert diag["warnings"] == [warning]
+
+
 def test_dollar_misclassified_focal(net3_file, tmp_path, capsys):
     code = main(["dollar", net3_file, "--from", "B", "-o", str(tmp_path)])
     assert code == 2
@@ -453,6 +477,19 @@ def test_no_step_loads_numpy_ma(tmp_path):
         print("ok")
     """, json.dumps(_every_step(tmp_path)))
     assert out == "ok\n"
+
+
+def test_exact_dollar_loads_no_random_generator(tmp_path):
+    # its balance probes come from a fixed formula; numpy.random costs ~6 MB of RSS
+    out = _run_fresh("""
+        import json, sys
+        from tradeflux.cli import main
+        steps = json.loads(sys.argv[1])
+        assert main(steps["build"]) == 0
+        assert main(steps["dollar --exact"]) == 0
+        print("numpy.random" in sys.modules)
+    """, json.dumps(_every_step(tmp_path)))
+    assert out == "False\n"
 
 
 #: Every public name ``tradeflux`` has exported.

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import csgraph_reaches, random_network, reference_walk
+from helpers import csgraph_reaches, random_network, reference_walk, traced_peak
+from tradeflux import diffusion
 from tradeflux.diffusion import (
+    DIRECTIONS,
     AbsorptionMatrix,
     WalkConfig,
+    _focal_solve,
     _hop_table,
+    _row_totals,
+    _system,
     _walk,
     backward_walk_mc,
     detailed_balance_check,
@@ -145,6 +150,82 @@ def test_exact_identities_on_random_networks():
         recon = imbalance_reconstruction(bwd, accounts)
         for country, value in recon.items():
             assert value == pytest.approx(-delta[country], rel=1e-9)
+
+
+def _expected_hops(net, direction):
+    """``N 1`` with ``N = (I - Q)^-1`` formed densely over every node."""
+    work = net if direction == "forward" else net.reverse()
+    hop = np.zeros((work.n_nodes, work.n_nodes))
+    hop[work.src, work.dst] = work.weight / work.s_out[work.src]
+    absorb = np.where(work.delta_s > 0, work.delta_s / np.maximum(work.s_in, 1e-300), 0.0)
+    q = hop * (1.0 - absorb)[None, :]
+    return np.linalg.inv(np.eye(work.n_nodes) - q).sum(axis=1)
+
+
+def test_focal_solve_matches_full_solves():
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        net = random_network(rng, n=25, density=0.35)
+        accounts = node_accounts(net)
+        for direction in DIRECTIONS:
+            full = exact_absorption(net, direction)
+            system = _system(net, direction)
+            hops = _expected_hops(net, direction)[system.starts]
+            shares, solved_hops = _row_totals(system, np.eye(system.starts.size))
+            np.testing.assert_allclose(shares, full.shares, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(solved_hops, hops, rtol=1e-12)
+
+            recon = imbalance_reconstruction(full, accounts)
+            mass = np.abs(net.delta_s[system.starts])
+            (solved_recon,), _ = _row_totals(system, mass[None, :])
+            np.testing.assert_allclose(solved_recon, list(recon.values()), rtol=1e-12)
+            worst = max(abs(t - abs(net.delta_s[net.index[c]])) / abs(net.delta_s[net.index[c]])
+                        for c, t in recon.items())
+
+            for row, focal in enumerate(full.starts[:3]):
+                matrix, probe, errors = _focal_solve(net, focal, direction)
+                assert (matrix.direction, matrix.starts, matrix.targets) == (
+                    direction, (focal,), full.targets
+                )
+                np.testing.assert_allclose(matrix.shares[0], full.shares[row], rtol=0, atol=1e-12)
+                assert matrix.mean_hops == pytest.approx(hops[row], rel=1e-12)
+                assert errors[direction] == pytest.approx(worst, abs=1e-12)
+                assert probe < 1e-12 * total_flux(net)
+
+
+def test_balance_probe_catches_one_wrong_backward_share(monkeypatch):
+    net = random_network(np.random.default_rng(47), n=25, density=0.35)
+    focal = net.countries[int(np.argmin(net.delta_s))]
+    flux = total_flux(net)
+    backward = exact_absorption(net, "backward")
+    # perturb the share carrying the largest flux delta_j g[j, i]
+    mass = net.delta_s[[net.index[c] for c in backward.starts]]
+    j, i = np.unravel_index(np.argmax(mass[:, None] * backward.shares), backward.shares.shape)
+    wrong = backward.shares.copy()
+    wrong[j, i] *= 1.0 + 1e-6
+
+    solve = diffusion._row_totals
+
+    def mutant(system, weights):
+        totals, hops = solve(system, weights)
+        if system.direction == "backward":
+            totals = weights @ wrong
+        return totals, hops
+
+    assert _focal_solve(net, focal, "forward")[1] < 1e-12 * flux
+    monkeypatch.setattr(diffusion, "_row_totals", mutant)
+    assert _focal_solve(net, focal, "forward")[1] > 1e-9 * flux
+
+
+def test_focal_solve_holds_one_system_matrix():
+    net = random_network(np.random.default_rng(53), n=600, density=0.02)
+    focal = net.countries[int(np.argmin(net.delta_s))]
+    m = max(_system(net, d).a.shape[0] for d in DIRECTIONS)
+    # one m x m matrix, plus a few dozen doubles per edge for both walks' edge entries
+    bound = 8 * (m * m + 32 * net.n_edges)
+    _, focal_peak = traced_peak(lambda: _focal_solve(net, focal, "forward"))
+    _, full_peak = traced_peak(lambda: [exact_absorption(net, d) for d in DIRECTIONS])
+    assert focal_peak < bound < full_peak
 
 
 def test_exact_requires_both_roles():

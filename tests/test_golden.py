@@ -159,9 +159,9 @@ def test_exact_dollar_outputs_match_recorded_values(pipeline):
 
     diag = json.loads((out / "dollar_diagnostics.json").read_text())
     assert set(diag) == {
-        "focal", "direction", "method", "detailed_balance_max_abs",
+        "focal", "direction", "method", "detailed_balance_probe_abs",
         "detailed_balance_rel_flux", "reconstruction_rel_err_forward",
-        "reconstruction_rel_err_backward",
+        "reconstruction_rel_err_backward", "mean_hops", "warnings",
     }
     assert (diag["focal"], diag["direction"], diag["method"]) == (
         FOCAL_CONSUMER, "forward", "dense"
@@ -169,6 +169,8 @@ def test_exact_dollar_outputs_match_recorded_values(pipeline):
     for key in ("detailed_balance_rel_flux", "reconstruction_rel_err_forward",
                 "reconstruction_rel_err_backward"):
         assert 0.0 <= diag[key] < 1e-12, key
+    assert diag["mean_hops"] >= 1.0  # a walker leaves its start at least once
+    assert diag["warnings"] == []
 
 
 @pytest.mark.parametrize("step, focal, direction", [
