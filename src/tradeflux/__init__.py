@@ -8,74 +8,56 @@ The pipeline runs in five stages:
 - ``backbone``: keep edges too heavy to be random splits,
 - ``diffusion``: absorbing random walks attributing deficits to surpluses,
   simulated and solved exactly.
+
+``import tradeflux`` loads none of them: a stage module is loaded when it, or
+one of the names below, is first looked up, so each CLI step pays only for
+its own stage.
 """
 
-from . import backbone, diffusion, disparity, ingest, network
-from .backbone import (
-    BackboneNetwork,
-    BackboneStats,
-    backbone_stats,
-    backbone_sweep,
-    connected_components,
-    edge_significance_value,
-    extract_backbone,
-)
-from .diffusion import (
-    AbsorptionMatrix,
-    WalkConfig,
-    backward_walk_mc,
-    detailed_balance_check,
-    exact_absorption,
-    forward_walk_mc,
-    imbalance_reconstruction,
-    rank_partners,
-)
-from .disparity import (
-    DisparityPoint,
-    DisparityProfile,
-    ScalingFit,
-    disparity_points,
-    disparity_profile,
-    fit_scaling_exponent,
-    null_model_moments,
-    null_model_sample,
-    null_model_shares,
-)
-from .errors import ConfigurationError, InsufficientDataError, NoConvergenceError
-from .ingest import (
-    ColumnMap,
-    DyadicRecord,
-    TradeMatrix,
-    ValidationReport,
-    parse_dyadic_records,
-    reconcile_flows,
-    validate_trade_matrix,
-)
-from .network import (
-    ImbalanceNetwork,
-    NodeAccount,
-    build_imbalance_network,
-    node_accounts,
-    read_edge_list,
-    total_flux,
-    write_edge_list,
-    write_graphml,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = (
-    "AbsorptionMatrix", "BackboneNetwork", "BackboneStats", "ColumnMap",
-    "ConfigurationError", "DisparityPoint", "DisparityProfile", "DyadicRecord",
-    "ImbalanceNetwork", "InsufficientDataError", "NoConvergenceError",
-    "NodeAccount", "ScalingFit", "TradeMatrix", "ValidationReport", "WalkConfig",
-    "backbone", "backbone_stats", "backbone_sweep", "backward_walk_mc",
-    "build_imbalance_network", "connected_components", "detailed_balance_check",
-    "diffusion", "disparity", "disparity_points", "disparity_profile",
-    "edge_significance_value", "errors", "exact_absorption", "extract_backbone",
-    "fit_scaling_exponent", "forward_walk_mc", "imbalance_reconstruction", "ingest",
-    "network", "node_accounts", "null_model_moments", "null_model_sample",
-    "null_model_shares", "parse_dyadic_records", "rank_partners", "read_edge_list",
-    "reconcile_flows", "total_flux", "validate_trade_matrix", "write_edge_list",
-    "write_graphml",
-)
+#: Each module, with the public names it defines.
+_NAMES = {
+    "backbone": (
+        "BackboneNetwork", "BackboneStats", "backbone_stats", "backbone_sweep",
+        "connected_components", "edge_significance_value", "extract_backbone",
+    ),
+    "diffusion": (
+        "AbsorptionMatrix", "WalkConfig", "backward_walk_mc", "detailed_balance_check",
+        "exact_absorption", "forward_walk_mc", "imbalance_reconstruction", "rank_partners",
+    ),
+    "disparity": (
+        "DisparityPoint", "DisparityProfile", "ScalingFit", "disparity_points",
+        "disparity_profile", "fit_scaling_exponent", "null_model_moments",
+        "null_model_sample", "null_model_shares",
+    ),
+    "errors": ("ConfigurationError", "InsufficientDataError", "NoConvergenceError"),
+    "ingest": (
+        "ColumnMap", "DyadicRecord", "TradeMatrix", "ValidationReport",
+        "parse_dyadic_records", "reconcile_flows", "validate_trade_matrix",
+    ),
+    "network": (
+        "ImbalanceNetwork", "NodeAccount", "build_imbalance_network", "node_accounts",
+        "read_edge_list", "total_flux", "write_edge_list", "write_graphml",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = (*_NAMES, *_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = name if name in _NAMES else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f"{__name__}.{module}")  # binds the module here
+    if module == name:
+        return loaded
+    value = globals()[name] = getattr(loaded, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

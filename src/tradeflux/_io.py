@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -132,15 +133,25 @@ def _append(columns: list[np.ndarray], parts) -> None:
         column[size:] = part
 
 
-def row_texts(line: str, n: int, columns):
-    """The text of ``n`` rows, each ``line.format(*fields)``, ``_BLOCK`` rows
-    at a time. ``columns(rows)`` gives the fields of the rows in the slice
-    ``rows``, one array per field, so only a block of rows is ever held as
-    Python objects. Floats are written by ``repr``, which re-reads bit for bit."""
+def row_parts(pieces, n, columns):
+    """The parts of ``n`` rows, ``_BLOCK`` rows at a time: for each block, one
+    tuple a row of ``pieces[0]``, the first field, ``pieces[1]``, the second
+    field, and so on to ``pieces[-1]``, an empty first piece left out.
+
+    ``pieces`` are literal text. ``columns(rows)`` gives the fields of the rows
+    in the slice ``rows``, one array per field, of ``str`` or float; so only a
+    block of rows is ever held as Python objects. Floats are written by
+    ``repr``, which re-reads bit for bit."""
     for rows in blocks(n):
         fields = [map(repr, c.tolist()) if c.dtype.kind == "f" else c.tolist()
                   for c in columns(rows)]
-        yield "".join(map(line.format, *fields))
+        parts = [part for field, piece in zip(fields, pieces[1:]) for part in (field, repeat(piece))]
+        yield zip(repeat(pieces[0]), *parts) if pieces[0] else zip(*parts)
+
+
+def row_texts(pieces, n, columns):
+    """The text of the rows of ``row_parts``, a block at a time."""
+    return map("".join, map(chain.from_iterable, row_parts(pieces, n, columns)))
 
 
 def write_text(file, text: str, more=()) -> None:

@@ -18,11 +18,13 @@ opposite endpoint.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from ._io import row_texts, write_text
+from ._io import blocks, opened, row_parts, write_text
 from .network import ImbalanceNetwork, write_graphml
 
 
@@ -179,13 +181,37 @@ def write_backbone_tsv(backbone: BackboneNetwork, stream) -> None:
     """Tab-separated retained edges with both endpoint scores.
 
     ``stream`` is a path or an open text file object."""
-    base, kept = backbone.base, backbone.edge_index
+    write_backbone_tsvs([backbone], [stream])
+
+
+def write_backbone_tsvs(backbones, streams) -> None:
+    """Write each of ``backbones`` to the matching one of ``streams`` as
+    ``write_backbone_tsv`` would, in one pass over the widest backbone.
+
+    The backbones are thresholds of one network's scores, as
+    ``backbone_sweep`` gives them, so each keeps the widest's edges whose
+    better score beats its threshold. Each row of the widest is formatted
+    once, a block at a time, and written to every stream that keeps it.
+    """
+    widest = max(backbones, key=lambda b: b.n_edges)
+    base, kept = widest.base, widest.edge_index
+    if any(backbone.base is not base for backbone in backbones):
+        raise ValueError("backbones must share one base network")
+    score = np.minimum(widest.alpha_at_source, widest.alpha_at_target)
+    members = [score < backbone.threshold for backbone in backbones]
     codes = np.array(base.countries, dtype=object)
-    rows = row_texts("{}\t{}\t{}\t{}\t{}\n", len(kept), lambda at: (
+    rows = row_parts(("", "\t", "\t", "\t", "\t", "\n"), kept.size, lambda at: (
         codes[base.src[kept[at]]], codes[base.dst[kept[at]]], base.weight[kept[at]],
-        backbone.alpha_at_source[at], backbone.alpha_at_target[at],
+        widest.alpha_at_source[at], widest.alpha_at_target[at],
     ))
-    write_text(stream, "src\tdst\tweight\talpha_at_source\talpha_at_target\n", rows)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(opened(stream, "w")) for stream in streams]
+        for file in files:
+            file.write("src\tdst\tweight\talpha_at_source\talpha_at_target\n")
+        for at, parts in zip(blocks(kept.size), rows):
+            texts = list(map("".join, parts))
+            for file, member in zip(files, members, strict=True):
+                file.write("".join(compress(texts, member[at].tolist())))
 
 
 def write_backbone_graphml(backbone: BackboneNetwork, stream) -> None:

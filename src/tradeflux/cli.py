@@ -18,10 +18,6 @@ import tempfile
 
 import numpy as np
 
-from . import backbone as bb
-from . import diffusion as dif
-from . import disparity as disp
-from . import ingest
 from . import network as nw
 from ._io import opened, write_text
 from .errors import ConfigurationError, InsufficientDataError, NoConvergenceError
@@ -30,25 +26,37 @@ DEFAULT_ALPHAS = (0.2, 0.1, 0.05, 0.01)
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Run ``writer(temp_path)`` on a temp file, then rename it over ``path``.
+    """Run ``writer(temp_path)`` on a temp file, then rename it over ``path``."""
+    _atomic_writes([path], lambda tmps: writer(*tmps))
 
-    The temp file is created private; before the rename it gets the mode a
+
+def _atomic_writes(paths: list[str], writer) -> None:
+    """Run ``writer(temp_paths)`` on one temp file per path, then rename each
+    over its path.
+
+    Each temp file is created private; before the rename it gets the mode a
     plain ``open`` would have given it, ``0o666`` less the umask.
     """
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
-    os.close(fd)
+    tmps = []
     try:
-        writer(tmp)
+        for path in paths:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(path) or ".", prefix=".tmp.", suffix="~"
+            )
+            os.close(fd)
+            tmps.append(tmp)
+        writer(tmps)
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for tmp, path in zip(tmps, paths):
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp in tmps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
 
 
@@ -71,6 +79,8 @@ def _safe_token(code: str) -> str:
 
 
 def _cmd_build(args) -> int:
+    from . import ingest
+
     columns = None
     if args.format_map:
         raw = args.format_map
@@ -128,6 +138,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_disparity(args) -> int:
+    from . import disparity as disp
+
     directions = ("in", "out") if args.direction == "both" else (args.direction,)
     net = nw.read_edge_list(args.network)
     profiles = {d: disp.disparity_profile(net, d) for d in directions}
@@ -175,6 +187,8 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def _cmd_backbone(args) -> int:
+    from . import backbone as bb
+
     try:
         alphas = _parse_alphas(args.alphas)
     except ValueError as exc:
@@ -186,17 +200,17 @@ def _cmd_backbone(args) -> int:
         return 1
     out = _outdir(args)
     results = bb.backbone_sweep(net, alphas)
-    for backbone, stats in results:
-        # repr, as in backbone_stats.csv: distinct thresholds get distinct files
-        tag = repr(backbone.threshold)
-        if args.format == "graphml":
-            path = os.path.join(out, f"backbone_a{tag}.graphml")
+    backbones = [backbone for backbone, _ in results]
+    # repr, as in backbone_stats.csv: distinct thresholds get distinct files
+    paths = [os.path.join(out, f"backbone_a{b.threshold!r}.{args.format}") for b in backbones]
+    if args.format == "graphml":
+        for backbone, path in zip(backbones, paths):
             _atomic_write(path, lambda tmp, b=backbone: bb.write_backbone_graphml(b, tmp))
-        else:
-            path = os.path.join(out, f"backbone_a{tag}.tsv")
-            _atomic_write(path, lambda tmp, b=backbone: bb.write_backbone_tsv(b, tmp))
+    else:
+        _atomic_writes(paths, lambda tmps: bb.write_backbone_tsvs(backbones, tmps))
+    for backbone, stats in results:
         _err(
-            f"alpha {tag}: kept {stats.pct_edges:.1f}% edges, "
+            f"alpha {backbone.threshold!r}: kept {stats.pct_edges:.1f}% edges, "
             f"{stats.pct_nodes:.1f}% nodes, {stats.pct_flux:.1f}% flux"
         )
     _atomic_write(
@@ -212,6 +226,8 @@ def _cmd_backbone(args) -> int:
 
 
 def _cmd_dollar(args) -> int:
+    from . import diffusion as dif
+
     for flag, value, least in (
         ("--top", args.top, 1), ("--walkers", args.walkers, 1),
         ("--max-steps", args.max_steps, 1), ("--seed", args.seed, 0),
@@ -312,6 +328,16 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Policies:
+    """``ingest.RECONCILE_POLICIES``, loaded only when ``build`` checks or lists
+    them, so that no other step loads ``ingest``."""
+
+    def __iter__(self):
+        from .ingest import RECONCILE_POLICIES
+
+        return iter(RECONCILE_POLICIES)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tradeflux",
@@ -324,9 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year", type=int, required=True, help="calendar year to extract")
     p.add_argument(
         "--policy",
-        choices=ingest.RECONCILE_POLICIES,
+        choices=_Policies(),
         default="average",
-        help="mirror-flow reconciliation policy",
+        metavar="POLICY",
+        help="mirror-flow reconciliation policy: %(choices)s (default %(default)s)",
     )
     p.add_argument(
         "--format-map",

@@ -271,12 +271,17 @@ def rank_partners(
             w = net.weight_between(s_idx, p_idx)
         else:
             w = net.weight_between(p_idx, s_idx)
+        local = 0.0
+        if local_total > 0:
+            # 100 * w first, as recorded rankings were computed, unless that overflows
+            local = 100.0 * w
+            local = local / local_total if np.isfinite(local) else 100.0 * (w / local_total)
         out.append(
             PartnerRank(
                 rank=rank,
                 partner=partner,
                 global_share_pct=100.0 * share,
-                local_share_pct=float(100.0 * w / local_total) if local_total > 0 else 0.0,
+                local_share_pct=float(local),
                 direct=w > 0,
             )
         )

@@ -41,18 +41,23 @@ class ImbalanceNetwork:
     must be finite too: weights summing past the float range are rejected.
     Every country code must pass ``_io.code_fault``, whatever ``validate``
     says, so that every file the pipeline writes can carry the network.
+    Edge arrays given in canonical order and in the stored dtypes are kept,
+    not copied, so they must not be changed afterwards.
     """
 
     def __init__(self, countries, src, dst, weight, validate: bool = True):
         self.countries: tuple[str, ...] = tuple(countries)
+        n = len(self.countries)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weight = np.asarray(weight, dtype=float)
-        # lexsort's order by (src, dst); linear time on edges already in it
-        order = np.argsort(src * len(self.countries) + dst, kind="stable")
-        self.src = src[order]
-        self.dst = dst[order]
-        self.weight = weight[order]
+        # keys sort like (src, dst); every file the pipeline writes is in that
+        # order already, and then the arrays are kept as given
+        keys = src * n + dst
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, src, dst, weight = keys[order], src[order], dst[order], weight[order]
+        self.src, self.dst, self.weight = src, dst, weight
         self.index = {code: i for i, code in enumerate(self.countries)}
         if len(self.index) != len(self.countries):
             raise ValueError("duplicate country codes")
@@ -60,9 +65,9 @@ class ImbalanceNetwork:
             if fault := code_fault(code):
                 raise ValueError(f"country code {code!r} must not {fault}")
         if validate:
-            self._check_invariants()
+            self._check_invariants(keys)
+        del keys
 
-        n = len(self.countries)
         self.k_in = np.bincount(self.dst, minlength=n)
         self.k_out = np.bincount(self.src, minlength=n)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -82,7 +87,8 @@ class ImbalanceNetwork:
         self._in_order = np.argsort(self.dst, kind="stable")
         self._in_ptr = np.searchsorted(self.dst[self._in_order], np.arange(n + 1))
 
-    def _check_invariants(self):
+    def _check_invariants(self, keys):
+        """Check the edges, in canonical order, whose keys ``src * n + dst`` are ``keys``."""
         n = len(self.countries)
         if self.src.size:
             if self.src.min() < 0 or self.src.max() >= n:
@@ -96,15 +102,14 @@ class ImbalanceNetwork:
         # Report the first edge, in canonical order, repeating an earlier
         # pair or reversing one. Keys sort like canonical order, so repeats
         # are adjacent and a reversal (j, i) precedes (i, j) exactly when j < i.
-        keys = self.src * n + self.dst
         duplicate = np.zeros(keys.size, dtype=bool)
         duplicate[1:] = keys[1:] == keys[:-1]
-        flipped = self.dst * n + self.src
+        low = np.flatnonzero(self.dst < self.src)
+        flipped = self.dst[low] * n + self.src[low]
         at = np.minimum(np.searchsorted(keys, flipped), max(keys.size - 1, 0))
-        reciprocal = (self.dst < self.src) & (keys[at] == flipped)
-        bad = np.flatnonzero(duplicate | reciprocal)
+        bad = np.concatenate([np.flatnonzero(duplicate)[:1], low[keys[at] == flipped][:1]])
         if bad.size:
-            e = bad[0]
+            e = bad.min()
             i, j = self.src[e], self.dst[e]
             if duplicate[e]:
                 raise ValueError(f"duplicate edge {self.countries[i]}->{self.countries[j]}")
@@ -291,7 +296,7 @@ def write_edge_list(net: ImbalanceNetwork, stream) -> None:
     header = "src\tdst\tweight\n"
     if not np.all(net.k_in + net.k_out):
         header += "\t".join(("#countries", *codes)) + "\n"
-    write_text(stream, header, row_texts("{}\t{}\t{}\n", net.n_edges, lambda at: (
+    write_text(stream, header, row_texts(("", "\t", "\t", "\n"), net.n_edges, lambda at: (
         codes[net.src[at]], codes[net.dst[at]], net.weight[at]
     )))
 
@@ -423,15 +428,16 @@ def write_graphml(
             return
         write('  <graph id="G" edgedefault="directed">\n')
         for kind, opening, n, ends in (
-            ("node", '    <node id="{}">\n', len(codes), lambda at: (codes[at],)),
-            ("edge", '    <edge source="{}" target="{}">\n', net.n_edges,
+            ("node", ('    <node id="', '">\n'), len(codes), lambda at: (codes[at],)),
+            ("edge", ('    <edge source="', '" target="', '">\n'), net.n_edges,
              lambda at: (codes[net.src[at]], codes[net.dst[at]])),
         ):
-            data = "".join(f'      <data key="{key}">'.replace("{", "{{").replace("}", "}}")
-                           + "{}</data>\n" for key in keys[kind])
+            # the text between fields: each value sits in a <data> element of its key
+            tags = [*(f'      <data key="{key}">' for key in keys[kind]), f"    </{kind}>\n"]
+            pieces = [*opening[:-1], opening[-1] + tags[0], *("</data>\n" + t for t in tags[1:])]
             # one value to a node or edge: a column of another length raises ValueError
             columns = [np.asarray(c, dtype=float).reshape(n) for c in values[kind].values()]
-            for text in row_texts(f"{opening}{data}    </{kind}>\n", n,
+            for text in row_texts(pieces, n,
                                   lambda at: (*ends(at), *(column[at] for column in columns))):
                 write(text)
         write("  </graph>\n</graphml>")

@@ -13,6 +13,7 @@ from tradeflux.backbone import (
     extract_backbone,
     write_backbone_graphml,
     write_backbone_tsv,
+    write_backbone_tsvs,
     write_stats_csv,
 )
 from tradeflux.network import ImbalanceNetwork
@@ -159,6 +160,29 @@ def test_backbone_tsv_lists_scores(net3):
     assert {(r[0], r[1]) for r in rows} == edge_set(bb)
     for row in rows:
         assert min(float(row[3]), float(row[4])) < 0.7
+
+
+def test_one_pass_tsvs_match_each_backbone_row_by_row():
+    # 30k edges: the widest backbone spans several blocks of rows
+    n, offsets = 1000, 30
+    src = np.repeat(np.arange(n), offsets)
+    dst = (src + np.tile(np.arange(1, offsets + 1), n)) % n
+    weight = np.random.default_rng(4).lognormal(sigma=2.0, size=src.size)
+    net = ImbalanceNetwork([f"C{i:04d}" for i in range(n)], src, dst, weight)
+    backbones = [b for b, _ in backbone_sweep(net, [0.9, 0.2, 0.01])]
+    assert backbones[0].n_edges > 2 * 8192 and backbones[-1].n_edges > 0
+    streams = [io.StringIO() for _ in backbones]
+    write_backbone_tsvs(backbones, streams)
+    for backbone, stream in zip(backbones, streams):
+        rows = [f"{net.countries[net.src[e]]}\t{net.countries[net.dst[e]]}\t"
+                f"{net.weight[e].item()!r}\t{a.item()!r}\t{b.item()!r}\n"
+                for e, a, b in zip(backbone.edge_index, backbone.alpha_at_source,
+                                   backbone.alpha_at_target)]
+        header = "src\tdst\tweight\talpha_at_source\talpha_at_target\n"
+        assert stream.getvalue() == header + "".join(rows)
+    with pytest.raises(ValueError, match="share one base"):
+        write_backbone_tsvs([backbones[0], extract_backbone(random_network(
+            np.random.default_rng(1), n=5), 0.5)], [io.StringIO(), io.StringIO()])
 
 
 def test_backbone_graphml_carries_alpha_attributes(net3):

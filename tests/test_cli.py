@@ -305,6 +305,16 @@ def test_dollar_exact_reports_excluded_nodes(tmp_path, capsys):
     assert diag["warnings"] == [warning]
 
 
+def test_dollar_local_share_survives_a_weight_near_the_float_limit(tmp_path, capsys):
+    path = tmp_path / "network.tsv"
+    path.write_text("S\tA\t1.7e308\nS\tB\t1e-300\n")
+    out = tmp_path / "out"
+    assert main(["dollar", str(path), "--from", "S", "--exact", "-o", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "ranking_S_forward.csv").read_text().splitlines()]
+    assert rows[1][1:4] == ["A", "100.0", "100.0"]
+    assert "(local 100.00%, direct)" in capsys.readouterr().err
+
+
 def test_dollar_misclassified_focal(net3_file, tmp_path, capsys):
     code = main(["dollar", net3_file, "--from", "B", "-o", str(tmp_path)])
     assert code == 2
@@ -477,6 +487,46 @@ def test_no_step_loads_numpy_ma(tmp_path):
         print("ok")
     """, json.dumps(_every_step(tmp_path)))
     assert out == "ok\n"
+
+
+#: The stage modules each step needs; every step also loads the package shell,
+#: the CLI, ``_io`` and ``errors``.
+STAGES = {
+    "build": {"ingest", "network"},
+    "disparity": {"network", "disparity"},
+    "backbone": {"network", "backbone"},
+    "dollar": {"network", "diffusion"},
+    "dollar --exact": {"network", "diffusion"},
+    "export": {"network"},
+}
+
+
+def test_each_step_loads_only_its_own_stage(tmp_path):
+    # importing a stage costs start-up time; importing tradeflux loads none
+    steps = _every_step(tmp_path)
+    for step, stage in STAGES.items():
+        out = _run_fresh("""
+            import json, sys
+            import tradeflux
+            assert not {"tradeflux.network", "tradeflux.errors"} & set(sys.modules)
+            from tradeflux.cli import main
+            assert main(json.loads(sys.argv[1])) == 0
+            print(" ".join(sorted(name for name in sys.modules if name.startswith("tradeflux"))))
+        """, json.dumps(steps[step]))
+        expected = {"tradeflux", "tradeflux.cli", "tradeflux._io", "tradeflux.errors",
+                    *(f"tradeflux.{module}" for module in stage)}
+        assert set(out.split()) == expected, step
+
+
+def test_bad_policy_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "records.csv"
+    src.write_text(TWO_COUNTRY)
+    with pytest.raises(SystemExit) as caught:
+        main(["build", str(src), "--year", "2000", "--policy", "median"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'median' (choose from 'average', 'prefer-importer', " \
+        "'prefer-exporter', 'max')" in capsys.readouterr().err
+    assert not (tmp_path / "network.tsv").exists()
 
 
 def test_exact_dollar_loads_no_random_generator(tmp_path):
