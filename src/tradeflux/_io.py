@@ -2,41 +2,50 @@
 
 A file argument is either an open file object, used as given, or a path
 (``str`` or ``os.PathLike``), opened here. A string is never file content.
-No country code, whether read from a file or handed to an
-``ImbalanceNetwork``, breaks a rule of ``code_fault``, so that every file
-format the pipeline writes can carry it.
+``code_fault`` states the one rule for country codes, which both readers,
+``DyadicRecord`` and every ``ImbalanceNetwork`` apply, so that every file
+format the pipeline writes can carry every code it holds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import re
 from itertools import chain, repeat
 
 import numpy as np
 
-#: Characters no country code may hold: C0 controls, which no XML 1.0
-#: document (so no GraphML) can carry, and ``,`` and ``"``, which split or
-#: quote a row of the CSV outputs. Nor may a code start with ``#``, which
-#: makes an edge-list line a comment.
-BAD_CHARS = '\x00-\x1f,"'
-
 #: Rows reconciled, renumbered or written at a time.
 _BLOCK = 1 << 13
 
+#: The faults ``DyadicRecord`` words its own way, and ranks above the rest.
+EMPTY, SPACED = "be empty", "contain whitespace"
+
 _control = re.compile("[\x00-\x1f]").search
-_bad_char = re.compile(f"[{BAD_CHARS}]").search
+_not_xml = re.compile("[\ud800-\udfff\ufffe\uffff]").search
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def code_fault(code: str) -> str | None:
-    """The rule ``code`` breaks, worded to follow "must not", or ``None``."""
-    if _control(code):
+    """The rule ``code`` breaks, worded to follow "must not", or ``None``.
+
+    This is the one rule for country codes: each part keeps the code
+    readable in some output. Records built in bulk name each country many
+    times, so the faults of the last few thousand codes are cached."""
+    if not code:  # an edge-list line would lose a field
+        return EMPTY
+    if code.split() != [code]:  # the edge-list reader splits a line at whitespace
+        return SPACED
+    if _control(code):  # no XML 1.0 document, so no GraphML, can carry these
         return "contain control characters"
-    if code.startswith("#"):
+    if code[0] == "#":  # the edge list would read the line as a comment
         return "start with '#'"
-    if _bad_char(code):
+    if "," in code or '"' in code:  # the CSV outputs would split or quote the row
         return "contain ',' or '\"'"
+    if _not_xml(code):  # nor these, none of which is an XML 1.0 character
+        return "contain U+FFFE, U+FFFF or a surrogate"
     return None
 
 
@@ -90,15 +99,11 @@ def blocks(n: int) -> list[slice]:
 
 class CodeNumbers(dict):
     """Each code met in a read, to its number in order of first sight, or to
-    -1 when ``fault(code)`` is true; a code is checked when it is first looked
-    up, so once a read."""
-
-    def __init__(self, fault):
-        super().__init__()
-        self.fault = fault
+    -1 when it breaks a rule of ``code_fault``; a code is checked when it is
+    first looked up, so once a read."""
 
     def __missing__(self, code: str) -> int:
-        self[code] = number = -1 if self.fault(code) else len(self)
+        self[code] = number = -1 if code_fault(code) else len(self)
         return number
 
     def of(self, codes: list[str]) -> np.ndarray:

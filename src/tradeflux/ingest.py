@@ -18,14 +18,13 @@ import csv
 import functools
 import io
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import attrgetter
 
 import numpy as np
 
-from ._io import BAD_CHARS, CodeNumbers, _append, blocks, code_fault, opened
+from ._io import EMPTY, SPACED, CodeNumbers, _append, blocks, code_fault, opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -36,11 +35,6 @@ CONFLICT_TOLERANCE = 1e-6
 MISSING_TOKENS = frozenset({"", ".", "na", "n/a", "nan", "none", "null"})
 
 RECONCILE_POLICIES = ("average", "prefer-importer", "prefer-exporter", "max")
-
-# matches exactly the characters for which str.isspace() is true
-_has_space = re.compile(r"\s").search
-# whitespace or BAD_CHARS: one search per code of each record
-_bad_token = re.compile(rf"[\s{BAD_CHARS}]").search
 
 
 @dataclass(frozen=True)
@@ -60,14 +54,13 @@ class DyadicRecord:
     imports: float | None
 
     def __post_init__(self):
-        if not self.reporter or not self.partner:
-            raise ValueError("country codes must be non-empty")
-        if (_bad_token(self.reporter) or _bad_token(self.partner)
-                or self.reporter[0] == "#" or self.partner[0] == "#"):
-            if _has_space(self.reporter) or _has_space(self.partner):
+        if code_fault(self.reporter) or code_fault(self.partner):
+            faults = code_fault(self.reporter), code_fault(self.partner)
+            if EMPTY in faults:
+                raise ValueError("country codes must be non-empty")
+            if SPACED in faults:
                 raise ValueError("country codes must be whitespace-free tokens")
-            fault = code_fault(self.reporter) or code_fault(self.partner)
-            raise ValueError(f"country codes must not {fault}")
+            raise ValueError(f"country codes must not {faults[0] or faults[1]}")
         if self.reporter == self.partner:
             raise ValueError(f"self-trade record for {self.reporter!r}")
         for name in ("exports", "imports"):
@@ -183,7 +176,7 @@ class DyadicTable:
     @classmethod
     def from_records(cls, records) -> "DyadicTable":
         """The table of a ``DyadicRecord`` sequence."""
-        number, n = CodeNumbers(_refused_code), len(records)
+        number, n = CodeNumbers(), len(records)
         ends = number.of([r.reporter for r in records] + [r.partner for r in records])
         return cls(
             number.renumber([ends]),
@@ -295,11 +288,6 @@ def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
     return list(map(convert, position)), inverse
 
 
-def _refused_code(code: str) -> bool:
-    """Whether a stripped code fails ``DyadicRecord``'s code checks."""
-    return not code or bool(_has_space(code) or code_fault(code))
-
-
 def _year(token: str) -> int | None:
     try:
         return int(token.strip())
@@ -394,7 +382,7 @@ _PARSE_CHUNK = 1 << 18
 def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
     """Records from ``chunks``, lists of whole lines, the first holding the
     header."""
-    number = CodeNumbers(_refused_code)
+    number = CodeNumbers()
     kept = [np.empty(0, dtype) for dtype in (np.int64, np.intp, np.intp, float, float)]
     dropped = []
     header = None

@@ -233,22 +233,21 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
     ``ZERO_IMBALANCE_RTOL`` relative to the larger gross flow.
     """
     exports = np.asarray(tm.exports, dtype=float)
-    # the pairs i < j trading either way, row by row; the rest make no edge
-    trades = exports != 0
-    trades |= trades.T
-    iu, ju = np.nonzero(np.triu(trades, k=1))
-    e_ij = exports[iu, ju]
-    e_ji = exports[ju, iu]
-    net_flow = e_ij - e_ji
-    tol = ZERO_IMBALANCE_RTOL * np.maximum(e_ij, e_ji)
-
-    # net_flow > 0: i has the surplus of the pair, so money flows j -> i.
-    surplus_i = net_flow > tol
-    surplus_j = net_flow < -tol
-    src = np.concatenate([ju[surplus_i], iu[surplus_j]])
-    dst = np.concatenate([iu[surplus_i], ju[surplus_j]])
-    weight = np.concatenate([net_flow[surplus_i], -net_flow[surplus_j]])
-    return ImbalanceNetwork(tm.countries, src, dst, weight, validate=False)
+    n = len(exports)
+    edges = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
+    # a block of rows i at a time, about 2**16 cells: the edges i -> j, which
+    # np.nonzero yields in canonical order
+    step = max(1, (1 << 16) // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        out, back = exports[rows], exports[:, rows].T
+        # j has the surplus of the pair when it sells i more than it buys
+        flow = back - out
+        edge = flow > ZERO_IMBALANCE_RTOL * np.maximum(out, back)
+        np.fill_diagonal(edge[:, rows], False)
+        src, dst = np.nonzero(edge)
+        _append(edges, (src + start, dst, flow[edge]))
+    return ImbalanceNetwork(tm.countries, *edges, validate=False)
 
 
 def node_accounts(net: ImbalanceNetwork) -> list[NodeAccount]:
@@ -329,7 +328,7 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
 
 def _edge_columns(stream) -> tuple:
     """The countries, then the src, dst and weight columns, of edge-list text."""
-    number = CodeNumbers(code_fault)
+    number = CodeNumbers()
     columns = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
     line_no = 0
     while lines := stream.readlines(_READ_CHUNK):

@@ -383,6 +383,8 @@ def _linewise_code_fault(code: str) -> str | None:
         return "start with '#'"
     if set(code) & {",", '"'}:
         return "contain ',' or '\"'"
+    if any(c in "\ufffe\uffff" or "\ud800" <= c <= "\udfff" for c in code):
+        return "contain U+FFFE, U+FFFF or a surrogate"
     return None
 
 
@@ -391,7 +393,8 @@ def linewise_read_edge_list(path) -> ImbalanceNetwork:
 
     Beyond the reader it replaced, it rejects, after the weight check,
     codes that some output could not carry: with a C0 control character
-    (GraphML), a leading ``#`` (the edge list) or a ``,`` or ``"`` (CSV);
+    (GraphML), a leading ``#`` (the edge list), a ``,`` or ``"`` (CSV), or
+    U+FFFE, U+FFFF or a surrogate (GraphML again);
     and it adds the codes of ``#countries`` lines to the countries.
     """
     edges, listed = [], []

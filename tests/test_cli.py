@@ -68,6 +68,32 @@ def test_build_drops_codes_a_later_file_cannot_carry(tmp_path, capsys):
     assert {line.count(",") for line in (out / "accounts.csv").read_text().splitlines()} == {6}
 
 
+def test_build_drops_a_code_graphml_cannot_carry(tmp_path, capsys):
+    src = tmp_path / "records.csv"
+    src.write_text("year,reporter,partner,exports,imports\n"
+                   "2000,A\uffffB,C,1,0\n2000,C,D,3,0\n2000,D,E,1,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
+    dropped = [line for line in capsys.readouterr().err.splitlines() if "dropped" in line]
+    assert dropped == [
+        "tradeflux: dropped line 2: country codes must not contain U+FFFE, U+FFFF or a surrogate"
+    ]
+    assert main(["export", str(out / "network.tsv"), "-o", str(out)]) == 0
+    ET.parse(out / "network.graphml")
+
+
+def test_export_refuses_a_code_graphml_cannot_carry(tmp_path, capsys):
+    code = "A\uffffB"
+    edges = tmp_path / "network.tsv"
+    edges.write_text(f"src\tdst\tweight\nC\tD\t1.0\n{code}\tC\t2.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["export", str(edges), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"tradeflux: line 3: country code {code!r} must not contain U+FFFE, U+FFFF or a surrogate\n"
+    )
+    assert not (out / "network.graphml").exists()
+
+
 def test_build_keeps_a_country_whose_trade_balances(tmp_path):
     src = tmp_path / "records.csv"
     # A's trade with B balances, so A has no edge but is still a country

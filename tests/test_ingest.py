@@ -185,6 +185,19 @@ def test_record_validation():
         DyadicRecord(2000, "A", "\x07", 1.0, None)
 
 
+@pytest.mark.parametrize("reporter, partner, reason", [
+    # an empty code first, then whitespace, then the reporter's fault, then the partner's
+    ("", "A B", "be non-empty"), ("A\x00", "", "be non-empty"),
+    ("A\x00", "B C", "be whitespace-free tokens"), ("A\tB", "C", "be whitespace-free tokens"),
+    ("A\x00", "#B", "not contain control characters"), ("#A", "B\x00", "not start with '#'"),
+    ("A", "B\uffff", "not contain U+FFFE, U+FFFF or a surrogate"),
+])
+def test_record_code_faults_keep_their_order(reporter, partner, reason):
+    with pytest.raises(ValueError) as caught:
+        DyadicRecord(2000, reporter, partner, 1.0, None)
+    assert str(caught.value) == f"country codes must {reason}"
+
+
 # --- reconciliation -------------------------------------------------------
 
 
@@ -493,7 +506,7 @@ def test_parse_checks_each_code_once(tmp_path):
         return code_fault(code)
 
     with mock.patch.object(ingest, "_PARSE_CHUNK", 4096), \
-            mock.patch.object(ingest, "code_fault", counted_code_fault):
+            mock.patch.object(_io, "code_fault", counted_code_fault):
         parsed = parse_dyadic_records(stream)
     assert stream.chunks >= 8
     assert parsed.dropped == [("line 1502", "self-trade")]

@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import warnings
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -28,6 +29,7 @@ from tradeflux.network import (
     node_accounts,
     read_edge_list,
     total_flux,
+    write_accounts_csv,
     write_edge_list,
     write_graphml,
 )
@@ -421,6 +423,13 @@ def test_edge_list_rejects_codes_an_output_cannot_carry(code, fault):
 
 @pytest.mark.parametrize("code, fault", [
     ("#A", "start with '#'"), ("A,B", "contain ',' or '\"'"), ("A\x00", "contain control characters"),
+    # the edge list reader splits at whitespace, and an empty code leaves a field out
+    ("A B", "contain whitespace"), ("A\xa0B", "contain whitespace"), ("A\tB", "contain whitespace"),
+    ("", "be empty"),
+    # no XML 1.0 document can carry these
+    ("A\uffffB", "contain U+FFFE, U+FFFF or a surrogate"),
+    ("\ufffe", "contain U+FFFE, U+FFFF or a surrogate"),
+    ("A\ud800", "contain U+FFFE, U+FFFF or a surrogate"),
 ])
 def test_networks_built_in_the_library_refuse_codes_no_file_can_carry(code, fault):
     message = f"country code {code!r} must not {fault}"
@@ -433,10 +442,52 @@ def test_networks_built_in_the_library_refuse_codes_no_file_can_carry(code, faul
     assert str(caught.value) == message
 
 
-# whitespace of every kind, comment marks, header words, control characters
-# and weights float() parses or refuses, so each branch of the reader comes up
+# any character, with whitespace, the characters XML 1.0 cannot carry and the
+# empty code drawn often
+_any_code = st.text(
+    st.one_of(st.characters(), st.sampled_from(" \t\xa0\u2028\x1f\ufffe\uffff\ud800")),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_code)
+@example("A B")
+@example("A\uffffB")
+@example("")
+def test_every_code_the_rule_accepts_survives_every_output(tmp_path_factory, code):
+    # the third country has no edge, so the edge list lists it on a #countries line
+    countries = (code, code + "0", code + "1")
+    if fault := code_fault(code):
+        with pytest.raises(ValueError) as caught:
+            ImbalanceNetwork(countries, [0], [1], [2.5])
+        assert str(caught.value) == f"country code {code!r} must not {fault}"
+        return
+    net = ImbalanceNetwork(countries, [0], [1], [2.5])
+    path = tmp_path_factory.mktemp("codes") / "network.tsv"
+    write_edge_list(net, path)
+    read = read_edge_list(path)
+    assert read.countries == countries
+    assert (read.src.tolist(), read.dst.tolist(), read.weight.tolist()) == ([0], [1], [2.5])
+
+    buf = io.BytesIO()
+    write_graphml(net, buf)
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    nodes = ET.fromstring(buf.getvalue()).findall(".//g:node", ns)
+    assert tuple(node.get("id") for node in nodes) == countries
+
+    text = io.StringIO()
+    write_accounts_csv(node_accounts(net), text)
+    rows = list(csv.reader(io.StringIO(text.getvalue(), newline="")))
+    assert [len(row) for row in rows] == [7] * 4
+    assert tuple(row[0] for row in rows[1:]) == countries
+
+
+# whitespace of every kind, comment marks, header words, control characters,
+# a character XML cannot carry and weights float() parses or refuses, so each
+# branch of the reader comes up
 _edge_code = st.sampled_from(
-    ["A", "B", "C", "D", "E", "F", "G", "é", "#A", "src", "A\x00", "\x01B", "A,B", '"C"']
+    ["A", "B", "C", "D", "E", "F", "G", "é", "#A", "src", "A\x00", "\x01B", "A,B", '"C"', "A\uffff"]
 )
 _edge_weight = st.one_of(
     st.sampled_from(["1", "2.5", "1e308", "-1", "0", "nan", "inf", "1_0", "x", "weight"]),
