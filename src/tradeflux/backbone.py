@@ -44,8 +44,9 @@ def edge_significance_value(p: float, k: int) -> float:
 
 def _edge_alphas(net: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge significance at the source (out-share) and target (in-share)."""
-    p_out = np.clip(net.weight / net.s_out[net.src], 0.0, 1.0)
-    p_in = np.clip(net.weight / net.s_in[net.dst], 0.0, 1.0)
+    # at most 1 exactly: a sum of non-negative floats rounds to at least each term
+    p_out = net.weight / net.s_out[net.src]
+    p_in = net.weight / net.s_in[net.dst]
     return (
         _significance(p_out, net.k_out[net.src]),
         _significance(p_in, net.k_in[net.dst]),

@@ -106,12 +106,6 @@ def _cmd_build(args) -> int:
 
     matrix, report = ingest.reconcile_flows(table, args.year, policy=args.policy)
     del table
-    check = ingest.validate_trade_matrix(matrix)
-    if not check.ok:
-        _err(check.summary())
-        for violation in check.violations:
-            _err(f"violation: {violation}")
-        return 1
     _err(report.summary())
 
     net = nw.build_imbalance_network(matrix)
@@ -195,11 +189,8 @@ def _cmd_backbone(args) -> int:
         _err(str(exc))
         return 2
     net = nw.read_edge_list(args.network)
-    if net.n_edges == 0:
-        _err("network has no edges")
-        return 1
-    out = _outdir(args)
     results = bb.backbone_sweep(net, alphas)
+    out = _outdir(args)
     backbones = [backbone for backbone, _ in results]
     # repr, as in backbone_stats.csv: distinct thresholds get distinct files
     paths = [os.path.join(out, f"backbone_a{b.threshold!r}.{args.format}") for b in backbones]
@@ -240,49 +231,41 @@ def _cmd_dollar(args) -> int:
         return 2
     net = nw.read_edge_list(args.network)
     focal = args.focal
-    if focal not in net.index:
-        _err(f"unknown country {focal!r}")
+    try:
+        dif._start(net, focal, args.direction)
+    except KeyError as exc:
+        _err(exc.args[0])
         return 2
-    delta_s = float(net.delta_s[net.index[focal]])
-    forward = args.direction == "forward"
-    if (delta_s >= 0) if forward else (delta_s <= 0):
-        kind = "neutral" if delta_s == 0 else "producer" if forward else "consumer"
-        starts, other = ("consumers", "backward") if forward else ("producers", "forward")
-        _err(
-            f"{focal} is a net {kind} (delta_s = {delta_s!r}); "
-            f"{args.direction} walks start at net {starts}. Try --direction {other}."
-        )
+    except ValueError as exc:
+        other = "backward" if args.direction == "forward" else "forward"
+        _err(f"{exc}. Try --direction {other}.")
         return 2
 
     diagnostics = {"focal": focal, "direction": args.direction}
-    try:
-        if args.exact:
-            matrix, probe, reconstruction = dif._focal_solve(net, focal, args.direction)
-            diagnostics["method"] = matrix.method
-            diagnostics["detailed_balance_probe_abs"] = probe
-            diagnostics["detailed_balance_rel_flux"] = probe / nw.total_flux(net)
-            for label, err in reconstruction.items():
-                diagnostics[f"reconstruction_rel_err_{label}"] = err
-            diagnostics["mean_hops"] = matrix.mean_hops
+    if args.exact:
+        matrix, probe, reconstruction = dif._focal_solve(net, focal, args.direction)
+        diagnostics["method"] = matrix.method
+        diagnostics["detailed_balance_probe_abs"] = probe
+        diagnostics["detailed_balance_rel_flux"] = probe / nw.total_flux(net)
+        for label, err in reconstruction.items():
+            diagnostics[f"reconstruction_rel_err_{label}"] = err
+        diagnostics["mean_hops"] = matrix.mean_hops
+    else:
+        config = dif.WalkConfig(
+            n_walkers=args.walkers, seed=args.seed, max_steps=args.max_steps
+        )
+        if args.direction == "forward":
+            matrix = dif.forward_walk_mc(net, focal, config)
         else:
-            config = dif.WalkConfig(
-                n_walkers=args.walkers, seed=args.seed, max_steps=args.max_steps
-            )
-            if args.direction == "forward":
-                matrix = dif.forward_walk_mc(net, focal, config)
-            else:
-                matrix = dif.backward_walk_mc(net, focal, config)
-            diagnostics["method"] = "monte-carlo"
-            diagnostics["n_walkers"] = config.n_walkers
-            diagnostics["seed"] = config.seed
-            diagnostics["non_absorbed"] = float(matrix.non_absorbed[0])
-            diagnostics["mean_hops"] = matrix.mean_hops
-            p = matrix.shares[0]
-            se = np.sqrt(p * (1 - p) / config.n_walkers)
-            diagnostics["max_share_se"] = float(se.max())
-    except (ValueError, NoConvergenceError) as exc:
-        _err(str(exc))
-        return 1
+            matrix = dif.backward_walk_mc(net, focal, config)
+        diagnostics["method"] = "monte-carlo"
+        diagnostics["n_walkers"] = config.n_walkers
+        diagnostics["seed"] = config.seed
+        diagnostics["non_absorbed"] = float(matrix.non_absorbed[0])
+        diagnostics["mean_hops"] = matrix.mean_hops
+        p = matrix.shares[0]
+        se = np.sqrt(p * (1 - p) / config.n_walkers)
+        diagnostics["max_share_se"] = float(se.max())
     for warning in matrix.warnings:
         _err(f"warning: {warning}")
     diagnostics["warnings"] = list(matrix.warnings)
@@ -417,7 +400,7 @@ def main(argv=None) -> int:
         reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
         _err(f"{exc.filename}: {reason}" if exc.filename and reason else str(exc))
         return 1
-    except ValueError as exc:
+    except (ValueError, NoConvergenceError) as exc:
         _err(str(exc))
         return 1
 

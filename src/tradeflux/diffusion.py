@@ -26,11 +26,12 @@ node and an n x k_max hop table (k_max the largest out-degree), within
 the n x n matrix the exact solve allocates, and its memory and time per
 step do not grow with the walker count.
 
-Every absorbing system here terminates with probability one: accounts are
-derived from the edge list, so any set of nodes closed under outgoing
-edges has non-negative total imbalance and, once it contains a net
-consumer, must also contain a net producer. A walker can therefore never
-be trapped in a sink-free region, and dead-end nodes (no outgoing edges)
+In exact arithmetic no walker is ever trapped: any set of nodes closed under
+outgoing edges has non-negative total imbalance, so once it holds a net
+consumer it holds a net producer. Rounding breaks this: it can leave a node
+of a balanced cycle with delta_s = -1e-16, a consumer that reaches no
+absorber. The exact solve excludes such nodes, names them in a warning and
+refuses only a focal start among them. Dead-end nodes (no outgoing edges)
 are always full absorbers.
 
 ``exact_absorption`` solves for every start node at once, and
@@ -175,20 +176,31 @@ def _mc_run(
     return counts, int(at.sum()) / config.n_walkers, hops
 
 
-def _mc_matrix(
-    net: ImbalanceNetwork, start, direction: str, config: WalkConfig
-) -> AbsorptionMatrix:
+def _start(net: ImbalanceNetwork, start, direction: str) -> int:
+    """The index of ``start``, a code or an index, if it may start a walk in
+    ``direction``: the one rule that forward walks start at net consumers and
+    backward walks at net producers. An unknown code raises ``KeyError``, a
+    node of the wrong kind ``ValueError``."""
     if isinstance(start, str):
         if start not in net.index:
             raise KeyError(f"unknown country {start!r}")
         start = net.index[start]
     start = int(start)
+    delta_s = float(net.delta_s[start])
     forward = direction == "forward"
-    if (net.delta_s[start] >= 0) if forward else (net.delta_s[start] <= 0):
+    if (delta_s >= 0) if forward else (delta_s <= 0):
+        kind = "neutral" if delta_s == 0 else "producer" if forward else "consumer"
         raise ValueError(
-            f"{direction} walks start at a net {'consumer' if forward else 'producer'}; "
-            f"{net.countries[start]} has delta_s = {net.delta_s[start]!r}"
+            f"{net.countries[start]} is a net {kind} (delta_s = {delta_s!r}); "
+            f"{direction} walks start at net {'consumers' if forward else 'producers'}"
         )
+    return start
+
+
+def _mc_matrix(
+    net: ImbalanceNetwork, start, direction: str, config: WalkConfig
+) -> AbsorptionMatrix:
+    start = _start(net, start, direction)
     work, sinks, absorb_p, hop = _walk(net, direction)
     counts, lost, hops = _mc_run(work, absorb_p, hop, start, config)
     shares = counts[sinks][None, :] / config.n_walkers
@@ -318,37 +330,25 @@ class _System:
 
 
 def _system(net: ImbalanceNetwork, direction: str) -> _System:
-    """The absorbing system of the walk in ``direction``, checked for being one.
+    """The absorbing system of the walk in ``direction``.
 
     With hop matrix P and per-node absorption vector a, the absorbed-at-t
     probabilities f satisfy f = P (a 1_t + (1 - a) f), so ``Q = P diag(1 - a)``
     and ``B = P diag(a)``, both restricted to the nodes that can reach an
-    absorber. The walk's network is dropped before A is allocated.
+    absorber. Every other node with an edge, start or not, is excluded and
+    named in the one warning, and the walk's net consumers left are the starts.
+    The walk's network is dropped before A is allocated.
     """
     work, sinks, absorb_p, hop = _walk(net, direction)
-    starts = np.flatnonzero(work.delta_s < 0)
-    if starts.size == 0 or sinks.size == 0:
-        raise ValueError(
-            "absorption needs at least one net consumer and one net producer"
-        )
-    total = float(work.weight.sum())
-    if abs(float(work.delta_s.sum())) > 1e-9 * total:
-        raise ValueError("node imbalances do not sum to zero; accounts are inconsistent")
-
     reach = work._flood(work.delta_s > 0)
+    starts = np.flatnonzero((work.delta_s < 0) & reach)
+    if not starts.size:
+        raise ValueError("absorption needs at least one net consumer and one net producer")
     trapped = np.flatnonzero(~reach & (work.k_in + work.k_out > 0))
-    if not reach[starts].all():
-        bad = [work.countries[i] for i in starts if not reach[i]]
-        raise NoConvergenceError(
-            f"start nodes cannot reach any absorber: {', '.join(bad)}"
-        )
     warnings = ()
     if trapped.size:
         names = ", ".join(work.countries[i] for i in trapped[:8])
-        warnings = (
-            f"excluded {trapped.size} node(s) unreachable from any start "
-            f"and unable to reach an absorber: {names}",
-        )
+        warnings = (f"excluded {trapped.size} node(s) unable to reach an absorber: {names}",)
 
     nodes = np.flatnonzero(reach)
     pos = np.full(work.n_nodes, -1, dtype=np.int64)
@@ -359,12 +359,6 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
     live = reach[work.src]
     es, ed = work.src[live], work.dst[live]
     hop = hop[live]
-    # hop rows must be proper distributions for the system to be absorbing
-    row_sum = np.bincount(es, weights=hop, minlength=work.n_nodes)
-    active = work.k_out > 0
-    if np.any(np.abs(row_sum[active & reach] - 1.0) > 1e-9):
-        raise ValueError("outgoing hop probabilities do not sum to one")
-
     hits = sink_pos[ed] >= 0
     b = (pos[es[hits]], sink_pos[ed[hits]], hop[hits] * absorb_p[ed[hits]])
     into = reach[ed]
@@ -383,7 +377,7 @@ def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
-    """Absorption shares for every start node by solving the hitting system.
+    """Absorption shares for every start that can reach an absorber, solved exactly.
 
     One dense LAPACK solve ``A F = B`` for all absorbers at once (see
     ``_system``). The matrix leaves ``mean_hops`` ``None``: expected hops
@@ -444,7 +438,9 @@ def _focal_solve(
     the largest relative error of its absorbers' ``|delta_s|`` rebuilt
     from unclipped shares. Each direction makes one ``_row_totals`` solve,
     for ``|delta|``, ``|delta| u`` and ``|delta| v`` on its starts and, in
-    ``direction``, the focal start's unit vector.
+    ``direction``, the focal start's unit vector. A focal start that
+    ``_system`` excluded, as unable to reach an absorber, raises
+    ``NoConvergenceError``.
     """
     # probes in [1/2, 1) from the Weyl sequences k / phi and k (sqrt(2) - 1)
     # mod 1: a formula keeps runs byte-identical and numpy.random unloaded,
@@ -453,7 +449,7 @@ def _focal_solve(
     u = 0.5 + 0.5 * (k * 0.6180339887498949 % 1.0)
     v = 0.5 + 0.5 * (k * 0.41421356237309503 % 1.0)
     size = np.abs(net.delta_s)
-    focal_idx = net.index[focal]
+    focal_idx = _start(net, focal, direction)
     sums, reconstruction, warnings = {}, {}, {}
     for d in DIRECTIONS:
         system = _system(net, d)
@@ -462,7 +458,7 @@ def _focal_solve(
         weights = [mass, mass * u[starts], mass * v[starts]]
         if d == direction:
             if focal_idx not in starts:
-                raise ValueError(f"{focal!r} is not a start node of {d} walks")
+                raise NoConvergenceError(f"{focal} cannot reach any absorber")
             weights.append(starts == focal_idx)
         totals, hops = _row_totals(system, np.array(weights, dtype=float))
         warnings.update(dict.fromkeys(system.warnings))

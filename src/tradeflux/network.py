@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import CodeNumbers, _append, code_fault, opened, row_texts, write_text
+from ._io import (CodeNumbers, _append, _control, _not_xml, code_fault, opened,
+                  row_texts, write_text)
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -396,7 +397,8 @@ def write_graphml(
     ``stream`` is a path or an open binary file object.
     ``edge_attrs`` maps extra attribute names to per-edge value arrays in
     canonical edge order (used for backbone significance exports); the
-    name ``weight`` is taken by the edge weight.
+    name ``weight`` is taken by the edge weight, and a name breaking the XML
+    part of ``_io.code_fault``'s rule for codes raises ``ValueError``.
 
     Nodes and edges are written a block at a time, byte for byte as an
     indented ``xml.etree.ElementTree`` serialisation would write them.
@@ -404,6 +406,9 @@ def write_graphml(
     edge_attrs = edge_attrs or {}
     if "weight" in edge_attrs:
         raise ValueError("edge attribute 'weight' would repeat the edge weight's key")
+    for name in edge_attrs:
+        if _control(name) or _not_xml(name):
+            raise ValueError(f"edge attribute name {name!r} is not XML text")
     values = {  # an edgeless network has integer strengths; written as floats all the same
         "node": {"s_in": net.s_in, "s_out": net.s_out, "delta_s": net.delta_s},
         "edge": {"weight": net.weight, **edge_attrs},

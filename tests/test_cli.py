@@ -14,7 +14,7 @@ import pytest
 import tradeflux
 from helpers import random_network, random_trade_matrix
 from tradeflux import diffusion, ingest
-from tradeflux.cli import main
+from tradeflux.cli import _atomic_writes, main
 from tradeflux.network import (
     ImbalanceNetwork,
     build_imbalance_network,
@@ -34,6 +34,21 @@ def net3_file(tmp_path, net3):
     with open(path, "w") as fh:
         write_edge_list(net3, fh)
     return str(path)
+
+
+def test_atomic_writes_leave_no_temp_file_when_the_writer_fails(tmp_path):
+    old = tmp_path / "network.tsv"
+    old.write_bytes(b"src\tdst\tweight\n")
+
+    def writer(tmps):
+        for tmp in tmps:
+            Path(tmp).write_text("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_writes([str(old), str(tmp_path / "accounts.csv")], writer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["network.tsv"]
+    assert old.read_bytes() == b"src\tdst\tweight\n"
 
 
 def test_build_two_country_sample(tmp_path, capsys):
@@ -270,6 +285,18 @@ def test_backbone_alpha_validation(net3_file, tmp_path, capsys):
     assert "strictly decreasing" in capsys.readouterr().err
     assert main(["backbone", net3_file, "--alpha", "1.5", "-o", str(tmp_path)]) == 2
     assert main(["backbone", net3_file, "--alpha", "abc", "-o", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert main(["backbone", net3_file, "--alpha", ",", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "tradeflux: at least one alpha is required\n"
+
+
+def test_backbone_on_an_edgeless_network_makes_no_directory(tmp_path, capsys):
+    path = tmp_path / "network.tsv"
+    path.write_text("src\tdst\tweight\n")
+    out = tmp_path / "out"
+    assert main(["backbone", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "tradeflux: base network has no edges\n"
+    assert not out.exists()
 
 
 def test_backbone_graphml_format(net3_file, tmp_path):
@@ -324,11 +351,24 @@ def test_dollar_exact_reports_excluded_nodes(tmp_path, capsys):
     write_edge_list(net, path)
     out = tmp_path / "out"
     assert main(["dollar", str(path), "--from", "S", "--exact", "-o", str(out)]) == 0
-    warning = ("excluded 3 node(s) unreachable from any start and unable to reach "
-               "an absorber: X, Y, Z")
+    warning = "excluded 3 node(s) unable to reach an absorber: X, Y, Z"
     assert f"tradeflux: warning: {warning}\n" in capsys.readouterr().err
     diag = json.loads((out / "dollar_diagnostics.json").read_text())
     assert diag["warnings"] == [warning]
+
+
+def test_dollar_exact_refuses_only_a_focal_unable_to_reach_an_absorber(trap, tmp_path, capsys):
+    path = tmp_path / "network.tsv"
+    write_edge_list(trap, path)
+    out = tmp_path / "out"
+    assert main(["dollar", str(path), "--from", "P", "--exact", "-o", str(out)]) == 0
+    rows = (out / "ranking_P_forward.csv").read_text().splitlines()
+    assert rows[1:] == ["1,Q,100.0,100.0,true"]
+    capsys.readouterr()
+    refused = tmp_path / "refused"
+    assert main(["dollar", str(path), "--from", "A", "--exact", "-o", str(refused)]) == 1
+    assert capsys.readouterr().err == "tradeflux: A cannot reach any absorber\n"
+    assert not refused.exists()
 
 
 def test_dollar_local_share_survives_a_weight_near_the_float_limit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tradeflux.diffusion import (
     rank_partners,
     write_ranking_csv,
 )
+from tradeflux.errors import NoConvergenceError
 from tradeflux.network import ImbalanceNetwork, node_accounts, total_flux
 
 
@@ -105,7 +107,9 @@ def test_mc_matches_scalar_reference_loop(net3):
 
 
 def test_mc_start_validation(net3):
-    with pytest.raises(ValueError, match="net consumer"):
+    # delta_s as a plain float: numpy 2 would print np.float64(2.0)
+    message = "B is a net producer (delta_s = 2.0); forward walks start at net consumers"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         forward_walk_mc(net3, "B")
     with pytest.raises(ValueError, match="net producer"):
         backward_walk_mc(net3, "S")
@@ -250,6 +254,19 @@ def test_unreachable_neutral_cycle_is_excluded(net3):
     assert "3 node(s)" in result.warnings[0]
     mc = forward_walk_mc(net, "S", WalkConfig(n_walkers=20_000, seed=2))
     assert mc.non_absorbed[0] == 0.0
+
+
+def test_a_start_unable_to_reach_an_absorber_is_excluded_not_fatal(trap):
+    assert trap.delta_s[trap.index["A"]] < 0  # rounding made it a consumer
+    result = exact_absorption(trap, "forward")
+    assert result.starts == ("P",)
+    assert result.share("P", "Q") == 1.0
+    assert result.warnings == (
+        "excluded 8 node(s) unable to reach an absorber: A, B, C, D, E, F, G, Z",
+    )
+    _focal_solve(trap, "P", "forward")
+    with pytest.raises(NoConvergenceError, match="^A cannot reach any absorber$"):
+        _focal_solve(trap, "A", "forward")
 
 
 def test_step_cap_reports_non_absorbed(net3):

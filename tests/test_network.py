@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -21,7 +22,7 @@ from helpers import (
 )
 from tradeflux import network
 from tradeflux.backbone import extract_backbone, write_backbone_tsv
-from tradeflux._io import code_fault
+from tradeflux._io import _control, _not_xml, code_fault
 from tradeflux.ingest import TradeMatrix
 from tradeflux.network import (
     ImbalanceNetwork,
@@ -115,8 +116,10 @@ def test_from_edges_validation():
         ImbalanceNetwork.from_edges([("A", "B", 1.0), ("A", "B", 2.0)])
     with pytest.raises(ValueError, match="reciprocal"):
         ImbalanceNetwork.from_edges([("A", "B", 1.0), ("B", "A", 2.0)])
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="edge target index out of range"):
         ImbalanceNetwork(("A", "B"), [0], [5], [1.0])
+    with pytest.raises(ValueError, match="edge source index out of range"):
+        ImbalanceNetwork(["A", "B"], [2], [0], [1.0])
     with pytest.raises(ValueError, match="duplicate country"):
         ImbalanceNetwork(("A", "A"), [], [], [])
 
@@ -342,8 +345,10 @@ _codes = st.text(
     min_size=1,
     max_size=4,
 )
-# country codes must also pass the code rule; edge attribute names need not
+# country codes must also pass the code rule; edge attribute names only its
+# XML part, tested apart below
 _country_codes = _codes.filter(lambda code: code_fault(code) is None)
+_attr_names = _codes.filter(lambda name: not (_control(name) or _not_xml(name)))
 
 
 @st.composite
@@ -363,7 +368,7 @@ def _graphml_cases(draw):
         countries, [e[0] for e in edges], [e[1] for e in edges], weights
     )
     # names may repeat a node attribute's; "weight" is rejected
-    names = draw(st.lists(st.one_of(_codes, st.just("s_in")), max_size=3, unique=True)
+    names = draw(st.lists(st.one_of(_attr_names, st.just("s_in")), max_size=3, unique=True)
                  .filter(lambda names: "weight" not in names))
     edge_attrs = {name: np.array(column(st.floats()), dtype=float) for name in names}
     return net, edge_attrs or None
@@ -393,6 +398,53 @@ def test_graphml_edge_attribute_may_share_a_node_attribute_name(net3):
 def test_graphml_rejects_edge_attribute_named_weight(net3):
     with pytest.raises(ValueError, match="'weight'"):
         write_graphml(net3, io.BytesIO(), edge_attrs={"weight": np.ones(3)})
+
+
+@pytest.mark.parametrize("name", ["a\x01", "a\uffff", "a\ud800"])
+def test_graphml_rejects_edge_attribute_names_xml_cannot_carry(net3, name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_graphml(net3, io.BytesIO(), edge_attrs={name: np.ones(3)})
+
+
+def test_graphml_edge_attribute_name_is_escaped_and_parses(net3):
+    name = 'a&b<c"dé'
+    buf = io.BytesIO()
+    write_graphml(net3, buf, edge_attrs={name: np.arange(3.0)})
+    root = ET.fromstring(buf.getvalue())
+    keys = root.findall("{http://graphml.graphdrawing.org/xmlns}key")
+    assert name in [k.get("attr.name") for k in keys]
+
+
+@st.composite
+def _extreme_networks(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+    # subnormal, ordinary and huge weights; the huge ones keep the total flux finite
+    top = 1.7e308 / len(edges)
+    weights = draw(st.lists(st.one_of(
+        st.floats(min_value=5e-324, max_value=2.2e-308, allow_subnormal=True),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=top / 100, max_value=top),
+    ), min_size=len(edges), max_size=len(edges)))
+    return ImbalanceNetwork([f"C{i}" for i in range(n)], *zip(*edges), weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extreme_networks())
+def test_strengths_bound_every_share_and_balance_to_rounding(net):
+    # what the walks and the backbone rely on without checking it again: a sum
+    # of non-negative floats rounds to at least each term, a hop row sums to one
+    # to rounding, and so do the imbalances to zero
+    u = 2.0**-53
+    p_out = net.weight / net.s_out[net.src]
+    p_in = net.weight / net.s_in[net.dst]
+    assert np.all((0 <= p_out) & (p_out <= 1)) and np.all((0 <= p_in) & (p_in <= 1))
+    rows = net.k_out > 0
+    row_sum = np.bincount(net.src, weights=p_out, minlength=net.n_nodes)
+    assert np.all(np.abs(row_sum - 1.0)[rows] <= 2 * net.k_out[rows] * u)
+    assert abs(net.delta_s.sum()) / total_flux(net) <= 2 * (net.n_nodes + net.n_edges) * u
 
 
 @pytest.mark.parametrize("edges", [
