@@ -169,7 +169,7 @@ def connected_components(
     while unseen.any():
         seed = np.zeros(net.n_nodes, dtype=bool)
         seed[np.argmax(unseen)] = True
-        comp = net._flood(seed, weak=True)
+        comp = net._flood(seed, along=True)
         unseen &= ~comp
         comps.append(np.flatnonzero(comp).tolist())
     comps.sort(key=lambda g: (-len(g), g[0]))

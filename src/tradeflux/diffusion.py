@@ -9,9 +9,9 @@ moving. Absorption shares e[i, j] say how much of consumer i's deficit is
 ultimately banked by producer j.
 
 The time-reversed question (where did producer j's surplus originate?) is
-the same walk on the reversed network: flipping every edge swaps incoming
-and outgoing strengths, so net producers become the walk's starting
-points and net consumers its absorbers.
+the same walk over the in-edges, with incoming and outgoing strengths
+swapped, so net producers become the walk's starting points and net
+consumers its absorbers; no reversed copy of the network is built.
 
 The Monte Carlo walker follows walker counts, not walkers. All walkers
 start together and take their t-th hop in step t. Given where they stand,
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_text
+from ._io import _append, blocks, write_text
 from .errors import NoConvergenceError
 from .network import ImbalanceNetwork, NodeAccount
 
@@ -111,41 +111,52 @@ class AbsorptionMatrix:
 
 
 def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
-    """The walk in ``direction`` as ``(work, sinks, absorb_p, hop)``: the network
-    it runs forward on (``net.reverse()`` for a backward walk), its absorbers,
-    each node's absorption probability ``delta_s / s_in`` (zero off the
-    absorbers) and each edge's hop share ``w / s_out``, in CSR edge order."""
+    """The walk in ``direction`` as ``(ptr, delta_s, absorb_p, edges)``, over
+    ``net``'s own arrays. Forward it hops src -> dst in canonical order;
+    backward, dst -> src over the in-edges in ``net._in_order``, which is
+    ``net.reverse()``'s canonical order, with ``_in_ptr`` as row starts
+    ``ptr`` and the strengths swapped, so every value is bit for bit the
+    reversed copy's and no copy is built. ``absorb_p`` is ``delta_s / s_in``
+    on the walk's absorbers, zero elsewhere; ``edges(rows)`` gives the tails,
+    heads and hop shares ``w / s_out`` of the walk's edges ``rows``."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    work = net if direction == "forward" else net.reverse()
+    forward = direction == "forward"
+    s_in, s_out = (net.s_in, net.s_out) if forward else (net.s_out, net.s_in)
+    ptr, delta_s = (net._out_ptr if forward else net._in_ptr), s_in - s_out
+
+    def edges(rows: slice = slice(None)) -> tuple:
+        at = rows if forward else net._in_order[rows]
+        tail, head = (net.src[at], net.dst[at]) if forward else (net.dst[at], net.src[at])
+        return tail, head, net.weight[at] / s_out[tail]
+
     # a node with delta_s > 0 has s_in > 0
-    denom = np.where(work.s_in > 0, work.s_in, 1.0)
-    absorb_p = np.where(work.delta_s > 0, work.delta_s / denom, 0.0)
-    hop = work.weight / work.s_out[work.src]
-    return work, np.flatnonzero(work.delta_s > 0), absorb_p, hop
+    absorb_p = np.where(delta_s > 0, delta_s / np.where(s_in > 0, s_in, 1.0), 0.0)
+    return ptr, delta_s, absorb_p, edges
 
 
-def _hop_table(work: ImbalanceNetwork, hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hop_table(ptr: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     """Every node's hop shares ``w / s_out`` and edge targets, one row per node.
 
-    Both arrays are n x k_max, in CSR edge order, with each row right-aligned
-    after zero padding: a node's last column is always its last real edge,
-    so the remainder a multinomial draw leaves on the last column falls on
-    a real edge. Rows of nodes without outgoing edges are all padding.
+    Both arrays are n x k_max, in the order of the walk ``ptr, edges`` of
+    ``_walk``, with each row right-aligned after zero padding: a node's last
+    column is always its last real edge, so the remainder a multinomial draw
+    leaves on the last column falls on a real edge. Rows of nodes without
+    outgoing edges are all padding.
     """
-    src, k_out = work.src, work.k_out
-    shape = (work.n_nodes, int(k_out.max(initial=0)))
-    column = np.arange(work.n_edges) - work._out_ptr[src] + (shape[1] - k_out[src])
+    shape = (ptr.size - 1, int(np.diff(ptr).max(initial=0)))
+    tail, head, hop = edges()
+    # edge e of node v lies ptr[v + 1] - e columns from the row's end
+    column = np.arange(tail.size) + (shape[1] - ptr[1:])[tail]
     share = np.zeros(shape)
     target = np.zeros(shape, dtype=np.int64)
-    share[src, column] = hop
-    target[src, column] = work.dst
+    share[tail, column] = hop
+    target[tail, column] = head
     return share, target
 
 
 def _mc_run(
-    work: ImbalanceNetwork, absorb_p: np.ndarray, hop: np.ndarray, start: int,
-    config: WalkConfig,
+    ptr: np.ndarray, absorb_p: np.ndarray, edges, start: int, config: WalkConfig
 ) -> tuple[np.ndarray, float, int]:
     """Absorption counts per node, the fraction never absorbed, and the hops taken.
 
@@ -156,10 +167,10 @@ def _mc_run(
     occupied nodes' rows of the hop table, whatever ``n_walkers`` is.
     """
     rng = np.random.default_rng(config.seed)
-    share, target = _hop_table(work, hop)
+    share, target = _hop_table(ptr, edges)
 
-    counts = np.zeros(work.n_nodes, dtype=np.int64)
-    at = np.zeros(work.n_nodes, dtype=np.int64)
+    counts = np.zeros(ptr.size - 1, dtype=np.int64)
+    at = np.zeros_like(counts)
     at[start] = config.n_walkers
     hops = 0  # a Python int: the total over all steps may pass the int64 range
     for _ in range(config.max_steps):
@@ -168,7 +179,7 @@ def _mc_run(
         hops += moving
         live = np.flatnonzero(at)
         moved = rng.multinomial(at[live], share[live])
-        arrived = np.zeros(work.n_nodes, dtype=np.int64)
+        arrived = np.zeros_like(counts)
         np.add.at(arrived, target[live].ravel(), moved.ravel())
         absorbed = rng.binomial(arrived, absorb_p)
         counts += absorbed
@@ -201,9 +212,9 @@ def _mc_matrix(
     net: ImbalanceNetwork, start, direction: str, config: WalkConfig
 ) -> AbsorptionMatrix:
     start = _start(net, start, direction)
-    work, sinks, absorb_p, hop = _walk(net, direction)
-    counts, lost, hops = _mc_run(work, absorb_p, hop, start, config)
-    shares = counts[sinks][None, :] / config.n_walkers
+    ptr, delta_s, absorb_p, edges = _walk(net, direction)
+    counts, lost, hops = _mc_run(ptr, absorb_p, edges, start, config)
+    sinks = np.flatnonzero(delta_s > 0)
     code = net.countries[start]
     warnings = ()
     if lost > NON_ABSORBED_WARNING:
@@ -215,7 +226,7 @@ def _mc_matrix(
         direction=direction,
         starts=(code,),
         targets=tuple(net.countries[i] for i in sinks),
-        shares=shares,
+        shares=counts[sinks][None, :] / config.n_walkers,
         non_absorbed=np.array([lost]),
         method="monte-carlo",
         n_walkers=config.n_walkers,
@@ -337,36 +348,35 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
     and ``B = P diag(a)``, both restricted to the nodes that can reach an
     absorber. Every other node with an edge, start or not, is excluded and
     named in the one warning, and the walk's net consumers left are the starts.
-    The walk's network is dropped before A is allocated.
+    Once the reach set sizes A, A is filled and B's entries collected one
+    ``_io._BLOCK`` of edges at a time, so no per-edge temporary lives beside A.
     """
-    work, sinks, absorb_p, hop = _walk(net, direction)
-    reach = work._flood(work.delta_s > 0)
-    starts = np.flatnonzero((work.delta_s < 0) & reach)
+    _, delta_s, absorb_p, edges = _walk(net, direction)
+    reach = net._flood(delta_s > 0, against=direction == "forward", along=direction == "backward")
+    starts = np.flatnonzero((delta_s < 0) & reach)
     if not starts.size:
         raise ValueError("absorption needs at least one net consumer and one net producer")
-    trapped = np.flatnonzero(~reach & (work.k_in + work.k_out > 0))
+    trapped = np.flatnonzero(~reach & (net.k_in + net.k_out > 0))
     warnings = ()
     if trapped.size:
-        names = ", ".join(work.countries[i] for i in trapped[:8])
+        names = ", ".join(net.countries[i] for i in trapped[:8])
         warnings = (f"excluded {trapped.size} node(s) unable to reach an absorber: {names}",)
 
-    nodes = np.flatnonzero(reach)
-    pos = np.full(work.n_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(nodes.size)
-    sink_pos = np.full(work.n_nodes, -1, dtype=np.int64)
-    sink_pos[sinks] = np.arange(sinks.size)
+    # the rows of A and columns of B, looked up for reached nodes and sinks only
+    pos, sink_pos = np.cumsum(reach) - 1, np.cumsum(delta_s > 0) - 1
+    sinks = np.flatnonzero(delta_s > 0)
 
-    live = reach[work.src]
-    es, ed = work.src[live], work.dst[live]
-    hop = hop[live]
-    hits = sink_pos[ed] >= 0
-    b = (pos[es[hits]], sink_pos[ed[hits]], hop[hits] * absorb_p[ed[hits]])
-    into = reach[ed]
-    es, ed, hop = pos[es[into]], ed[into], hop[into]
-    del work, live, hits, into
-    a = np.eye(nodes.size)
-    a[es, pos[ed]] -= hop * (1.0 - absorb_p[ed])
-    return _System(direction, starts, sinks, pos[starts], a, b, warnings)
+    a = np.eye(np.count_nonzero(reach))
+    b = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)]
+    for rows in blocks(net.n_edges):
+        tail, head, hop = edges(rows)
+        into = reach[head]  # and then the tail reaches an absorber too
+        tail, head, hop = pos[tail[into]], head[into], hop[into]
+        absorb = absorb_p[head]
+        hits = delta_s[head] > 0
+        _append(b, (tail[hits], sink_pos[head[hits]], hop[hits] * absorb[hits]))
+        a[tail, pos[head]] -= hop * (1.0 - absorb)
+    return _System(direction, starts, sinks, pos[starts], a, tuple(b), warnings)
 
 
 def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -395,7 +395,7 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
 
     for lines in chunks:
         text = "".join(lines)
-        if '"' in text or text.count("\r") != text.count("\r\n"):
+        if '"' in text or "\r" in text and text.count("\r") != text.count("\r\n"):
             # a quoted field may span lines: one csv reader reads the rest
             rest = _universal_lines(chain([text], map("".join, chunks)))
             if header is None:
@@ -413,7 +413,7 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
                     rows, starts, read = [], [], 0
             check(starts, rows)
             break
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n") if "\r" in text else text
         if header is None:
             header_line, _, text = text.partition("\n")
             header = _header(header_line, columns)

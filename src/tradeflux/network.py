@@ -165,17 +165,17 @@ class ImbalanceNetwork:
         e = lo + np.searchsorted(self.dst[lo:hi], target)
         return float(self.weight[e]) if e < hi and self.dst[e] == target else 0.0
 
-    def _flood(self, seed_mask, weak: bool = False) -> np.ndarray:
-        """Mask of the nodes from which a node of ``seed_mask`` is reachable,
-        by a breadth-first search against the edges; with ``weak``, along
-        them too, which gives the seeds' weakly connected components.
+    def _flood(self, seed_mask, against: bool = True, along: bool = False) -> np.ndarray:
+        """Mask of the nodes a breadth-first search from ``seed_mask`` reaches
+        ``against`` the edges (those that reach a seed), ``along`` them (those
+        a seed reaches) or both (the seeds' weakly connected components).
 
         Each pass gathers the edges of the whole frontier at once, as
         ``np.repeat`` of their CSR row starts plus an ``arange``, so the
         Python loop runs once per BFS level, never once per node.
         """
-        walks = [(self._in_ptr, self._in_order, self.src)]
-        if weak:
+        walks = [(self._in_ptr, self._in_order, self.src)] if against else []
+        if along:
             walks.append((self._out_ptr, None, self.dst))
         seen = np.array(seed_mask, dtype=bool)
         frontier = np.flatnonzero(seen)

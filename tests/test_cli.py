@@ -357,6 +357,23 @@ def test_dollar_exact_reports_excluded_nodes(tmp_path, capsys):
     assert diag["warnings"] == [warning]
 
 
+def test_no_walk_builds_a_reversed_network(monkeypatch, tmp_path):
+    net = random_network(np.random.default_rng(61), n=30, density=0.3)
+    path = tmp_path / "network.tsv"
+    write_edge_list(net, path)
+
+    def refuse(self):
+        raise AssertionError("a walk built a reversed copy of the network")
+
+    monkeypatch.setattr(ImbalanceNetwork, "reverse", refuse)
+    consumer = net.countries[int(np.argmin(net.delta_s))]
+    producer = net.countries[int(np.argmax(net.delta_s))]
+    for focal, direction in ((consumer, "forward"), (producer, "backward")):
+        assert main(["dollar", str(path), "--from", focal, "--direction", direction,
+                     "--exact", "-o", str(tmp_path / direction)]) == 0
+    diffusion.backward_walk_mc(net, producer, diffusion.WalkConfig(n_walkers=1000))
+
+
 def test_dollar_exact_refuses_only_a_focal_unable_to_reach_an_absorber(trap, tmp_path, capsys):
     path = tmp_path / "network.tsv"
     write_edge_list(trap, path)

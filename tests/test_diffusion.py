@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import csgraph_reaches, random_network, reference_walk, traced_peak
 from tradeflux import diffusion
+from tradeflux._io import _BLOCK
 from tradeflux.diffusion import (
     DIRECTIONS,
     AbsorptionMatrix,
@@ -72,7 +73,7 @@ def test_absorption_probability_rules(net3):
     assert net3.countries == ("A", "B", "S")
     # forward walkers are absorbed by producers with probability delta_s / s_in
     np.testing.assert_allclose(_walk(net3, "forward")[2], [0.5, 1.0, 0.0])
-    # backward walks run forward on the reversed network, where S is the producer
+    # backward walks run over the in-edges, with the roles swapped: S absorbs
     np.testing.assert_allclose(_walk(net3, "backward")[2], [0.0, 0.0, 1.0])
 
 
@@ -120,12 +121,54 @@ def test_mc_start_validation(net3):
         forward_walk_mc(neutral, "B")
 
 
-def test_mc_backward_equals_forward_on_reversed(net3):
+def _walk_cases(net3, trap):
+    """Networks whose backward walks are checked against the reversed
+    network's forward walks: the fixtures, random networks, and one with
+    isolated nodes first and last."""
+    rng = np.random.default_rng(19)
+    nets = [net3, trap, *(random_network(rng, n=25, density=0.35) for _ in range(3))]
+    lone = nets[-1]
+    nets.append(ImbalanceNetwork(("AAA", *lone.countries, "ZZZ"),
+                                 lone.src + 1, lone.dst + 1, lone.weight))
+    return nets
+
+
+def _producers(net):
+    return [net.countries[i] for i in np.argsort(-net.delta_s)[:2] if net.delta_s[i] > 0]
+
+
+def test_mc_backward_equals_forward_on_reversed(net3, trap):
     config = WalkConfig(n_walkers=40_000, seed=17)
-    back = backward_walk_mc(net3, "B", config)
-    fwd_on_rev = forward_walk_mc(net3.reverse(), "B", config)
-    np.testing.assert_array_equal(back.shares, fwd_on_rev.shares)
-    assert back.direction == "backward"
+    for net in _walk_cases(net3, trap):
+        for start in _producers(net):
+            back = backward_walk_mc(net, start, config)
+            fwd_on_rev = forward_walk_mc(net.reverse(), start, config)
+            assert back.direction == "backward"
+            assert back.targets == fwd_on_rev.targets
+            np.testing.assert_array_equal(back.shares, fwd_on_rev.shares)
+            assert back.mean_hops == fwd_on_rev.mean_hops
+
+
+def test_exact_backward_equals_forward_on_reversed(net3, trap):
+    for net in _walk_cases(net3, trap):
+        rev = net.reverse()
+        back, fwd_on_rev = exact_absorption(net, "backward"), exact_absorption(rev, "forward")
+        assert (back.starts, back.targets, back.warnings) == (
+            fwd_on_rev.starts, fwd_on_rev.targets, fwd_on_rev.warnings
+        )
+        np.testing.assert_array_equal(back.shares, fwd_on_rev.shares)
+        np.testing.assert_array_equal(back.non_absorbed, fwd_on_rev.non_absorbed)
+        for start in _producers(net):
+            matrix, probe, errors = _focal_solve(net, start, "backward")
+            rev_matrix, rev_probe, rev_errors = _focal_solve(rev, start, "forward")
+            assert (matrix.targets, matrix.mean_hops, probe) == (
+                rev_matrix.targets, rev_matrix.mean_hops, rev_probe
+            )
+            np.testing.assert_array_equal(matrix.shares, rev_matrix.shares)
+            # the reversed network's forward walk is this one's backward walk
+            assert errors == {"forward": rev_errors["backward"],
+                              "backward": rev_errors["forward"]}
+            assert set(matrix.warnings) == set(rev_matrix.warnings)
 
 
 def test_exact_rows_stochastic_on_random_networks():
@@ -232,6 +275,14 @@ def test_focal_solve_holds_one_system_matrix():
     assert focal_peak < bound < full_peak
 
 
+def test_system_holds_no_edge_arrays_beside_its_matrix():
+    net = random_network(np.random.default_rng(59), n=1000, density=0.1)
+    for direction in DIRECTIONS:
+        system, peak = traced_peak(lambda: _system(net, direction))
+        # B's entries, 24 bytes for each edge into an absorber, and one block's temporaries
+        assert peak - system.a.nbytes < 8 * (4 * net.n_edges + 16 * _BLOCK)
+
+
 def test_exact_requires_both_roles():
     cycle = ImbalanceNetwork.from_edges(
         [("A", "B", 1.0), ("B", "C", 1.0), ("C", "A", 1.0)]
@@ -331,22 +382,23 @@ def test_hop_table_reproduces_hop_shares(rows):
     net = ImbalanceNetwork.from_edges(
         [(f"R{r}", f"T{j:03d}", w) for r, row in enumerate(rows) for j, w in enumerate(row)]
     )
-    work, _, _, hop = _walk(net, "forward")
-    share, target = _hop_table(work, hop)
-    assert share.shape == target.shape == (net.n_nodes, net.k_out.max())
-    for v in range(net.n_nodes):
-        k = net.k_out[v]
-        dst, weight = net.out_edges(v)
-        padding = share.shape[1] - k
-        assert np.all(share[v, :padding] == 0.0)
-        np.testing.assert_allclose(
-            share[v, padding:], weight / net.s_out[v], rtol=0, atol=1e-12
-        )
-        np.testing.assert_array_equal(target[v, padding:], dst)
-        if k > 0:
-            assert share[v, -1] > 0.0
-            # numpy accepts the row: the shares before the last sum to at most 1
-            np.random.default_rng(0).multinomial(10**6, share[v])
+    for direction in DIRECTIONS:
+        forward = direction == "forward"
+        k_out, s_out = (net.k_out, net.s_out) if forward else (net.k_in, net.s_in)
+        ptr, _, _, edges = _walk(net, direction)
+        share, target = _hop_table(ptr, edges)
+        assert share.shape == target.shape == (net.n_nodes, k_out.max())
+        for v in range(net.n_nodes):
+            k = k_out[v]
+            dst, weight = net.out_edges(v) if forward else net.in_edges(v)
+            padding = share.shape[1] - k
+            assert np.all(share[v, :padding] == 0.0)
+            np.testing.assert_allclose(share[v, padding:], weight / s_out[v], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(target[v, padding:], dst)
+            if k > 0:
+                assert share[v, -1] > 0.0
+                # numpy accepts the row: the shares before the last sum to at most 1
+                np.random.default_rng(0).multinomial(10**6, share[v])
 
 
 @st.composite
@@ -392,6 +444,9 @@ def _reach_cases(draw):
 def test_reaches_matches_csgraph_search(case):
     net, seeds = case
     np.testing.assert_array_equal(net._flood(seeds), csgraph_reaches(net, seeds))
+    # along the edges: against those of the transposed graph
+    np.testing.assert_array_equal(net._flood(seeds, against=False, along=True),
+                                  csgraph_reaches(net.reverse(), seeds))
 
 
 def test_every_source_agrees_with_exact_small():
