@@ -30,16 +30,20 @@ RECORDS = """year,reporter,partner,exports,imports
 2000,USA,CHE,11,24
 2000,CHE,JPN,8,8
 2000,JPN,CHE,8,8
+2000,CHE,DEU,n.a.,3
 """
 
 # Readers take a path or an open file object, never a string of content.
+# A row that cannot be used is set aside with its line and the reason.
 parsed = parse_dyadic_records(io.StringIO(RECORDS))
-print(f"parsed {len(parsed.records)} records, {len(parsed.dropped)} dropped")
+print(f"parsed {len(parsed.table)} records, {len(parsed.dropped)} dropped")
+for where, reason in parsed.dropped:
+    print(f"  dropped {where}: {reason}")
 
 # Each flow is claimed twice (A's export report, B's import report) and the
 # claims rarely agree. "average" splits the difference; the report counts
 # how often and how badly the two sides disagreed.
-matrix, report = reconcile_flows(parsed.records, year=2000, policy="average")
+matrix, report = reconcile_flows(parsed.table, year=2000, policy="average")
 print("reconciliation:", report.summary())
 print("matrix check:  ", validate_trade_matrix(matrix).summary())
 

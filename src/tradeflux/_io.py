@@ -20,7 +20,7 @@ import numpy as np
 #: Rows reconciled, renumbered or written at a time.
 _BLOCK = 1 << 13
 
-#: The faults ``DyadicRecord`` words its own way, and ranks above the rest.
+#: The faults ``ingest._codes_fault`` words its own way, and ranks above the rest.
 EMPTY, SPACED = "be empty", "contain whitespace"
 
 _control = re.compile("[\x00-\x1f]").search
@@ -99,11 +99,12 @@ def blocks(n: int) -> list[slice]:
 
 class CodeNumbers(dict):
     """Each code met in a read, to its number in order of first sight, or to
-    -1 when it breaks a rule of ``code_fault``; a code is checked when it is
-    first looked up, so once a read."""
+    that number's complement, below zero, when it breaks a rule of
+    ``code_fault``; so two codes number alike only if they are equal. A code
+    is checked when it is first looked up, so once a read."""
 
     def __missing__(self, code: str) -> int:
-        self[code] = number = -1 if code_fault(code) else len(self)
+        self[code] = number = ~len(self) if code_fault(code) else len(self)
         return number
 
     def of(self, codes: list[str]) -> np.ndarray:

@@ -331,7 +331,6 @@ class _System:
     ``starts[i]``'s absorption shares.
     """
 
-    direction: str
     starts: np.ndarray
     sinks: np.ndarray
     start_rows: np.ndarray
@@ -376,7 +375,7 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
         hits = delta_s[head] > 0
         _append(b, (tail[hits], sink_pos[head[hits]], hop[hits] * absorb[hits]))
         a[tail, pos[head]] -= hop * (1.0 - absorb)
-    return _System(direction, starts, sinks, pos[starts], a, tuple(b), warnings)
+    return _System(starts, sinks, pos[starts], a, tuple(b), warnings)
 
 
 def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -55,12 +55,7 @@ class DyadicRecord:
 
     def __post_init__(self):
         if code_fault(self.reporter) or code_fault(self.partner):
-            faults = code_fault(self.reporter), code_fault(self.partner)
-            if EMPTY in faults:
-                raise ValueError("country codes must be non-empty")
-            if SPACED in faults:
-                raise ValueError("country codes must be whitespace-free tokens")
-            raise ValueError(f"country codes must not {faults[0] or faults[1]}")
+            raise ValueError(_codes_fault(self.reporter, self.partner))
         if self.reporter == self.partner:
             raise ValueError(f"self-trade record for {self.reporter!r}")
         for name in ("exports", "imports"):
@@ -71,6 +66,18 @@ class DyadicRecord:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
+def _codes_fault(reporter: str, partner: str) -> str:
+    """Why a record naming ``reporter`` and ``partner``, one of which breaks
+    ``code_fault``, is refused: an empty code first, then whitespace, then
+    the reporter's fault, then the partner's."""
+    faults = code_fault(reporter), code_fault(partner)
+    if EMPTY in faults:
+        return "country codes must be non-empty"
+    if SPACED in faults:
+        return "country codes must be whitespace-free tokens"
+    return f"country codes must not {faults[0] or faults[1]}"
 
 
 @dataclass(frozen=True)
@@ -229,39 +236,6 @@ class ParseResult:
         return self.table.records()
 
 
-def _parse_flow(token: str, name: str) -> float | None:
-    if token.strip().lower() in MISSING_TOKENS:
-        return None
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(f"non-numeric {name} value {token!r}") from None
-    if math.isnan(value):
-        return None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {name} value {token!r}")
-    if value < 0:
-        raise ValueError(f"negative {name} value {token!r}")
-    return value
-
-
-def _parse_row(row: list[str], positions: dict, n_header: int) -> DyadicRecord | None:
-    """One row's record, ``None`` for a blank row; a bad row raises
-    ``ValueError`` with the reason it is dropped."""
-    if not row or all(not cell.strip() for cell in row):
-        return None
-    if len(row) <= max(positions.values()):
-        raise ValueError(f"expected {n_header} columns, got {len(row)}")
-    year = int(row[positions["year"]].strip())
-    reporter = row[positions["reporter"]].strip()
-    partner = row[positions["partner"]].strip()
-    exports = _parse_flow(row[positions["exports"]], "export")
-    imports = _parse_flow(row[positions["imports"]], "import")
-    if reporter == partner:
-        raise ValueError("self-trade")
-    return DyadicRecord(year, reporter, partner, exports, imports)
-
-
 def _flow_or_flag(token: str) -> float:
     # NaN for a missing value; -inf, which the row checks reject, when unparsable
     try:
@@ -272,12 +246,21 @@ def _flow_or_flag(token: str) -> float:
 
 def _flow_column(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Values of one flow column, NaN where missing, and the rows whose
-    token ``_parse_flow`` rejects."""
+    token is not a flow: unreadable, infinite or negative (``_flow_fault`` says which)."""
     try:
         values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
         values = np.fromiter(map(_flow_or_flag, tokens), float, len(tokens))
     return values, np.isinf(values) | (values < 0)
+
+
+def _flow_fault(token: str, name: str) -> str:
+    """Why ``_flow_column`` rejects ``token``, a value of the ``name`` flow."""
+    try:
+        value = float(token)
+    except ValueError:
+        return f"non-numeric {name} value {token!r}"
+    return f"{'non-finite' if math.isinf(value) else 'negative'} {name} value {token!r}"
 
 
 def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
@@ -288,11 +271,12 @@ def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
     return list(map(convert, position)), inverse
 
 
-def _year(token: str) -> int | None:
+def _year(token: str) -> int | str:
+    """The year ``token`` holds, or why ``int`` cannot read it."""
     try:
         return int(token.strip())
-    except ValueError:
-        return None
+    except ValueError as exc:
+        return str(exc)
 
 
 def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]:
@@ -319,9 +303,11 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
 
     The rows come as ``rows``, lists of fields as read, or as ``fields``,
     one list of every row's fields, ``width`` to a row. Row ``i`` starts at
-    line ``line_nos[i]``; ``header`` is what ``_header`` returns. A row
-    that fails a check goes through ``_parse_row``, which words the reason
-    it is dropped (or finds it blank) from the row as read.
+    line ``line_nos[i]``; ``header`` is what ``_header`` returns. Each check
+    keeps its own mask, and a row that fails any is dropped, with the reason
+    of the first it fails, in this order: too short for the mapped columns,
+    year, export flow, import flow, self-trade, country codes. A row blank
+    as read is skipped, unlisted.
 
     The reporter and partner columns hold the codes' numbers in ``number``.
     """
@@ -334,30 +320,42 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     def column(name: str) -> list[str]:
         return fields[positions[name]::width]
 
-    years, inverse = _by_distinct(column("year"), _year)
-    bad = np.array([y is None for y in years], dtype=bool)[inverse]
-    year = np.array([y or 0 for y in years])[inverse]
-    if rows is not None:
-        bad |= np.fromiter(map(len, rows), np.intp, n) <= max(positions.values())
+    def field(i: int, name: str) -> str:
+        return fields[i * width + positions[name]]
+
+    short = np.zeros(n, dtype=bool) if rows is None else (
+        np.fromiter(map(len, rows), np.intp, n) <= max(positions.values()))
+
+    years, year_at = _by_distinct(column("year"), _year)
+    unread = np.array([isinstance(y, str) for y in years], dtype=bool)[year_at]
+    year = np.array([0 if isinstance(y, str) else y for y in years])[year_at]
 
     stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
-    ends = number.of(stripped)[inverse]
+    ends = number.of(stripped)[inverse]  # equal where the stripped codes are
     reporter, partner = ends[:n], ends[n:]
-    bad |= (reporter < 0) | (partner < 0) | (reporter == partner)
 
     exports, bad_exports = _flow_column(column("exports"))
     imports, bad_imports = _flow_column(column("imports"))
-    bad |= bad_exports | bad_imports
 
-    dropped = []
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            _parse_row(fields[i * width:(i + 1) * width] if rows is None else rows[i],
-                       positions, len(names))
-        except ValueError as exc:
-            dropped.append((f"line {line_nos[i]}", str(exc)))
+    checks = (  # each check's mask and its reason for row i, first to last
+        (short, lambda i: f"expected {len(names)} columns, got {len(rows[i])}"),
+        (unread, lambda i: years[year_at[i]]),
+        (bad_exports, lambda i: _flow_fault(field(i, "exports"), "export")),
+        (bad_imports, lambda i: _flow_fault(field(i, "imports"), "import")),
+        (reporter == partner, lambda i: "self-trade"),
+        ((reporter < 0) | (partner < 0),
+         lambda i: _codes_fault(field(i, "reporter").strip(), field(i, "partner").strip())),
+    )
+    bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
     kept = (year, reporter, partner, exports, imports)
+    dropped = []
     if bad.any():
+        at = np.flatnonzero(bad)
+        first = np.argmax([mask[at] for mask, _ in checks], axis=0)
+        for i, check in zip(at.tolist(), first.tolist()):
+            row = fields[i * width:(i + 1) * width] if rows is None else rows[i]
+            if any(map(str.strip, row)):  # a row blank as read is skipped
+                dropped.append((f"line {line_nos[i]}", checks[check][1](i)))
         kept = tuple(values[~bad] for values in kept)
     return kept, dropped
 
@@ -442,8 +440,9 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
 
     ``stream`` is a path or an open text file object, never file content.
     The delimiter (comma or tab) is detected from the header row.
-    Malformed rows are collected in ``ParseResult.dropped`` with their line
-    numbers, never silently skipped.
+    Blank rows are skipped; every other unusable row is collected in
+    ``ParseResult.dropped`` with its line number and the reason of the first
+    column check it fails (see ``_parse_columns``), never silently skipped.
 
     The file is read in chunks of whole lines, about ``_PARSE_CHUNK``
     characters each, so it is never held whole, and every row goes through

@@ -306,8 +306,8 @@ _READ_CHUNK = 1 << 16
 
 
 def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
-    """The error for the first bad line of ``lines``, the first of which is
-    line ``line_no`` + 1 of the file, found one line at a time."""
+    """The error for the first bad line of ``lines``, which follow any header
+    row and start at line ``line_no`` + 1 of the file, found one at a time."""
     for line_no, line in enumerate(lines, start=line_no + 1):
         parts = line.split()
         codes = parts[1:] if parts[:1] == ["#countries"] else []
@@ -317,8 +317,6 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
             try:
                 float(parts[2])
             except ValueError:
-                if line_no == 1:
-                    continue  # header row
                 return ValueError(f"line {line_no}: bad weight {parts[2]!r}")
             codes = parts[:2]
         for code in codes:
@@ -333,13 +331,13 @@ def _edge_columns(stream) -> tuple:
     columns = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
     line_no = 0
     while lines := stream.readlines(_READ_CHUNK):
-        data = lines
+        data, start = lines, 0
         header = lines[0].split() if line_no == 0 else ()
         if len(header) == 3 and header[0][0] != "#":
             try:
                 float(header[2])
-            except ValueError:
-                data = lines[1:]
+            except ValueError:  # a header row
+                data, start = lines[1:], 1
         text = "".join(data)
         listed = []
         if "#" in text:
@@ -357,7 +355,7 @@ def _edge_columns(stream) -> tuple:
                 raise ValueError
             weight = np.fromiter(map(float, fields[2::3]), float, m)
         except ValueError:
-            raise _edge_list_error(lines, line_no) from None
+            raise _edge_list_error(lines[start:], line_no + start) from None
         _append(columns, (ends[:m], ends[m:2 * m], weight))
         line_no += len(lines)
     return number.renumber(columns[:2]), *columns

@@ -255,7 +255,7 @@ def test_balance_probe_catches_one_wrong_backward_share(monkeypatch):
 
     def mutant(system, weights):
         totals, hops = solve(system, weights)
-        if system.direction == "backward":
+        if (net.delta_s[system.starts] > 0).all():  # backward walks start at producers
             totals = weights @ wrong
         return totals, hops
 

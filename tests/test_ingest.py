@@ -1,6 +1,7 @@
 import collections
 import io
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -165,6 +166,49 @@ def test_parse_drops_codes_an_output_cannot_carry(delimiter, reporter, fault):
     assert result.records == [DyadicRecord(2000, "A", "B", 1.0, 2.0)]
 
 
+_HEADER = "year,reporter,partner,exports,imports\n"
+
+
+#: Rows each dropped for the first check they fail, or skipped (None).
+_DROPS = {
+    "short": ("x,A", "expected 5 columns, got 2"),
+    "empty year": (",,,,,x", "invalid literal for int() with base 10: ''"),
+    "year first": ("2000x,A,A,abc,", "invalid literal for int() with base 10: '2000x'"),
+    "long year": ("9" * 5000 + ",A,B,1,2",
+                  f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer "
+                  "string conversion: value has 5000 digits; use "
+                  "sys.set_int_max_str_digits() to increase the limit"),
+    "infinite": ("2000,A,B,-inf,", "non-finite export value '-inf'"),
+    "non-numeric": ("2000,A,B,abc,", "non-numeric export value 'abc'"),
+    "negative": ("2000,A,B,-1,", "negative export value '-1'"),
+    "export first": ("2000,A,B,abc,-1", "non-numeric export value 'abc'"),
+    "import": ("2000,A,B,, inf", "non-finite import value ' inf'"),
+    "flow first": ("2000,A,A,abc,2", "non-numeric export value 'abc'"),
+    "empty codes": ("2000,,,1,2", "self-trade"),
+    "same faulty codes": ("2000,A\x00,A\x00,1,2", "self-trade"),
+    "same stripped codes": ("2000, A ,A,1,2", "self-trade"),
+    "spaced codes": ("2000,A B,C D,1,2", "country codes must be whitespace-free tokens"),
+    "blank": (" , , , , ", None),
+}
+
+#: What comes before the row: nothing, so the chunk is split in one go; a
+#: blank line, so each line is split alone; a quoted row, so csv reads it.
+_BEFORE = {"one split": "", "per line": "\n", "csv": '2000,"Q",R,1,2\n'}
+
+
+@pytest.mark.parametrize("case, way", [
+    (case, way) for case, (row, _) in _DROPS.items() for way in _BEFORE
+    if way != "one split" or row.count(",") >= 4  # a short row is never split with the rest
+])
+def test_parse_words_each_dropped_row_by_its_first_fault(case, way):
+    row, reason = _DROPS[case]
+    before = _BEFORE[way]
+    result = parse_dyadic_records(io.StringIO(_HEADER + before + row + "\n"))
+    line = 2 + before.count("\n")
+    assert result.dropped == ([] if reason is None else [(f"line {line}", reason)])
+    assert len(result.table) == (way == "csv")
+
+
 def test_parse_empty_input():
     result = parse_dyadic_records(io.StringIO(""))
     assert result.records == [] and result.dropped == []
@@ -196,6 +240,9 @@ def test_record_code_faults_keep_their_order(reporter, partner, reason):
     with pytest.raises(ValueError) as caught:
         DyadicRecord(2000, reporter, partner, 1.0, None)
     assert str(caught.value) == f"country codes must {reason}"
+    # a records row naming the same codes is dropped for the same reason
+    text = f"{_HEADER}2000,{reporter},{partner},1,\n"
+    assert parse_dyadic_records(io.StringIO(text)).dropped == [("line 2", str(caught.value))]
 
 
 # --- reconciliation -------------------------------------------------------
