@@ -34,11 +34,12 @@ absorber. The exact solve excludes such nodes, names them in a warning and
 refuses only a focal start among them. Dead-end nodes (no outgoing edges)
 are always full absorbers.
 
-``exact_absorption`` solves for every start node at once, and
-``detailed_balance_check`` and ``imbalance_reconstruction`` check a pair of
-such full solutions. ``dollar --exact`` reports one start, so it solves the
-transposed system for that start's row of the fundamental matrix instead,
-with a few more right-hand sides that rebuild every imbalance and probe
+Every exact share comes from one transposed solve, ``_row_totals``, with B
+formed after it. ``exact_absorption`` weights it with the identity, for
+every start at once; ``detailed_balance_check`` and
+``imbalance_reconstruction`` check a pair of such full solutions.
+``dollar --exact`` reports one start, so it weights the solve with that
+start's unit vector and a few rows that rebuild every imbalance and probe
 detailed balance (``_focal_solve``): memory one m x m matrix and its LAPACK
 copy, not the start x absorber blocks of both directions.
 """
@@ -189,17 +190,18 @@ def _mc_run(
 
 def _start(net: ImbalanceNetwork, start, direction: str) -> int:
     """The index of ``start``, a code or an index, if it may start a walk in
-    ``direction``: the one rule that forward walks start at net consumers and
-    backward walks at net producers. An unknown code raises ``KeyError``, a
+    ``direction``: the one rule that a walk starts where ``_walk``'s
+    ``delta_s`` is negative, at a net consumer forward and a net producer
+    backward. An unknown code raises ``KeyError``; an unknown direction or a
     node of the wrong kind ``ValueError``."""
+    oriented = _walk(net, direction)[1]
     if isinstance(start, str):
         if start not in net.index:
             raise KeyError(f"unknown country {start!r}")
         start = net.index[start]
     start = int(start)
-    delta_s = float(net.delta_s[start])
-    forward = direction == "forward"
-    if (delta_s >= 0) if forward else (delta_s <= 0):
+    if oriented[start] >= 0:
+        delta_s, forward = float(net.delta_s[start]), direction == "forward"
         kind = "neutral" if delta_s == 0 else "producer" if forward else "consumer"
         raise ValueError(
             f"{net.countries[start]} is a net {kind} (delta_s = {delta_s!r}); "
@@ -378,27 +380,17 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
     return _System(starts, sinks, pos[starts], a, tuple(b), warnings)
 
 
-def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
-
-
 def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
     """Absorption shares for every start that can reach an absorber, solved exactly.
 
-    One dense LAPACK solve ``A F = B`` for all absorbers at once (see
-    ``_system``). The matrix leaves ``mean_hops`` ``None``: expected hops
-    are a per-start figure that only ``dollar --exact``'s focal solve reports.
+    The starts' rows of ``F = A^-1 B`` (see ``_system``) come from
+    ``_row_totals``, the one exact solve, with the identity as weights. The
+    matrix leaves ``mean_hops`` ``None``: expected hops are a per-start
+    figure that only ``dollar --exact``'s focal solve reports.
     """
     system = _system(net, direction)
-    b = np.zeros((system.a.shape[0], system.sinks.size))
-    rows, cols, vals = system.b
-    b[rows, cols] = vals  # one edge per (node, absorber) pair
-    f = _solve(system.a, b)
-
-    shares = np.clip(f[system.start_rows], 0.0, 1.0)
+    f, _ = _row_totals(system, np.eye(system.starts.size))
+    shares = np.clip(f, 0.0, 1.0)
     non_absorbed = np.maximum(1.0 - shares.sum(axis=1), 0.0)
     return AbsorptionMatrix(
         direction=direction,
@@ -418,18 +410,19 @@ def _row_totals(system: _System, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     ``N = A^-1`` is the fundamental matrix: ``N[i, v]`` is the expected
     number of visits a walker from ``i`` pays to ``v`` before absorption,
     each followed by one hop, so ``N 1`` is every node's expected hop count.
-    One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``. ``Y^T B``
-    is summed edge by edge into the absorbers, so neither F nor B is formed.
+    One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``. B is
+    formed after the solve, when LAPACK's copy of A, at least as large, is freed.
     """
     rhs = np.zeros((system.a.shape[0], len(weights)))
     rhs[system.start_rows] = np.transpose(weights)
-    y = _solve(system.a.T, rhs)
+    try:
+        y = np.linalg.solve(system.a.T, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
+    b = np.zeros((system.a.shape[0], system.sinks.size))
     rows, cols, vals = system.b
-    totals = np.array([
-        np.bincount(cols, weights=y[rows, k] * vals, minlength=system.sinks.size)
-        for k in range(y.shape[1])
-    ])
-    return totals, y.sum(axis=0)
+    b[rows, cols] = vals  # one edge per (node, absorber) pair
+    return y.T @ b, y.sum(axis=0)
 
 
 def _focal_solve(

@@ -54,10 +54,7 @@ class DyadicRecord:
     imports: float | None
 
     def __post_init__(self):
-        if code_fault(self.reporter) or code_fault(self.partner):
-            raise ValueError(_codes_fault(self.reporter, self.partner))
-        if self.reporter == self.partner:
-            raise ValueError(f"self-trade record for {self.reporter!r}")
+        # the parser's order: export flow, import flow, self-trade, codes
         for name in ("exports", "imports"):
             value = getattr(self, name)
             if value is None:
@@ -66,6 +63,10 @@ class DyadicRecord:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if self.reporter == self.partner:
+            raise ValueError(f"self-trade record for {self.reporter!r}")
+        if code_fault(self.reporter) or code_fault(self.partner):
+            raise ValueError(_codes_fault(self.reporter, self.partner))
 
 
 def _codes_fault(reporter: str, partner: str) -> str:

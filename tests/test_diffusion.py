@@ -16,6 +16,7 @@ from tradeflux.diffusion import (
     _focal_solve,
     _hop_table,
     _row_totals,
+    _start,
     _system,
     _walk,
     backward_walk_mc,
@@ -121,6 +122,14 @@ def test_mc_start_validation(net3):
         forward_walk_mc(neutral, "B")
 
 
+def test_an_unknown_direction_is_refused_before_the_start_is_judged(net3):
+    message = re.escape(f"direction must be one of {DIRECTIONS}, got 'up'")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _start(net3, "B", "up")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _focal_solve(net3, "B", "up")
+
+
 def _walk_cases(net3, trap):
     """Networks whose backward walks are checked against the reversed
     network's forward walks: the fixtures, random networks, and one with
@@ -199,14 +208,14 @@ def test_exact_identities_on_random_networks():
             assert value == pytest.approx(-delta[country], rel=1e-9)
 
 
-def _expected_hops(net, direction):
-    """``N 1`` with ``N = (I - Q)^-1`` formed densely over every node."""
+def _fundamental(net, direction):
+    """``N = (I - Q)^-1`` and ``B = P diag(a)``, formed densely over every node."""
     work = net if direction == "forward" else net.reverse()
     hop = np.zeros((work.n_nodes, work.n_nodes))
     hop[work.src, work.dst] = work.weight / work.s_out[work.src]
     absorb = np.where(work.delta_s > 0, work.delta_s / np.maximum(work.s_in, 1e-300), 0.0)
     q = hop * (1.0 - absorb)[None, :]
-    return np.linalg.inv(np.eye(work.n_nodes) - q).sum(axis=1)
+    return np.linalg.inv(np.eye(work.n_nodes) - q), hop * absorb[None, :]
 
 
 def test_focal_solve_matches_full_solves():
@@ -217,9 +226,11 @@ def test_focal_solve_matches_full_solves():
         for direction in DIRECTIONS:
             full = exact_absorption(net, direction)
             system = _system(net, direction)
-            hops = _expected_hops(net, direction)[system.starts]
-            shares, solved_hops = _row_totals(system, np.eye(system.starts.size))
-            np.testing.assert_allclose(shares, full.shares, rtol=0, atol=1e-12)
+            fundamental, b = _fundamental(net, direction)
+            shares = (fundamental @ b)[np.ix_(system.starts, system.sinks)]
+            hops = fundamental.sum(axis=1)[system.starts]
+            np.testing.assert_allclose(full.shares, shares, rtol=0, atol=1e-12)
+            _, solved_hops = _row_totals(system, np.eye(system.starts.size))
             np.testing.assert_allclose(solved_hops, hops, rtol=1e-12)
 
             recon = imbalance_reconstruction(full, accounts)

@@ -173,6 +173,19 @@ def test_exact_dollar_outputs_match_recorded_values(pipeline):
     assert diag["warnings"] == []
 
 
+@pytest.mark.parametrize("focal, direction", [
+    (FOCAL_CONSUMER, "forward"), (FOCAL_PRODUCER, "backward"),
+])
+def test_exact_dollar_is_byte_deterministic(pipeline, tmp_path, focal, direction):
+    argv = ["dollar", str(pipeline / "build" / "network.tsv"), "--from", focal,
+            "--direction", direction, "--exact"]
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in runs:
+        assert main(argv + ["-o", str(out)]) == 0
+    for name in (f"ranking_{focal}_{direction}.csv", "dollar_diagnostics.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("step, focal, direction", [
     ("dollar_forward", FOCAL_CONSUMER, "forward"),
     ("dollar_backward", FOCAL_PRODUCER, "backward"),

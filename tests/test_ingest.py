@@ -227,6 +227,13 @@ def test_record_validation():
         DyadicRecord(2000, "", "C", 1.0, None)
     with pytest.raises(ValueError, match="control characters"):
         DyadicRecord(2000, "A", "\x07", 1.0, None)
+    # the parser's order: export flow, import flow, self-trade, then codes
+    with pytest.raises(ValueError, match="self-trade"):
+        DyadicRecord(2000, "A B", "A B", 1.0, None)
+    with pytest.raises(ValueError, match="non-negative"):
+        DyadicRecord(2000, "A", "A", -1.0, None)
+    with pytest.raises(ValueError, match="finite"):
+        DyadicRecord(2000, "", "", math.inf, None)
 
 
 @pytest.mark.parametrize("reporter, partner, reason", [
