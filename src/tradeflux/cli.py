@@ -254,10 +254,7 @@ def _cmd_dollar(args) -> int:
         config = dif.WalkConfig(
             n_walkers=args.walkers, seed=args.seed, max_steps=args.max_steps
         )
-        if args.direction == "forward":
-            matrix = dif.forward_walk_mc(net, focal, config)
-        else:
-            matrix = dif.backward_walk_mc(net, focal, config)
+        matrix = dif._mc_matrix(net, focal, args.direction, config)
         diagnostics["method"] = "monte-carlo"
         diagnostics["n_walkers"] = config.n_walkers
         diagnostics["seed"] = config.seed

@@ -30,9 +30,10 @@ In exact arithmetic no walker is ever trapped: any set of nodes closed under
 outgoing edges has non-negative total imbalance, so once it holds a net
 consumer it holds a net producer. Rounding breaks this: it can leave a node
 of a balanced cycle with delta_s = -1e-16, a consumer that reaches no
-absorber. The exact solve excludes such nodes, names them in a warning and
-refuses only a focal start among them. Dead-end nodes (no outgoing edges)
-are always full absorbers.
+absorber. The exact solve excludes such nodes and names them in a warning.
+``exact_absorption`` gives each start among them a zero row, never absorbed,
+as the Monte Carlo walker does; ``dollar --exact`` refuses such a focal
+start. Dead-end nodes (no outgoing edges) are always full absorbers.
 
 Every exact share comes from one transposed solve, ``_row_totals``, with B
 formed after it. ``exact_absorption`` weights it with the identity, for
@@ -329,12 +330,14 @@ class _System:
 
     ``A = I - Q`` lives on the m nodes that can reach an absorber; ``b``
     holds the ``(row, column, value)`` entries of B, which has one column
-    per absorber in ``sinks``. Row ``start_rows[i]`` of ``F = A^-1 B`` holds
-    ``starts[i]``'s absorption shares.
+    per absorber in ``sinks``. ``starts`` holds every start of the walk, and
+    row ``start_rows[i]`` of ``F = A^-1 B`` the shares of the i-th start
+    marked in ``solved``, those that can reach an absorber.
     """
 
     starts: np.ndarray
     sinks: np.ndarray
+    solved: np.ndarray
     start_rows: np.ndarray
     a: np.ndarray
     b: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -348,14 +351,14 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
     probabilities f satisfy f = P (a 1_t + (1 - a) f), so ``Q = P diag(1 - a)``
     and ``B = P diag(a)``, both restricted to the nodes that can reach an
     absorber. Every other node with an edge, start or not, is excluded and
-    named in the one warning, and the walk's net consumers left are the starts.
-    Once the reach set sizes A, A is filled and B's entries collected one
-    ``_io._BLOCK`` of edges at a time, so no per-edge temporary lives beside A.
+    named in the one warning. Once the reach set sizes A, A is filled and B's
+    entries collected one ``_io._BLOCK`` of edges at a time, so no per-edge
+    temporary lives beside A.
     """
     _, delta_s, absorb_p, edges = _walk(net, direction)
     reach = net._flood(delta_s > 0, against=direction == "forward", along=direction == "backward")
-    starts = np.flatnonzero((delta_s < 0) & reach)
-    if not starts.size:
+    starts, sinks = np.flatnonzero(delta_s < 0), np.flatnonzero(delta_s > 0)
+    if not (starts.size and sinks.size):
         raise ValueError("absorption needs at least one net consumer and one net producer")
     trapped = np.flatnonzero(~reach & (net.k_in + net.k_out > 0))
     warnings = ()
@@ -365,7 +368,6 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
 
     # the rows of A and columns of B, looked up for reached nodes and sinks only
     pos, sink_pos = np.cumsum(reach) - 1, np.cumsum(delta_s > 0) - 1
-    sinks = np.flatnonzero(delta_s > 0)
 
     a = np.eye(np.count_nonzero(reach))
     b = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)]
@@ -377,31 +379,40 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
         hits = delta_s[head] > 0
         _append(b, (tail[hits], sink_pos[head[hits]], hop[hits] * absorb[hits]))
         a[tail, pos[head]] -= hop * (1.0 - absorb)
-    return _System(starts, sinks, pos[starts], a, tuple(b), warnings)
+    solved = reach[starts]
+    return _System(starts, sinks, solved, pos[starts[solved]], a, tuple(b), warnings)
+
+
+def _dense(net: ImbalanceNetwork, direction: str, starts, sinks, f: np.ndarray,
+           warnings: tuple[str, ...], mean_hops: float | None = None) -> AbsorptionMatrix:
+    """The exact shares ``f`` of ``starts`` at ``sinks``, clipped to [0, 1], as
+    an ``AbsorptionMatrix`` whose ``non_absorbed`` is what each row leaves."""
+    shares = np.clip(f, 0.0, 1.0)
+    return AbsorptionMatrix(
+        direction=direction,
+        starts=tuple(net.countries[i] for i in starts),
+        targets=tuple(net.countries[i] for i in sinks),
+        shares=shares,
+        non_absorbed=np.maximum(1.0 - shares.sum(axis=1), 0.0),
+        method="dense",
+        n_walkers=None,
+        warnings=warnings,
+        mean_hops=mean_hops,
+    )
 
 
 def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
-    """Absorption shares for every start that can reach an absorber, solved exactly.
+    """Absorption shares for every start of the walk, solved exactly.
 
     The starts' rows of ``F = A^-1 B`` (see ``_system``) come from
-    ``_row_totals``, the one exact solve, with the identity as weights. The
-    matrix leaves ``mean_hops`` ``None``: expected hops are a per-start
-    figure that only ``dollar --exact``'s focal solve reports.
+    ``_row_totals``, the one exact solve, with the identity as weights; a
+    start that cannot reach an absorber keeps a zero row. The matrix leaves
+    ``mean_hops`` ``None``: expected hops are a per-start figure that only
+    ``dollar --exact``'s focal solve reports.
     """
     system = _system(net, direction)
     f, _ = _row_totals(system, np.eye(system.starts.size))
-    shares = np.clip(f, 0.0, 1.0)
-    non_absorbed = np.maximum(1.0 - shares.sum(axis=1), 0.0)
-    return AbsorptionMatrix(
-        direction=direction,
-        starts=tuple(net.countries[i] for i in system.starts),
-        targets=tuple(net.countries[i] for i in system.sinks),
-        shares=shares,
-        non_absorbed=non_absorbed,
-        method="dense",
-        n_walkers=None,
-        warnings=system.warnings,
-    )
+    return _dense(net, direction, system.starts, system.sinks, f, system.warnings)
 
 
 def _row_totals(system: _System, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,11 +421,12 @@ def _row_totals(system: _System, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     ``N = A^-1`` is the fundamental matrix: ``N[i, v]`` is the expected
     number of visits a walker from ``i`` pays to ``v`` before absorption,
     each followed by one hop, so ``N 1`` is every node's expected hop count.
+    Starts that reach no absorber (zero rows of F, infinite hops) are left out.
     One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``. B is
     formed after the solve, when LAPACK's copy of A, at least as large, is freed.
     """
     rhs = np.zeros((system.a.shape[0], len(weights)))
-    rhs[system.start_rows] = np.transpose(weights)
+    rhs[system.start_rows] = np.transpose(weights)[system.solved]
     try:
         y = np.linalg.solve(system.a.T, rhs)
     except np.linalg.LinAlgError as exc:
@@ -441,8 +453,7 @@ def _focal_solve(
     from unclipped shares. Each direction makes one ``_row_totals`` solve,
     for ``|delta|``, ``|delta| u`` and ``|delta| v`` on its starts and, in
     ``direction``, the focal start's unit vector. A focal start that
-    ``_system`` excluded, as unable to reach an absorber, raises
-    ``NoConvergenceError``.
+    cannot reach an absorber raises ``NoConvergenceError``.
     """
     # probes in [1/2, 1) from the Weyl sequences k / phi and k (sqrt(2) - 1)
     # mod 1: a formula keeps runs byte-identical and numpy.random unloaded,
@@ -459,7 +470,7 @@ def _focal_solve(
         mass = size[starts]
         weights = [mass, mass * u[starts], mass * v[starts]]
         if d == direction:
-            if focal_idx not in starts:
+            if focal_idx not in starts[system.solved]:
                 raise NoConvergenceError(f"{focal} cannot reach any absorber")
             weights.append(starts == focal_idx)
         totals, hops = _row_totals(system, np.array(weights, dtype=float))
@@ -468,23 +479,11 @@ def _focal_solve(
         reconstruction[d] = float(np.max(np.abs(totals[0] - size[sinks]) / size[sinks]))
         sums[d] = (totals[1] @ v[sinks], totals[2] @ u[sinks])
         if d == direction:
-            row = np.clip(totals[3], 0.0, 1.0)
-            targets = tuple(net.countries[i] for i in sinks)
-            mean_hops = float(hops[3])
+            focal_sinks, row, mean_hops = sinks, totals[3:], float(hops[3])
 
     (fwd_uv, fwd_vu), (bwd_uv, bwd_vu) = sums["forward"], sums["backward"]
     probe_abs = float(max(abs(fwd_uv - bwd_vu), abs(fwd_vu - bwd_uv)))
-    matrix = AbsorptionMatrix(
-        direction=direction,
-        starts=(focal,),
-        targets=targets,
-        shares=row[None, :],
-        non_absorbed=np.array([max(1.0 - row.sum(), 0.0)]),
-        method="dense",
-        n_walkers=None,
-        warnings=tuple(warnings),
-        mean_hops=mean_hops,
-    )
+    matrix = _dense(net, direction, [focal_idx], focal_sinks, row, tuple(warnings), mean_hops)
     return matrix, probe_abs, reconstruction
 
 

@@ -191,10 +191,9 @@ def test_exact_rows_stochastic_on_random_networks():
             )
 
 
-def test_exact_identities_on_random_networks():
+def test_exact_identities_on_random_networks(trap):
     rng = np.random.default_rng(29)
-    for _ in range(5):
-        net = random_network(rng, n=25, density=0.35)
+    for net in [trap, *(random_network(rng, n=25, density=0.35) for _ in range(5))]:
         accounts = node_accounts(net)
         fwd = exact_absorption(net, "forward")
         bwd = exact_absorption(net, "backward")
@@ -321,14 +320,40 @@ def test_unreachable_neutral_cycle_is_excluded(net3):
 def test_a_start_unable_to_reach_an_absorber_is_excluded_not_fatal(trap):
     assert trap.delta_s[trap.index["A"]] < 0  # rounding made it a consumer
     result = exact_absorption(trap, "forward")
-    assert result.starts == ("P",)
+    assert result.starts == ("A", "P")
     assert result.share("P", "Q") == 1.0
+    np.testing.assert_array_equal(result.shares[0], 0.0)
+    np.testing.assert_array_equal(result.non_absorbed, [1.0, 0.0])
+    backward = exact_absorption(trap, "backward")
+    assert detailed_balance_check(result, backward, node_accounts(trap)) == 0.0
     assert result.warnings == (
         "excluded 8 node(s) unable to reach an absorber: A, B, C, D, E, F, G, Z",
     )
     _focal_solve(trap, "P", "forward")
     with pytest.raises(NoConvergenceError, match="^A cannot reach any absorber$"):
         _focal_solve(trap, "A", "forward")
+
+
+def test_a_network_whose_every_start_is_trapped_gives_zero_rows(trap):
+    # the trap's cycle beside its mirror image, where rounding makes A' a producer
+    names = trap.countries
+    cycle = [(names[i], names[j], w) for i, j, w in trap.iter_edges() if names[i] != "P"]
+    net = ImbalanceNetwork.from_edges(cycle + [(d + "'", s + "'", w) for s, d, w in cycle])
+    for direction, start in (("forward", "A"), ("backward", "A'")):
+        result = exact_absorption(net, direction)
+        assert result.starts == (start,) and len(result.warnings) == 1
+        np.testing.assert_array_equal(result.shares, [[0.0]])
+        np.testing.assert_array_equal(result.non_absorbed, [1.0])
+
+
+def test_mc_and_exact_agree_on_a_trapped_start(trap):
+    mc = forward_walk_mc(trap, "A", WalkConfig(n_walkers=1000, max_steps=50))
+    exact = exact_absorption(trap, "forward")
+    assert mc.targets == exact.targets
+    for matrix in (mc, exact):
+        row = matrix.starts.index("A")
+        np.testing.assert_array_equal(matrix.shares[row], 0.0)
+        assert matrix.non_absorbed[row] == 1.0
 
 
 def test_step_cap_reports_non_absorbed(net3):
