@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _NAMES = {
     "backbone": (
         "BackboneNetwork", "BackboneStats", "backbone_stats", "backbone_sweep",
-        "connected_components", "edge_significance_value", "extract_backbone",
+        "connected_components", "extract_backbone",
     ),
     "diffusion": (
         "AbsorptionMatrix", "WalkConfig", "backward_walk_mc", "detailed_balance_check",

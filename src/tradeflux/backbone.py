@@ -33,15 +33,6 @@ def _significance(p, k):
     return np.where(k == 1, 1.0, (1.0 - p) ** (k - 1))
 
 
-def edge_significance_value(p: float, k: int) -> float:
-    """Null probability that a degree-k node gives some partner share >= p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"share must lie in [0, 1], got {p}")
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    return float(_significance(np.float64(p), np.int64(k)))
-
-
 def _edge_alphas(net: ImbalanceNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge significance at the source (out-share) and target (in-share)."""
     # at most 1 exactly: a sum of non-negative floats rounds to at least each term
@@ -154,17 +145,13 @@ def backbone_sweep(
     return [(bb, backbone_stats(bb)) for bb in _backbones(net, alphas)]
 
 
-def connected_components(
-    net: ImbalanceNetwork, include_isolated: bool = False
-) -> list[list[int]]:
-    """Weakly connected components, largest first.
+def connected_components(net: ImbalanceNetwork) -> list[list[int]]:
+    """Weakly connected components, largest first, ties by lowest node.
 
-    Nodes without edges are skipped unless ``include_isolated`` is set,
-    in which case they appear as trailing singletons. Each component is
-    one flood, both ways along the edges, from its lowest unseen node.
+    Nodes without edges belong to no component. Each component is one
+    flood, both ways along the edges, from its lowest unseen node.
     """
-    isolated = net.k_in + net.k_out == 0
-    unseen = ~isolated
+    unseen = net.k_in + net.k_out > 0
     comps = []
     while unseen.any():
         seed = np.zeros(net.n_nodes, dtype=bool)
@@ -173,8 +160,6 @@ def connected_components(
         unseen &= ~comp
         comps.append(np.flatnonzero(comp).tolist())
     comps.sort(key=lambda g: (-len(g), g[0]))
-    if include_isolated:
-        comps += [[node] for node in np.flatnonzero(isolated).tolist()]
     return comps
 
 

@@ -89,7 +89,7 @@ def _cmd_build(args) -> int:
                 raw = fh.read()
         try:
             columns = ingest.ColumnMap.from_dict(json.loads(raw))
-        except (json.JSONDecodeError, ConfigurationError) as exc:
+        except (json.JSONDecodeError, RecursionError, ConfigurationError) as exc:
             _err(f"bad --format-map: {exc}")
             return 2
 

@@ -47,6 +47,7 @@ copy, not the start x absorber blocks of both directions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,14 @@ NON_ABSORBED_WARNING = 0.01
 MAX_WALKERS = 2**63 - 1
 
 
+def _integer(name: str, value) -> None:
+    """Raise ``TypeError`` unless ``value`` is an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Monte Carlo parameters; ``max_steps`` caps hops per walker."""
@@ -73,6 +82,8 @@ class WalkConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("n_walkers", "seed", "max_steps"):
+            _integer(name, getattr(self, name))
         if self.n_walkers < 1:
             raise ValueError("n_walkers must be >= 1")
         if self.n_walkers > MAX_WALKERS:
@@ -273,6 +284,7 @@ def rank_partners(
     (zero, with ``direct=False``, when no such edge exists). Partners the
     walk never reaches are omitted; ties break alphabetically.
     """
+    _integer("top", top)
     if top < 1:
         raise ValueError("top must be >= 1")
     if start not in matrix.starts:
@@ -487,6 +499,16 @@ def _focal_solve(
     return matrix, probe_abs, reconstruction
 
 
+def _deltas(accounts: list[NodeAccount], matrix: AbsorptionMatrix) -> dict[str, float]:
+    """Each account's ``delta_s`` by country; every start and target of
+    ``matrix`` must have an account."""
+    delta = {a.country: a.delta_s for a in accounts}
+    missing = (set(matrix.starts) | set(matrix.targets)) - set(delta)
+    if missing:
+        raise ValueError(f"accounts missing for: {', '.join(sorted(missing))}")
+    return delta
+
+
 def detailed_balance_check(
     forward: AbsorptionMatrix,
     backward: AbsorptionMatrix,
@@ -504,10 +526,7 @@ def detailed_balance_check(
         backward.starts
     ):
         raise ValueError("matrices cover different consumer/producer sets")
-    delta = {a.country: a.delta_s for a in accounts}
-    missing = (set(forward.starts) | set(forward.targets)) - set(delta)
-    if missing:
-        raise ValueError(f"accounts missing for: {', '.join(sorted(missing))}")
+    delta = _deltas(accounts, forward)
 
     row_of = {code: i for i, code in enumerate(backward.starts)}
     col_of = {code: i for i, code in enumerate(backward.targets)}
@@ -531,9 +550,10 @@ def imbalance_reconstruction(
     A forward matrix over all net consumers reconstructs every producer's
     surplus as sum_i e[i, j] |delta_i|; a backward matrix over all
     producers reconstructs every consumer's deficit. Partial coverage of
-    the start side would silently underestimate, so it is an error.
+    the start side would silently underestimate, so it is an error, as is
+    a start or target without an account.
     """
-    delta = {a.country: a.delta_s for a in accounts}
+    delta = _deltas(accounts, matrix)
     if matrix.direction == "forward":
         required = {c for c, d in delta.items() if d < 0}
     else:

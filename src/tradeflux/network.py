@@ -148,17 +148,6 @@ class ImbalanceNetwork:
         for i, j, w in zip(self.src, self.dst, self.weight):
             yield int(i), int(j), float(w)
 
-    def out_edges(self, node: int):
-        """Target indices and weights of ``node``'s outgoing edges."""
-        lo, hi = self._out_ptr[node], self._out_ptr[node + 1]
-        return self.dst[lo:hi], self.weight[lo:hi]
-
-    def in_edges(self, node: int):
-        """Source indices and weights of ``node``'s incoming edges."""
-        lo, hi = self._in_ptr[node], self._in_ptr[node + 1]
-        sel = self._in_order[lo:hi]
-        return self.src[sel], self.weight[sel]
-
     def weight_between(self, source: int, target: int) -> float:
         """Edge weight for source->target, or 0.0 when absent."""
         lo, hi = self._out_ptr[source], self._out_ptr[source + 1]

@@ -115,7 +115,8 @@ def reference_walk(net: ImbalanceNetwork, start: int, n_walkers: int, seed: int)
     for _ in range(n_walkers):
         cur = start
         while True:
-            targets, weights = net.out_edges(cur)
+            out = net.src == cur
+            targets, weights = net.dst[out], net.weight[out]
             cum = np.cumsum(weights) / weights.sum()
             pick = min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
             cur = int(targets[pick])
@@ -157,13 +158,14 @@ def csgraph_reaches(work: ImbalanceNetwork, seed_mask: np.ndarray) -> np.ndarray
     return reach[:n]
 
 
-def weak_components(n: int, edges, include_isolated: bool) -> list[list[int]]:
-    """Weakly connected components by repeated flooding, largest first."""
+def weak_components(n: int, edges) -> list[list[int]]:
+    """Weakly connected components by repeated flooding, largest first;
+    nodes without edges belong to none."""
     neighbours = {v: set() for v in range(n)}
     for i, j in edges:
         neighbours[i].add(j)
         neighbours[j].add(i)
-    unseen = {v for v in range(n) if neighbours[v] or include_isolated}
+    unseen = {v for v in range(n) if neighbours[v]}
     comps = []
     while unseen:
         frontier = {min(unseen)}
@@ -437,7 +439,7 @@ def pernode_disparity_points(net: ImbalanceNetwork, direction: str) -> list:
         k = int(degrees[i])
         if k == 0:
             continue
-        _, weights = net.in_edges(i) if direction == "in" else net.out_edges(i)
+        weights = net.weight[(net.dst if direction == "in" else net.src) == i]
         p = weights / weights.sum()
         mean, var = null_model_moments(k)
         points.append(

@@ -4,12 +4,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import random_network, weak_components
+from helpers import quadrature_significance, random_network, weak_components
 from tradeflux.backbone import (
+    _edge_alphas,
+    _significance,
     backbone_stats,
     backbone_sweep,
     connected_components,
-    edge_significance_value,
     extract_backbone,
     write_backbone_graphml,
     write_backbone_tsv,
@@ -28,16 +29,9 @@ def edge_set(backbone):
 
 
 def test_significance_closed_form_values():
-    assert edge_significance_value(2.0 / 3.0, 2) == pytest.approx(1.0 / 3.0)
-    assert edge_significance_value(0.0, 5) == 1.0
-    assert edge_significance_value(1.0, 5) == 0.0
-    assert edge_significance_value(0.9, 1) == 1.0  # degree-1 convention
-    with pytest.raises(ValueError, match="share"):
-        edge_significance_value(1.5, 3)
-    with pytest.raises(ValueError, match="share"):
-        edge_significance_value(-0.1, 3)
-    with pytest.raises(ValueError, match="degree"):
-        edge_significance_value(0.5, 0)
+    p = np.array([2.0 / 3.0, 0.0, 1.0, 0.9])
+    k = np.array([2, 5, 5, 1])  # the last is the degree-1 convention
+    np.testing.assert_allclose(_significance(p, k), [1.0 / 3.0, 1.0, 0.0, 1.0])
 
 
 def test_either_endpoint_keeps_the_edge(net3):
@@ -81,15 +75,14 @@ def test_nesting_over_random_networks():
 
 
 def test_edge_scores_match_scalar_function(net3):
-    bb = extract_backbone(net3, 1.0)
-    for e, a_s, a_t in zip(bb.edge_index, bb.alpha_at_source, bb.alpha_at_target):
-        i, j, w = net3.src[e], net3.dst[e], net3.weight[e]
-        assert a_s == pytest.approx(
-            edge_significance_value(w / net3.s_out[i], int(net3.k_out[i]))
-        )
-        assert a_t == pytest.approx(
-            edge_significance_value(w / net3.s_in[j], int(net3.k_in[j]))
-        )
+    def oracle(p, k):  # the null's tail mass by quadrature; 1 at degree 1
+        return 1.0 if k == 1 else quadrature_significance(p, k)
+
+    for net in (net3, random_network(np.random.default_rng(83), n=30, density=0.3)):
+        a_src, a_dst = _edge_alphas(net)
+        for e, (i, j, w) in enumerate(zip(net.src, net.dst, net.weight)):
+            assert abs(a_src[e] - oracle(w / net.s_out[i], int(net.k_out[i]))) <= 1e-10
+            assert abs(a_dst[e] - oracle(w / net.s_in[j], int(net.k_in[j]))) <= 1e-10
 
 
 def test_stats_percentages_by_hand(net3):
@@ -145,9 +138,7 @@ def test_connected_components_sizes():
     )
     comps = connected_components(net)
     names = [sorted(net.countries[i] for i in comp) for comp in comps]
-    assert names == [["A", "B", "C"], ["X", "Y"]]
-    with_isolated = connected_components(net, include_isolated=True)
-    assert [len(c) for c in with_isolated] == [3, 2, 1]
+    assert names == [["A", "B", "C"], ["X", "Y"]]  # LONER has no edge
 
 
 def test_backbone_tsv_lists_scores(net3):
@@ -224,9 +215,6 @@ def test_connected_components_match_flooding():
     codes, link = [f"N{i:03d}" for i in range(504)], np.arange(499)
     nets.append(ImbalanceNetwork(codes, [*link, 502], [*(link + 1), 503], np.ones(500)))
     nets.append(ImbalanceNetwork(codes, [*(link + 1), 503], [*link, 500], np.ones(500)))
-    for include_isolated in (False, True):
-        for net in nets:
-            edges = list(zip(net.src.tolist(), net.dst.tolist()))
-            assert connected_components(net, include_isolated) == weak_components(
-                net.n_nodes, edges, include_isolated
-            )
+    for net in nets:
+        edges = list(zip(net.src.tolist(), net.dst.tolist()))
+        assert connected_components(net) == weak_components(net.n_nodes, edges)

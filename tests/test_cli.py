@@ -181,11 +181,13 @@ def test_build_format_map_inline_and_file(tmp_path):
 
 @pytest.mark.parametrize("mapping", [
     '{"bogus": "x"}', '{"year": 5}', '{"year": null}', '{"reporter": ["a"]}', '["year"]',
-], ids=["unknown-key", "number", "null", "array-value", "array"])
+    '{"year": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["unknown-key", "number", "null", "array-value", "array", "too-deep"])
 def test_build_bad_format_map_is_usage_error(tmp_path, capsys, mapping):
     src = tmp_path / "records.csv"
     src.write_text(TWO_COUNTRY)
-    if not mapping.startswith("{"):  # only an object is taken inline
+    # only an object is taken inline, and Linux caps one argument at 128 KiB
+    if not mapping.startswith("{") or len(mapping) > 2**17:
         (tmp_path / "map.json").write_text(mapping)
         mapping = str(tmp_path / "map.json")
     code = main(["build", str(src), "--year", "2000",
@@ -633,7 +635,7 @@ EXPORTED = (
     "ValidationReport WalkConfig backbone backbone_stats backbone_sweep "
     "backward_walk_mc build_imbalance_network connected_components "
     "detailed_balance_check diffusion disparity disparity_points disparity_profile "
-    "edge_significance_value errors exact_absorption extract_backbone "
+    "errors exact_absorption extract_backbone "
     "fit_scaling_exponent forward_walk_mc imbalance_reconstruction ingest network "
     "node_accounts null_model_moments null_model_sample null_model_shares "
     "parse_dyadic_records rank_partners read_edge_list reconcile_flows total_flux "

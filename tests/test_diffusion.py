@@ -90,6 +90,19 @@ def test_walk_config_validation():
     assert WalkConfig(n_walkers=2**63 - 1).n_walkers == 2**63 - 1
 
 
+def test_walk_counts_must_be_integers(net3):
+    # 2.5 walkers once moved 2 and divided by 2.5, so shares summed to 0.8
+    for field, value in (("n_walkers", 2.5), ("max_steps", 1e3), ("seed", 0.5)):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got"):
+            WalkConfig(**{field: value})
+    config = WalkConfig(n_walkers=np.int64(10), seed=np.uint8(1), max_steps=np.int32(50))
+    assert forward_walk_mc(net3, "S", config).shares.sum() == pytest.approx(1.0)
+    matrix = exact_absorption(net3, "forward")
+    with pytest.raises(TypeError, match="^top must be an integer, got 2.5"):
+        rank_partners(net3, matrix, "S", top=2.5)
+    assert len(rank_partners(net3, matrix, "S", top=np.int64(1))) == 1
+
+
 def test_mc_determinism(net3):
     config = WalkConfig(n_walkers=50_000, seed=123)
     a = forward_walk_mc(net3, "S", config)
@@ -426,7 +439,9 @@ def test_hop_table_reproduces_hop_shares(rows):
         assert share.shape == target.shape == (net.n_nodes, k_out.max())
         for v in range(net.n_nodes):
             k = k_out[v]
-            dst, weight = net.out_edges(v) if forward else net.in_edges(v)
+            # the walk's edges out of v: canonical order forward, by source backward
+            out = (net.src if forward else net.dst) == v
+            dst, weight = (net.dst if forward else net.src)[out], net.weight[out]
             padding = share.shape[1] - k
             assert np.all(share[v, :padding] == 0.0)
             np.testing.assert_allclose(share[v, padding:], weight / s_out[v], rtol=0, atol=1e-12)
@@ -516,6 +531,17 @@ def test_reconstruction_requires_full_coverage():
     partial = forward_walk_mc(net, "S1", WalkConfig(n_walkers=100, seed=0))
     with pytest.raises(ValueError, match="missing: S2"):
         imbalance_reconstruction(partial, accounts)
+
+
+def test_reconstruction_names_missing_accounts(net3):
+    # once a bare KeyError('S'); detailed_balance_check words it the same way
+    fwd, bwd = exact_absorption(net3, "forward"), exact_absorption(net3, "backward")
+    accounts = [a for a in node_accounts(net3) if a.country != "S"]
+    for check in (lambda: imbalance_reconstruction(fwd, accounts),
+                  lambda: imbalance_reconstruction(bwd, accounts),
+                  lambda: detailed_balance_check(fwd, bwd, accounts)):
+        with pytest.raises(ValueError, match="^accounts missing for: S$"):
+            check()
 
 
 def test_rank_partners_ordering_and_direct_flags(net3):

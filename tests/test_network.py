@@ -153,12 +153,6 @@ def test_isolated_countries_keep_zero_accounts():
 def test_adjacency_views(net3):
     s = net3.index["S"]
     b = net3.index["B"]
-    targets, weights = net3.out_edges(s)
-    assert sorted(net3.countries[t] for t in targets) == ["A", "B"]
-    assert weights.sum() == 3.0
-    sources, weights = net3.in_edges(b)
-    assert sorted(net3.countries[u] for u in sources) == ["A", "S"]
-    assert weights.sum() == 2.0
     assert net3.weight_between(s, b) == 1.0
     assert net3.weight_between(b, s) == 0.0
 
