@@ -263,6 +263,7 @@ def _cmd_dollar(args) -> int:
         p = matrix.shares[0]
         se = np.sqrt(p * (1 - p) / config.n_walkers)
         diagnostics["max_share_se"] = float(se.max())
+        diagnostics["mean_hops_se"] = matrix.mean_hops_se
     for warning in matrix.warnings:
         _err(f"warning: {warning}")
     diagnostics["warnings"] = list(matrix.warnings)

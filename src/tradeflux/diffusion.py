@@ -24,7 +24,9 @@ moved one hop at a time: an exact rewrite, not an approximation, and one
 that never consults the exact solve. The walk holds one int64 count per
 node and an n x k_max hop table (k_max the largest out-degree), within
 the n x n matrix the exact solve allocates, and its memory and time per
-step do not grow with the walker count.
+step do not grow with the walker count. Each table row lists its node's
+edges heaviest first, so a step pays only for the prefix of each occupied
+row that its draw reaches before the row's walkers run out.
 
 In exact arithmetic no walker is ever trapped: any set of nodes closed under
 outgoing edges has non-negative total imbalance, so once it holds a net
@@ -47,12 +49,13 @@ copy, not the start x absorber blocks of both directions.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _append, blocks, write_text
+from ._io import _BLOCK, _append, blocks, write_text
 from .errors import NoConvergenceError
 from .network import ImbalanceNetwork, NodeAccount
 
@@ -104,7 +107,8 @@ class AbsorptionMatrix:
     ``monte-carlo`` or ``dense`` (the exact solve). ``mean_hops`` is the
     expected number of hops from the one start: the simulated walkers'
     average, or exact from the focal solve of ``dollar --exact``;
-    ``exact_absorption`` leaves it ``None``.
+    ``exact_absorption`` leaves it ``None``. ``mean_hops_se`` is the
+    simulated average's standard error, ``None`` for an exact matrix.
     """
 
     direction: str
@@ -116,6 +120,7 @@ class AbsorptionMatrix:
     n_walkers: int | None
     warnings: tuple[str, ...]
     mean_hops: float | None = None
+    mean_hops_se: float | None = None
 
     def share(self, start: str, target: str) -> float:
         return float(
@@ -151,33 +156,52 @@ def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
 def _hop_table(ptr: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     """Every node's hop shares ``w / s_out`` and edge targets, one row per node.
 
-    Both arrays are n x k_max, in the order of the walk ``ptr, edges`` of
-    ``_walk``, with each row right-aligned after zero padding: a node's last
-    column is always its last real edge, so the remainder a multinomial draw
-    leaves on the last column falls on a real edge. Rows of nodes without
-    outgoing edges are all padding.
+    Both arrays are n x k_max. Each row holds the node's edges of the walk
+    ``ptr, edges`` of ``_walk``, heaviest first, ties in the walk's order,
+    then zero padding. A multinomial draw fills its columns in order and
+    stops once the row's walkers are placed, so heavy edges first make that
+    prefix short. The draw leaves its rounding remainder on the last
+    column, so a row's last column, padding in a short row, targets the
+    row's last real edge. Rows of nodes without outgoing edges are all
+    padding.
     """
-    shape = (ptr.size - 1, int(np.diff(ptr).max(initial=0)))
+    degree = np.diff(ptr)
+    shape = (degree.size, int(degree.max(initial=0)))
     tail, head, hop = edges()
-    # edge e of node v lies ptr[v + 1] - e columns from the row's end
-    column = np.arange(tail.size) + (shape[1] - ptr[1:])[tail]
+    column = np.arange(tail.size) - ptr[tail]
     share = np.zeros(shape)
     target = np.zeros(shape, dtype=np.int64)
     share[tail, column] = hop
     target[tail, column] = head
+    # the sort runs on blocks of rows of about _BLOCK entries, once the edge
+    # arrays are gone, so its temporaries add nothing to the walk's peak memory
+    del tail, head, hop, column
+    step = _BLOCK // max(shape[1], 1) + 1
+    for top in range(0, shape[0], step):
+        rows = slice(top, top + step)
+        order = np.argsort(-share[rows], axis=1, kind="stable")
+        share[rows] = np.take_along_axis(share[rows], order, axis=1)
+        target[rows] = np.take_along_axis(target[rows], order, axis=1)
+    rows = np.flatnonzero(degree)
+    target[rows, -1] = target[rows, degree[rows] - 1]
     return share, target
 
 
 def _mc_run(
     ptr: np.ndarray, absorb_p: np.ndarray, edges, start: int, config: WalkConfig
-) -> tuple[np.ndarray, float, int]:
-    """Absorption counts per node, the fraction never absorbed, and the hops taken.
+) -> tuple[np.ndarray, float, int, int]:
+    """Absorption counts per node, the fraction never absorbed, and the sums of
+    the walkers' hop counts and of their squares.
 
     The walk keeps one count of walkers per node, not one position per
     walker. Each step, one multinomial draw splits every occupied node's
     walkers over its out-edges, and one binomial draw per node absorbs
     some of the walkers that arrived there. A step costs as much as the
-    occupied nodes' rows of the hop table, whatever ``n_walkers`` is.
+    drawn prefix of each occupied node's row of the hop table, up to the
+    column where the row's walkers run out, whatever ``n_walkers`` is.
+    A walker absorbed in step t took t hops, one still moving at the cap
+    ``max_steps``; each step adds 1 to a moving walker's hops and 2t - 1
+    to their square.
     """
     rng = np.random.default_rng(config.seed)
     share, target = _hop_table(ptr, edges)
@@ -185,11 +209,13 @@ def _mc_run(
     counts = np.zeros(ptr.size - 1, dtype=np.int64)
     at = np.zeros_like(counts)
     at[start] = config.n_walkers
-    hops = 0  # a Python int: the total over all steps may pass the int64 range
-    for _ in range(config.max_steps):
+    # Python ints: the totals over all steps may pass the int64 range
+    hops = squares = 0
+    for step in range(1, config.max_steps + 1):
         if not (moving := int(at.sum())):
             break
         hops += moving
+        squares += moving * (2 * step - 1)
         live = np.flatnonzero(at)
         moved = rng.multinomial(at[live], share[live])
         arrived = np.zeros_like(counts)
@@ -197,7 +223,7 @@ def _mc_run(
         absorbed = rng.binomial(arrived, absorb_p)
         counts += absorbed
         at = arrived - absorbed
-    return counts, int(at.sum()) / config.n_walkers, hops
+    return counts, int(at.sum()) / config.n_walkers, hops, squares
 
 
 def _start(net: ImbalanceNetwork, start, direction: str) -> int:
@@ -227,7 +253,8 @@ def _mc_matrix(
 ) -> AbsorptionMatrix:
     start = _start(net, start, direction)
     ptr, delta_s, absorb_p, edges = _walk(net, direction)
-    counts, lost, hops = _mc_run(ptr, absorb_p, edges, start, config)
+    counts, lost, hops, squares = _mc_run(ptr, absorb_p, edges, start, config)
+    n = int(config.n_walkers)  # a Python int, as hops and squares: n**3 passes int64
     sinks = np.flatnonzero(delta_s > 0)
     code = net.countries[start]
     warnings = ()
@@ -240,12 +267,15 @@ def _mc_matrix(
         direction=direction,
         starts=(code,),
         targets=tuple(net.countries[i] for i in sinks),
-        shares=counts[sinks][None, :] / config.n_walkers,
+        shares=counts[sinks][None, :] / n,
         non_absorbed=np.array([lost]),
         method="monte-carlo",
-        n_walkers=config.n_walkers,
+        n_walkers=n,
         warnings=warnings,
-        mean_hops=hops / config.n_walkers,
+        mean_hops=hops / n,
+        # sqrt(variance / n) with the plug-in variance squares / n - mean**2,
+        # as the shares' p (1 - p); exact in integers up to the one division
+        mean_hops_se=math.sqrt((n * squares - hops * hops) / n**3),
     )
 
 

@@ -1,5 +1,6 @@
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,20 +392,47 @@ class _LastColumnRng:
 
 
 def test_mc_last_column_is_a_real_edge(monkeypatch):
-    # S and A have fewer out-edges (forward, backward) than the widest
-    # node C, and the padding's target, node 0, is never their real target
-    net = ImbalanceNetwork.from_edges(
-        [("S", "Z", 3.0), ("C", "A", 1.0), ("C", "B", 1.0), ("C", "Z", 1.0)]
-    )
+    # S, T (forward) and A, Y (backward) have fewer edges than the widest
+    # nodes C and Z, and the padding's target, node 0, is never their real
+    # target; T's and Y's lighter edge, their last real one, comes first in
+    # walk order, so it is last only once the heavier edge is moved first
+    net = ImbalanceNetwork.from_edges([
+        ("S", "Z", 3.0), ("C", "A", 1.0), ("C", "B", 1.0), ("C", "Z", 1.0),
+        ("T", "Y", 1.0), ("T", "Z", 2.0), ("U", "Y", 3.0),
+    ])
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _LastColumnRng())
     config = WalkConfig(n_walkers=8, max_steps=4)
     for result, landed in (
         (forward_walk_mc(net, "S", config), "Z"),
+        (forward_walk_mc(net, "T", config), "Y"),
         (backward_walk_mc(net, "A", config), "C"),
+        (backward_walk_mc(net, "Y", config), "T"),
     ):
         assert result.share(result.starts[0], landed) == 1.0
         assert result.shares.sum() + result.non_absorbed[0] == 1.0
         assert result.mean_hops == 1.0
+        assert result.mean_hops_se == 0.0
+
+
+def test_mc_mean_hops_within_three_se_of_exact(net3):
+    # S's walkers take 1 or 2 hops forward, and so do B's backward; a numpy
+    # walker count whose cube passes the int64 range
+    config = WalkConfig(n_walkers=np.int64(3_000_000), seed=11)
+    for start, direction in (("S", "forward"), ("B", "backward")):
+        mc = diffusion._mc_matrix(net3, start, direction, config)
+        exact = _focal_solve(net3, start, direction)[0]
+        assert exact.mean_hops_se is None and mc.mean_hops_se > 0.0
+        # hops are 1 or 2 with probability 2/3 and 1/3 forward, 1/2 each backward
+        variance = 2.0 / 9.0 if direction == "forward" else 0.25
+        assert mc.mean_hops_se == pytest.approx(np.sqrt(variance / config.n_walkers), rel=0.02)
+        assert abs(mc.mean_hops - exact.mean_hops) <= 3 * mc.mean_hops_se
+
+
+def test_mc_mean_hops_se_counts_walkers_stopped_at_the_cap(net3):
+    # after one hop every walker has taken one; those at A take a second
+    # only with a second step
+    result = forward_walk_mc(net3, "S", WalkConfig(n_walkers=30_000, seed=3, max_steps=1))
+    assert (result.mean_hops, result.mean_hops_se) == (1.0, 0.0)
 
 
 def test_mc_billion_walkers_close_to_exact(net3):
@@ -437,17 +465,23 @@ def test_hop_table_reproduces_hop_shares(rows):
         ptr, _, _, edges = _walk(net, direction)
         share, target = _hop_table(ptr, edges)
         assert share.shape == target.shape == (net.n_nodes, k_out.max())
+        with mock.patch.object(diffusion, "_BLOCK", 1):  # a block per row
+            for whole, blocked in zip((share, target), _hop_table(ptr, edges)):
+                np.testing.assert_array_equal(blocked, whole)
         for v in range(net.n_nodes):
             k = k_out[v]
             # the walk's edges out of v: canonical order forward, by source backward
             out = (net.src if forward else net.dst) == v
-            dst, weight = (net.dst if forward else net.src)[out], net.weight[out]
-            padding = share.shape[1] - k
-            assert np.all(share[v, :padding] == 0.0)
-            np.testing.assert_allclose(share[v, padding:], weight / s_out[v], rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(target[v, padding:], dst)
+            dst, hop = (net.dst if forward else net.src)[out], net.weight[out] / s_out[v]
+            # heaviest first, ties in walk order: a sort by falling share
+            order = sorted(range(k), key=lambda e: (-hop[e], e))
+            np.testing.assert_allclose(share[v, :k], hop[order], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(target[v, :k], dst[order])
+            assert np.all(np.diff(share[v, :k]) <= 0.0)
+            # then the padding, whose last column targets the last real edge
+            assert np.all(share[v, k:] == 0.0)
             if k > 0:
-                assert share[v, -1] > 0.0
+                assert target[v, -1] == target[v, k - 1]
                 # numpy accepts the row: the shares before the last sum to at most 1
                 np.random.default_rng(0).multinomial(10**6, share[v])
 
@@ -512,6 +546,25 @@ def test_every_source_agrees_with_exact_small():
             se = np.sqrt(p * (1 - p) / n)
             outside = np.abs(mc.shares[0] - p) > 3 * se
             assert outside.mean() <= 0.01 or outside.sum() <= 1
+
+
+def test_mc_agrees_with_exact_on_weights_spanning_twelve_decades():
+    # hop shares from 1e-12 to near 1 in one row, where edge order matters
+    rng = np.random.default_rng(71)
+    codes = [f"N{i:02d}" for i in range(15)]
+    edges = [(codes[i], codes[j], 10.0 ** rng.uniform(-6.0, 6.0))
+             for i in range(15) for j in range(i + 1, 15) if rng.random() < 0.5]
+    net = ImbalanceNetwork.from_edges([(d, s, w) if rng.random() < 0.5 else (s, d, w)
+                                       for s, d, w in edges])
+    n, outside = 100_000, []
+    for direction in DIRECTIONS:
+        exact = exact_absorption(net, direction)
+        for row, start in enumerate(exact.starts):
+            mc = diffusion._mc_matrix(net, start, direction, WalkConfig(n_walkers=n, seed=row))
+            p = exact.shares[row]
+            outside.extend(np.abs(mc.shares[0] - p) > 3 * np.sqrt(p * (1 - p) / n))
+    assert len(outside) >= 50
+    assert np.mean(outside) <= 0.01
 
 
 def test_detailed_balance_input_validation(net3):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tradeflux.cli import main
-from tradeflux.diffusion import exact_absorption
+from tradeflux.diffusion import _focal_solve, exact_absorption
 from tradeflux.network import read_edge_list
 
 N_COUNTRIES = 40
@@ -51,13 +51,13 @@ GOLDEN = {
     "disparity/scaling_fit.json":
         "7ef310501d0de7123eaf52612f1f8e57b70dd6dc045d92ef077056e5a58bb9a7",
     "dollar_backward/dollar_diagnostics.json":
-        "5d3910c16d942bcc9d20e08eeeea29dc485f2dc488e15bea8e7f05dd3d76a442",
+        "b8355da5c179a7b9aeb75d3aff98b1d14bd33102011fb5612e9d914202ef1c57",
     "dollar_backward/ranking_C26_backward.csv":
-        "8e5a743cb43777b448ec182fe98abeb6216f2df8a4415fd2c472853b9dcc1431",
+        "141babbbd5f90cc656654c6891e8cde1d3605e4c1a3f581b39361760e30d584f",
     "dollar_forward/dollar_diagnostics.json":
-        "dda382cdab72c1e8e671a5ef7a98906e67970681bfbee3f4671295ea2b15977a",
+        "8d3bb53767fdceae746923ba2249f6ec4ec98d1b55cc39055e821a3693379e8c",
     "dollar_forward/ranking_C23_forward.csv":
-        "da64c15b870ff5e419ac3d8c974a737a2505cd2c3b30dbd0591c441d9e988db5",
+        "3668bc6ec808eded49b4aeef771a4aaeb4cb3c33d0c4cc38e29008a84684b5a1",
     "export_graphml/network.graphml":
         "726531b28ef3d077664c063a53f824fd5c50caea734e56a959966808a1f047a7",
     "export_tsv/network.tsv":
@@ -200,3 +200,15 @@ def test_mc_rankings_agree_with_exact(pipeline, step, focal, direction):
     share = np.array([float(row[2]) / 100.0 for row in rows])
     se = np.sqrt(p * (1 - p) / MC_WALKERS)
     assert (np.abs(share - p) > 3 * se).sum() <= 1
+
+
+@pytest.mark.parametrize("step, focal, direction", [
+    ("dollar_forward", FOCAL_CONSUMER, "forward"),
+    ("dollar_backward", FOCAL_PRODUCER, "backward"),
+])
+def test_mc_mean_hops_within_three_se_of_exact(pipeline, step, focal, direction):
+    net = read_edge_list(pipeline / "build" / "network.tsv")
+    exact = _focal_solve(net, focal, direction)[0].mean_hops
+    diag = json.loads((pipeline / step / "dollar_diagnostics.json").read_text())
+    assert diag["mean_hops_se"] > 0.0
+    assert abs(diag["mean_hops"] - exact) <= 3 * diag["mean_hops_se"]
