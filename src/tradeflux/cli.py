@@ -249,6 +249,7 @@ def _cmd_dollar(args) -> int:
         diagnostics["detailed_balance_rel_flux"] = probe / nw.total_flux(net)
         for label, err in reconstruction.items():
             diagnostics[f"reconstruction_rel_err_{label}"] = err
+        diagnostics["non_absorbed"] = float(matrix.non_absorbed[0])
         diagnostics["mean_hops"] = matrix.mean_hops
     else:
         config = dif.WalkConfig(

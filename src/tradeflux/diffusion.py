@@ -37,14 +37,15 @@ absorber. The exact solve excludes such nodes and names them in a warning.
 as the Monte Carlo walker does; ``dollar --exact`` refuses such a focal
 start. Dead-end nodes (no outgoing edges) are always full absorbers.
 
-Every exact share comes from one transposed solve, ``_row_totals``, with B
-formed after it. ``exact_absorption`` weights it with the identity, for
-every start at once; ``detailed_balance_check`` and
-``imbalance_reconstruction`` check a pair of such full solutions.
-``dollar --exact`` reports one start, so it weights the solve with that
-start's unit vector and a few rows that rebuild every imbalance and probe
-detailed balance (``_focal_solve``): memory one m x m matrix and its LAPACK
-copy, not the start x absorber blocks of both directions.
+Every exact share comes from one transposed solve, ``_row_totals``, a block
+elimination in A's own storage that then writes B there too.
+``exact_absorption`` weights it with the identity, for every start at once;
+``detailed_balance_check`` and ``imbalance_reconstruction`` check a pair of
+such full solutions. ``dollar --exact`` reports one start, so it weights the
+solve with that start's unit vector and a few rows that rebuild every
+imbalance and probe detailed balance (``_focal_solve``): memory one m x m
+matrix and a few blocks of its rows, not the start x absorber blocks of
+both directions.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ NON_ABSORBED_WARNING = 0.01
 
 #: Largest walker count: the walk holds per-node counts as int64.
 MAX_WALKERS = 2**63 - 1
+
+#: Unknowns per block of the exact solve: LAPACK sees one diagonal block at a
+#: time, and every temporary of the elimination is a few blocks of rows.
+_SOLVE_BLOCK = 128
 
 
 def _integer(name: str, value) -> None:
@@ -103,7 +108,9 @@ class AbsorptionMatrix:
 
     ``shares[i, j]`` is the probability that a walker launched at
     ``starts[i]`` is absorbed at ``targets[j]``; rows sum to one minus
-    ``non_absorbed[i]``. ``method`` records how the numbers were produced:
+    ``non_absorbed[i]``, up to the rounding that an exact matrix clips from
+    its shares and reports in ``non_absorbed``, which may read a few ulps
+    below zero. ``method`` records how the numbers were produced:
     ``monte-carlo`` or ``dense`` (the exact solve). ``mean_hops`` is the
     expected number of hops from the one start: the simulated walkers'
     average, or exact from the focal solve of ``dollar --exact``;
@@ -366,7 +373,7 @@ def write_ranking_csv(rows: list[PartnerRank], stream) -> None:
     ))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _System:
     """One direction's hitting system ``A F = B``: A dense, B as edge entries.
 
@@ -374,14 +381,16 @@ class _System:
     holds the ``(row, column, value)`` entries of B, which has one column
     per absorber in ``sinks``. ``starts`` holds every start of the walk, and
     row ``start_rows[i]`` of ``F = A^-1 B`` the shares of the i-th start
-    marked in ``solved``, those that can reach an absorber.
+    marked in ``solved``, those that can reach an absorber. A is the solve's
+    only m x m storage: ``_row_totals`` takes it, overwrites it with its
+    factors and then B, and leaves ``a`` ``None``, so a system is solved once.
     """
 
     starts: np.ndarray
     sinks: np.ndarray
     solved: np.ndarray
     start_rows: np.ndarray
-    a: np.ndarray
+    a: np.ndarray | None
     b: tuple[np.ndarray, np.ndarray, np.ndarray]
     warnings: tuple[str, ...]
 
@@ -428,14 +437,14 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
 def _dense(net: ImbalanceNetwork, direction: str, starts, sinks, f: np.ndarray,
            warnings: tuple[str, ...], mean_hops: float | None = None) -> AbsorptionMatrix:
     """The exact shares ``f`` of ``starts`` at ``sinks``, clipped to [0, 1], as
-    an ``AbsorptionMatrix`` whose ``non_absorbed`` is what each row leaves."""
-    shares = np.clip(f, 0.0, 1.0)
+    an ``AbsorptionMatrix`` whose ``non_absorbed`` is what each row of ``f``
+    leaves before clipping, where rounding may show as a few ulps below zero."""
     return AbsorptionMatrix(
         direction=direction,
         starts=tuple(net.countries[i] for i in starts),
         targets=tuple(net.countries[i] for i in sinks),
-        shares=shares,
-        non_absorbed=np.maximum(1.0 - shares.sum(axis=1), 0.0),
+        shares=np.clip(f, 0.0, 1.0),
+        non_absorbed=1.0 - f.sum(axis=1),
         method="dense",
         n_walkers=None,
         warnings=warnings,
@@ -464,16 +473,44 @@ def _row_totals(system: _System, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     number of visits a walker from ``i`` pays to ``v`` before absorption,
     each followed by one hop, so ``N 1`` is every node's expected hop count.
     Starts that reach no absorber (zero rows of F, infinite hops) are left out.
-    One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``. B is
-    formed after the solve, when LAPACK's copy of A, at least as large, is freed.
+    One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``.
+
+    The solve is a block elimination in A's own storage, ``_SOLVE_BLOCK``
+    unknowns at a time: LAPACK solves each diagonal block for the block's
+    row of ``A^T`` and the carried weights, GEMMs on ``_SOLVE_BLOCK`` rows at
+    a time update the trailing matrix and weights, and a block
+    back-substitution follows. ``A^T`` is column diagonally dominant (Q >= 0,
+    zero diagonal, row sums <= 1), so this is the order partial pivoting
+    picks, and A, a nonsingular M-matrix, has no singular diagonal block. B,
+    m x sinks with sinks within the reach set, is then written into A's
+    consumed storage. The system hands its A over: solving it again raises
+    ``RuntimeError``.
     """
-    rhs = np.zeros((system.a.shape[0], len(weights)))
-    rhs[system.start_rows] = np.transpose(weights)[system.solved]
-    try:
-        y = np.linalg.solve(system.a.T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
-    b = np.zeros((system.a.shape[0], system.sinks.size))
+    a, system.a = system.a, None
+    if a is None:
+        raise RuntimeError("this system was already solved; build it again")
+    m, step = a.shape[0], _SOLVE_BLOCK
+    y = np.zeros((m, len(weights)))
+    y[system.start_rows] = np.transpose(weights)[system.solved]
+    # with M = A^T, held transposed in a, block k takes X = M_kk^-1 [M_kt | Y_k],
+    # then M_tt -= M_tk X and Y_t -= M_tk Y_k
+    for top in range(0, m, step):
+        end = min(top + step, m)
+        k, t = slice(top, end), slice(end, m)
+        try:
+            x = np.linalg.solve(a[k, k].T, np.concatenate((a[t, k].T, y[k]), axis=1))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
+        x, y[k] = np.split(x, [m - end], axis=1)
+        y[t] -= a[k, t].T @ y[k]
+        for row in range(end, m, step):
+            a[row : row + step, t] -= x[:, row - end : row - end + step].T @ a[k, t]
+        a[k, t] = x  # the block's row of the factors, for the back-substitution
+    for top in reversed(range(0, m, step)):
+        k, t = slice(top, top + step), slice(top + step, m)
+        y[k] -= a[k, t] @ y[t]
+    b = a.reshape(-1)[: m * system.sinks.size].reshape(m, system.sinks.size)
+    b[:] = 0.0
     rows, cols, vals = system.b
     b[rows, cols] = vals  # one edge per (node, absorber) pair
     return y.T @ b, y.sum(axis=0)
@@ -517,7 +554,7 @@ def _focal_solve(
             weights.append(starts == focal_idx)
         totals, hops = _row_totals(system, np.array(weights, dtype=float))
         warnings.update(dict.fromkeys(system.warnings))
-        del system  # free this direction's A before the next is built
+        del system  # free this direction's B entries before the next A is built
         reconstruction[d] = float(np.max(np.abs(totals[0] - size[sinks]) / size[sinks]))
         sums[d] = (totals[1] @ v[sinks], totals[2] @ u[sinks])
         if d == direction:

@@ -7,8 +7,9 @@ against a one-walker-at-a-time Python loop, the streamed GraphML writer
 against an ElementTree build of the same document, the vectorised
 reconciliation against a dict loop over the claims, the columnar
 readers against the row-at-a-time readers they replaced, the
-per-degree-class concentration kernel against a per-node loop, and the
-numpy reachability search against the scipy ``csgraph`` one it replaced.
+per-degree-class concentration kernel against a per-node loop, the
+numpy reachability search against the scipy ``csgraph`` one it replaced,
+and the blocked exact solve against a dense matrix inverse.
 """
 
 import csv
@@ -50,6 +51,58 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def dense_fundamental(net: ImbalanceNetwork, direction: str):
+    """``N = (I - Q)^-1`` and ``B = P diag(a)``, formed densely over every node
+    of ``net`` (reversed for the backward walk) by matrix inversion."""
+    work = net if direction == "forward" else net.reverse()
+    hop = np.zeros((work.n_nodes, work.n_nodes))
+    hop[work.src, work.dst] = work.weight / work.s_out[work.src]
+    absorb = np.where(work.delta_s > 0, work.delta_s / np.maximum(work.s_in, 1e-300), 0.0)
+    q = hop * (1.0 - absorb)[None, :]
+    return np.linalg.inv(np.eye(work.n_nodes) - q), hop * absorb[None, :]
+
+
+def check_block_solve(net: ImbalanceNetwork, block: int) -> None:
+    """Solve ``net``'s exact systems ``block`` unknowns at a time and check them
+    against ``dense_fundamental`` at 1e-12, in both directions: every start's
+    shares and hops (identity weights), and ``_focal_solve``'s shares, hops
+    and reconstruction for the largest start. No ``np.linalg.solve`` call may
+    get a matrix wider than one block; tracemalloc cannot see LAPACK's own
+    copy of its matrix, so only a count of what LAPACK is given bounds it."""
+    from unittest import mock
+
+    from tradeflux import diffusion
+    from tradeflux.network import total_flux
+
+    with mock.patch.object(diffusion, "_SOLVE_BLOCK", block), \
+            mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
+        for direction in diffusion.DIRECTIONS:
+            system = diffusion._system(net, direction)
+            starts, sinks, m = system.starts, system.sinks, system.a.shape[0]
+            assert m > 2 * block
+            fundamental, b = dense_fundamental(net, direction)
+            shares = (fundamental @ b)[np.ix_(starts, sinks)]
+            hops = fundamental.sum(axis=1)[starts]
+            spy.reset_mock()
+            solved, solved_hops = diffusion._row_totals(system, np.eye(starts.size))
+            assert spy.call_count == -(-m // block)
+            np.testing.assert_allclose(solved, shares, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(solved_hops, hops, rtol=1e-12)
+
+            mass = np.abs(net.delta_s)
+            worst = np.max(np.abs(mass[starts] @ shares - mass[sinks]) / mass[sinks])
+            row = int(np.argmax(mass[starts]))
+            matrix, probe, errors = diffusion._focal_solve(
+                net, net.countries[starts[row]], direction
+            )
+            np.testing.assert_allclose(matrix.shares[0], shares[row], rtol=0, atol=1e-12)
+            assert abs(matrix.non_absorbed[0]) < 1e-12
+            assert abs(matrix.mean_hops - hops[row]) <= 1e-12 * hops[row]
+            assert abs(errors[direction] - worst) <= 1e-12
+            assert probe < 1e-12 * total_flux(net)
+        assert all(max(call.args[0].shape) <= block for call in spy.call_args_list)
 
 
 def random_trade_matrix(rng, n=20, density=0.4, year=2000) -> TradeMatrix:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import csgraph_reaches, random_network, reference_walk, traced_peak
+from helpers import (
+    check_block_solve,
+    csgraph_reaches,
+    dense_fundamental,
+    random_network,
+    reference_walk,
+    traced_peak,
+)
 from tradeflux import diffusion
 from tradeflux._io import _BLOCK
 from tradeflux.diffusion import (
@@ -221,16 +228,6 @@ def test_exact_identities_on_random_networks(trap):
             assert value == pytest.approx(-delta[country], rel=1e-9)
 
 
-def _fundamental(net, direction):
-    """``N = (I - Q)^-1`` and ``B = P diag(a)``, formed densely over every node."""
-    work = net if direction == "forward" else net.reverse()
-    hop = np.zeros((work.n_nodes, work.n_nodes))
-    hop[work.src, work.dst] = work.weight / work.s_out[work.src]
-    absorb = np.where(work.delta_s > 0, work.delta_s / np.maximum(work.s_in, 1e-300), 0.0)
-    q = hop * (1.0 - absorb)[None, :]
-    return np.linalg.inv(np.eye(work.n_nodes) - q), hop * absorb[None, :]
-
-
 def test_focal_solve_matches_full_solves():
     rng = np.random.default_rng(41)
     for _ in range(4):
@@ -239,7 +236,7 @@ def test_focal_solve_matches_full_solves():
         for direction in DIRECTIONS:
             full = exact_absorption(net, direction)
             system = _system(net, direction)
-            fundamental, b = _fundamental(net, direction)
+            fundamental, b = dense_fundamental(net, direction)
             shares = (fundamental @ b)[np.ix_(system.starts, system.sinks)]
             hops = fundamental.sum(axis=1)[system.starts]
             np.testing.assert_allclose(full.shares, shares, rtol=0, atol=1e-12)
@@ -248,7 +245,8 @@ def test_focal_solve_matches_full_solves():
 
             recon = imbalance_reconstruction(full, accounts)
             mass = np.abs(net.delta_s[system.starts])
-            (solved_recon,), _ = _row_totals(system, mass[None, :])
+            # the first solve consumed the system's A, so build it again
+            (solved_recon,), _ = _row_totals(_system(net, direction), mass[None, :])
             np.testing.assert_allclose(solved_recon, list(recon.values()), rtol=1e-12)
             worst = max(abs(t - abs(net.delta_s[net.index[c]])) / abs(net.delta_s[net.index[c]])
                         for c, t in recon.items())
@@ -305,6 +303,37 @@ def test_system_holds_no_edge_arrays_beside_its_matrix():
         system, peak = traced_peak(lambda: _system(net, direction))
         # B's entries, 24 bytes for each edge into an absorber, and one block's temporaries
         assert peak - system.a.nbytes < 8 * (4 * net.n_edges + 16 * _BLOCK)
+
+
+def test_a_solved_system_cannot_be_solved_again(net3):
+    system = _system(net3, "forward")
+    (shares,), _ = _row_totals(system, np.eye(1))
+    np.testing.assert_allclose(shares, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+    assert system.a is None  # its storage now holds the factors, then B
+    with pytest.raises(RuntimeError, match="^this system was already solved; build it again$"):
+        _row_totals(system, np.eye(1))
+
+
+def test_block_solve_matches_dense_reference():
+    net = random_network(np.random.default_rng(61), n=300, density=0.1)
+    check_block_solve(net, block=7)
+
+
+def test_a_singular_later_block_raises(monkeypatch):
+    # nodes 2 and 3 pass every walker to each other and never exit, so A's
+    # second block [[1, -1], [-1, 1]] is singular while its first is I
+    a = np.eye(6)
+    a[2, 3] = a[3, 2] = -1.0
+    system = diffusion._System(
+        starts=np.array([0]), sinks=np.array([5]), solved=np.array([True]),
+        start_rows=np.array([0]), a=a, b=(np.array([4]), np.array([0]), np.array([1.0])),
+        warnings=(),
+    )
+    monkeypatch.setattr(diffusion, "_SOLVE_BLOCK", 2)
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
+        with pytest.raises(NoConvergenceError, match="^absorbing system is singular: "):
+            _row_totals(system, np.ones((1, 1)))
+    assert spy.call_count == 2
 
 
 def test_exact_requires_both_roles():

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import check_block_solve
 from tradeflux.cli import main
 from tradeflux.diffusion import _focal_solve, exact_absorption
 from tradeflux.network import read_edge_list
@@ -161,7 +162,7 @@ def test_exact_dollar_outputs_match_recorded_values(pipeline):
     assert set(diag) == {
         "focal", "direction", "method", "detailed_balance_probe_abs",
         "detailed_balance_rel_flux", "reconstruction_rel_err_forward",
-        "reconstruction_rel_err_backward", "mean_hops", "warnings",
+        "reconstruction_rel_err_backward", "non_absorbed", "mean_hops", "warnings",
     }
     assert (diag["focal"], diag["direction"], diag["method"]) == (
         FOCAL_CONSUMER, "forward", "dense"
@@ -169,8 +170,13 @@ def test_exact_dollar_outputs_match_recorded_values(pipeline):
     for key in ("detailed_balance_rel_flux", "reconstruction_rel_err_forward",
                 "reconstruction_rel_err_backward"):
         assert 0.0 <= diag[key] < 1e-12, key
+    assert abs(diag["non_absorbed"]) < 1e-12  # reported unclipped: may be a few ulps below 0
     assert diag["mean_hops"] >= 1.0  # a walker leaves its start at least once
     assert diag["warnings"] == []
+
+
+def test_block_solve_matches_dense_reference(pipeline):
+    check_block_solve(read_edge_list(pipeline / "build" / "network.tsv"), block=7)
 
 
 @pytest.mark.parametrize("focal, direction", [
