@@ -37,15 +37,15 @@ absorber. The exact solve excludes such nodes and names them in a warning.
 as the Monte Carlo walker does; ``dollar --exact`` refuses such a focal
 start. Dead-end nodes (no outgoing edges) are always full absorbers.
 
-Every exact share comes from one transposed solve, ``_row_totals``, a block
-elimination in A's own storage that then writes B there too.
-``exact_absorption`` weights it with the identity, for every start at once;
-``detailed_balance_check`` and ``imbalance_reconstruction`` check a pair of
-such full solutions. ``dollar --exact`` reports one start, so it weights the
-solve with that start's unit vector and a few rows that rebuild every
-imbalance and probe detailed balance (``_focal_solve``): memory one m x m
-matrix and a few blocks of its rows, not the start x absorber blocks of
-both directions.
+Every exact share comes from one call, ``_solve``, that builds a walk's
+system and solves it transposed, by block elimination in A's own storage,
+then writes B there too. ``exact_absorption`` weights it with the identity,
+for every start at once; ``detailed_balance_check`` and
+``imbalance_reconstruction`` check a pair of such full solutions.
+``dollar --exact`` reports one start, so it weights the solve with that
+start's unit vector and a few rows that rebuild every imbalance and probe
+detailed balance (``_focal_solve``): memory one m x m matrix and a few
+blocks of its rows, not the start x absorber blocks of both directions.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ MAX_WALKERS = 2**63 - 1
 _SOLVE_BLOCK = 128
 
 
-def _integer(name: str, value) -> None:
-    """Raise ``TypeError`` unless ``value`` is an integer; numpy integers pass."""
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``TypeError`` unless it is an integer, numpy's too."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
@@ -111,7 +111,7 @@ class AbsorptionMatrix:
     ``non_absorbed[i]``, up to the rounding that an exact matrix clips from
     its shares and reports in ``non_absorbed``, which may read a few ulps
     below zero. ``method`` records how the numbers were produced:
-    ``monte-carlo`` or ``dense`` (the exact solve). ``mean_hops`` is the
+    ``monte-carlo``, or ``dense`` from the exact ``_solve``. ``mean_hops`` is the
     expected number of hops from the one start: the simulated walkers'
     average, or exact from the focal solve of ``dollar --exact``;
     ``exact_absorption`` leaves it ``None``. ``mean_hops_se`` is the
@@ -136,19 +136,23 @@ class AbsorptionMatrix:
 
 
 def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
-    """The walk in ``direction`` as ``(ptr, delta_s, absorb_p, edges)``, over
-    ``net``'s own arrays. Forward it hops src -> dst in canonical order;
-    backward, dst -> src over the in-edges in ``net._in_order``, which is
-    ``net.reverse()``'s canonical order, with ``_in_ptr`` as row starts
-    ``ptr`` and the strengths swapped, so every value is bit for bit the
-    reversed copy's and no copy is built. ``absorb_p`` is ``delta_s / s_in``
-    on the walk's absorbers, zero elsewhere; ``edges(rows)`` gives the tails,
-    heads and hop shares ``w / s_out`` of the walk's edges ``rows``."""
+    """The walk in ``direction`` as ``(ptr, is_start, is_sink, absorb_p,
+    edges)``, over ``net``'s own arrays. Forward it hops src -> dst in
+    canonical order; backward, dst -> src over the in-edges in
+    ``net._in_order``, which is ``net.reverse()``'s canonical order, with
+    ``_in_ptr`` as row starts ``ptr`` and the strengths swapped, so every
+    value is bit for bit the reversed copy's and no copy is built. Here alone
+    the walk's ``delta_s = s_in - s_out`` decides its sides: ``is_start`` marks
+    where it is negative, ``is_sink`` the absorbers, where it is positive.
+    ``absorb_p`` is ``delta_s / s_in`` on the absorbers, zero elsewhere;
+    ``edges(rows)`` gives the tails, heads and hop shares ``w / s_out`` of
+    the walk's edges ``rows``."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     forward = direction == "forward"
     s_in, s_out = (net.s_in, net.s_out) if forward else (net.s_out, net.s_in)
     ptr, delta_s = (net._out_ptr if forward else net._in_ptr), s_in - s_out
+    is_sink = delta_s > 0
 
     def edges(rows: slice = slice(None)) -> tuple:
         at = rows if forward else net._in_order[rows]
@@ -156,8 +160,8 @@ def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
         return tail, head, net.weight[at] / s_out[tail]
 
     # a node with delta_s > 0 has s_in > 0
-    absorb_p = np.where(delta_s > 0, delta_s / np.where(s_in > 0, s_in, 1.0), 0.0)
-    return ptr, delta_s, absorb_p, edges
+    absorb_p = np.where(is_sink, delta_s / np.where(s_in > 0, s_in, 1.0), 0.0)
+    return ptr, delta_s < 0, is_sink, absorb_p, edges
 
 
 def _hop_table(ptr: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -236,16 +240,18 @@ def _mc_run(
 def _start(net: ImbalanceNetwork, start, direction: str) -> int:
     """The index of ``start``, a code or an index, if it may start a walk in
     ``direction``: the one rule that a walk starts where ``_walk``'s
-    ``delta_s`` is negative, at a net consumer forward and a net producer
-    backward. An unknown code raises ``KeyError``; an unknown direction or a
-    node of the wrong kind ``ValueError``."""
-    oriented = _walk(net, direction)[1]
+    ``is_start`` holds, at a net consumer forward and a net producer
+    backward. An unknown code or an index outside ``range(net.n_nodes)``
+    raises ``KeyError``, a start neither code nor integer ``TypeError``, and
+    an unknown direction or a node of the wrong kind ``ValueError``."""
+    is_start = _walk(net, direction)[1]
     if isinstance(start, str):
         if start not in net.index:
             raise KeyError(f"unknown country {start!r}")
         start = net.index[start]
-    start = int(start)
-    if oriented[start] >= 0:
+    if (start := _integer("start", start)) not in range(net.n_nodes):
+        raise KeyError(f"unknown country index {start}")
+    if not is_start[start]:
         delta_s, forward = float(net.delta_s[start]), direction == "forward"
         kind = "neutral" if delta_s == 0 else "producer" if forward else "consumer"
         raise ValueError(
@@ -259,10 +265,10 @@ def _mc_matrix(
     net: ImbalanceNetwork, start, direction: str, config: WalkConfig
 ) -> AbsorptionMatrix:
     start = _start(net, start, direction)
-    ptr, delta_s, absorb_p, edges = _walk(net, direction)
+    ptr, _, is_sink, absorb_p, edges = _walk(net, direction)
     counts, lost, hops, squares = _mc_run(ptr, absorb_p, edges, start, config)
     n = int(config.n_walkers)  # a Python int, as hops and squares: n**3 passes int64
-    sinks = np.flatnonzero(delta_s > 0)
+    sinks = np.flatnonzero(is_sink)
     code = net.countries[start]
     warnings = ()
     if lost > NON_ABSORBED_WARNING:
@@ -373,42 +379,40 @@ def write_ranking_csv(rows: list[PartnerRank], stream) -> None:
     ))
 
 
-@dataclass
-class _System:
-    """One direction's hitting system ``A F = B``: A dense, B as edge entries.
-
-    ``A = I - Q`` lives on the m nodes that can reach an absorber; ``b``
-    holds the ``(row, column, value)`` entries of B, which has one column
-    per absorber in ``sinks``. ``starts`` holds every start of the walk, and
-    row ``start_rows[i]`` of ``F = A^-1 B`` the shares of the i-th start
-    marked in ``solved``, those that can reach an absorber. A is the solve's
-    only m x m storage: ``_row_totals`` takes it, overwrites it with its
-    factors and then B, and leaves ``a`` ``None``, so a system is solved once.
-    """
-
-    starts: np.ndarray
-    sinks: np.ndarray
-    solved: np.ndarray
-    start_rows: np.ndarray
-    a: np.ndarray | None
-    b: tuple[np.ndarray, np.ndarray, np.ndarray]
-    warnings: tuple[str, ...]
-
-
-def _system(net: ImbalanceNetwork, direction: str) -> _System:
-    """The absorbing system of the walk in ``direction``.
+def _solve(net: ImbalanceNetwork, direction: str, weigh) -> tuple:
+    """``(starts, sinks, W F, W N 1, warnings)`` for the walk in ``direction``.
 
     With hop matrix P and per-node absorption vector a, the absorbed-at-t
-    probabilities f satisfy f = P (a 1_t + (1 - a) f), so ``Q = P diag(1 - a)``
-    and ``B = P diag(a)``, both restricted to the nodes that can reach an
-    absorber. Every other node with an edge, start or not, is excluded and
-    named in the one warning. Once the reach set sizes A, A is filled and B's
-    entries collected one ``_io._BLOCK`` of edges at a time, so no per-edge
-    temporary lives beside A.
+    probabilities f satisfy f = P (a 1_t + (1 - a) f), so the hitting system
+    is ``A F = B`` with ``A = I - Q``, ``Q = P diag(1 - a)`` and
+    ``B = P diag(a)``, on the m nodes that can reach an absorber. Every
+    other node with an edge, start or not, is excluded and named in the one
+    warning. ``starts`` holds every start of the walk and ``sinks`` every
+    absorber, one column of F each. Once the reach set sizes A, A is filled
+    and B's entries collected one ``_io._BLOCK`` of edges at a time, so no
+    per-edge temporary lives beside A.
+
+    ``weigh(starts, solved)`` gives the weight rows W over ``starts``;
+    ``solved`` marks the starts that can reach an absorber, the rest being
+    left out (zero rows of F, infinite hops). ``N = A^-1`` is the
+    fundamental matrix: ``N[i, v]`` is the expected number of visits a
+    walker from ``i`` pays to ``v`` before absorption, each followed by one
+    hop, so ``N 1`` is every node's expected hop count. One solve
+    ``A^T Y = W^T`` gives both results, as ``Y^T B`` and ``Y^T 1``.
+
+    The solve is a block elimination in A's own storage, ``_SOLVE_BLOCK``
+    unknowns at a time: LAPACK solves each diagonal block for the block's
+    row of ``A^T`` and the carried weights, GEMMs on ``_SOLVE_BLOCK`` rows at
+    a time update the trailing matrix and weights, and a block
+    back-substitution follows. ``A^T`` is column diagonally dominant (Q >= 0,
+    zero diagonal, row sums <= 1), so this is the order partial pivoting
+    picks, and A, a nonsingular M-matrix, has no singular diagonal block. B,
+    m x sinks with sinks within the reach set, is then written into A's
+    consumed storage, so the solve's one m x m array is A.
     """
-    _, delta_s, absorb_p, edges = _walk(net, direction)
-    reach = net._flood(delta_s > 0, against=direction == "forward", along=direction == "backward")
-    starts, sinks = np.flatnonzero(delta_s < 0), np.flatnonzero(delta_s > 0)
+    _, is_start, is_sink, absorb_p, edges = _walk(net, direction)
+    reach = net._flood(is_sink, against=direction == "forward", along=direction == "backward")
+    starts, sinks = np.flatnonzero(is_start), np.flatnonzero(is_sink)
     if not (starts.size and sinks.size):
         raise ValueError("absorption needs at least one net consumer and one net producer")
     trapped = np.flatnonzero(~reach & (net.k_in + net.k_out > 0))
@@ -418,20 +422,46 @@ def _system(net: ImbalanceNetwork, direction: str) -> _System:
         warnings = (f"excluded {trapped.size} node(s) unable to reach an absorber: {names}",)
 
     # the rows of A and columns of B, looked up for reached nodes and sinks only
-    pos, sink_pos = np.cumsum(reach) - 1, np.cumsum(delta_s > 0) - 1
+    pos, sink_pos = np.cumsum(reach) - 1, np.cumsum(is_sink) - 1
 
     a = np.eye(np.count_nonzero(reach))
-    b = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)]
+    entries = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)]
     for rows in blocks(net.n_edges):
         tail, head, hop = edges(rows)
         into = reach[head]  # and then the tail reaches an absorber too
         tail, head, hop = pos[tail[into]], head[into], hop[into]
         absorb = absorb_p[head]
-        hits = delta_s[head] > 0
-        _append(b, (tail[hits], sink_pos[head[hits]], hop[hits] * absorb[hits]))
+        hits = is_sink[head]
+        _append(entries, (tail[hits], sink_pos[head[hits]], hop[hits] * absorb[hits]))
         a[tail, pos[head]] -= hop * (1.0 - absorb)
+    del tail, head, hop, into, absorb, hits  # the last block's, not kept through the solve
     solved = reach[starts]
-    return _System(starts, sinks, solved, pos[starts[solved]], a, tuple(b), warnings)
+    weights = weigh(starts, solved)
+    m, step = a.shape[0], _SOLVE_BLOCK
+    y = np.zeros((m, len(weights)))
+    y[pos[starts[solved]]] = np.transpose(weights)[solved]
+    # with M = A^T, held transposed in a, block k takes X = M_kk^-1 [M_kt | Y_k],
+    # then M_tt -= M_tk X and Y_t -= M_tk Y_k
+    for top in range(0, m, step):
+        end = min(top + step, m)
+        k, t = slice(top, end), slice(end, m)
+        try:
+            x = np.linalg.solve(a[k, k].T, np.concatenate((a[t, k].T, y[k]), axis=1))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
+        x, y[k] = np.split(x, [m - end], axis=1)
+        y[t] -= a[k, t].T @ y[k]
+        for row in range(end, m, step):
+            a[row : row + step, t] -= x[:, row - end : row - end + step].T @ a[k, t]
+        a[k, t] = x  # the block's row of the factors, for the back-substitution
+    for top in reversed(range(0, m, step)):
+        k, t = slice(top, top + step), slice(top + step, m)
+        y[k] -= a[k, t] @ y[t]
+    b = a.reshape(-1)[: m * sinks.size].reshape(m, sinks.size)
+    b[:] = 0.0
+    rows, cols, vals = entries
+    b[rows, cols] = vals  # one edge per (node, absorber) pair
+    return starts, sinks, y.T @ b, y.sum(axis=0), warnings
 
 
 def _dense(net: ImbalanceNetwork, direction: str, starts, sinks, f: np.ndarray,
@@ -455,65 +485,14 @@ def _dense(net: ImbalanceNetwork, direction: str, starts, sinks, f: np.ndarray,
 def exact_absorption(net: ImbalanceNetwork, direction: str = "forward") -> AbsorptionMatrix:
     """Absorption shares for every start of the walk, solved exactly.
 
-    The starts' rows of ``F = A^-1 B`` (see ``_system``) come from
-    ``_row_totals``, the one exact solve, with the identity as weights; a
-    start that cannot reach an absorber keeps a zero row. The matrix leaves
-    ``mean_hops`` ``None``: expected hops are a per-start figure that only
-    ``dollar --exact``'s focal solve reports.
+    The starts' rows of ``F = A^-1 B`` come from ``_solve``, the one exact
+    solve, with the identity as weights; a start that cannot reach an
+    absorber keeps a zero row. The matrix leaves ``mean_hops`` ``None``:
+    expected hops are a per-start figure that only ``dollar --exact``'s
+    focal solve reports.
     """
-    system = _system(net, direction)
-    f, _ = _row_totals(system, np.eye(system.starts.size))
-    return _dense(net, direction, system.starts, system.sinks, f, system.warnings)
-
-
-def _row_totals(system: _System, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``weights @ F`` and ``weights @ N 1`` for rows of ``weights`` over the starts.
-
-    ``N = A^-1`` is the fundamental matrix: ``N[i, v]`` is the expected
-    number of visits a walker from ``i`` pays to ``v`` before absorption,
-    each followed by one hop, so ``N 1`` is every node's expected hop count.
-    Starts that reach no absorber (zero rows of F, infinite hops) are left out.
-    One solve ``A^T Y = W^T`` gives both, as ``Y^T B`` and ``Y^T 1``.
-
-    The solve is a block elimination in A's own storage, ``_SOLVE_BLOCK``
-    unknowns at a time: LAPACK solves each diagonal block for the block's
-    row of ``A^T`` and the carried weights, GEMMs on ``_SOLVE_BLOCK`` rows at
-    a time update the trailing matrix and weights, and a block
-    back-substitution follows. ``A^T`` is column diagonally dominant (Q >= 0,
-    zero diagonal, row sums <= 1), so this is the order partial pivoting
-    picks, and A, a nonsingular M-matrix, has no singular diagonal block. B,
-    m x sinks with sinks within the reach set, is then written into A's
-    consumed storage. The system hands its A over: solving it again raises
-    ``RuntimeError``.
-    """
-    a, system.a = system.a, None
-    if a is None:
-        raise RuntimeError("this system was already solved; build it again")
-    m, step = a.shape[0], _SOLVE_BLOCK
-    y = np.zeros((m, len(weights)))
-    y[system.start_rows] = np.transpose(weights)[system.solved]
-    # with M = A^T, held transposed in a, block k takes X = M_kk^-1 [M_kt | Y_k],
-    # then M_tt -= M_tk X and Y_t -= M_tk Y_k
-    for top in range(0, m, step):
-        end = min(top + step, m)
-        k, t = slice(top, end), slice(end, m)
-        try:
-            x = np.linalg.solve(a[k, k].T, np.concatenate((a[t, k].T, y[k]), axis=1))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
-        x, y[k] = np.split(x, [m - end], axis=1)
-        y[t] -= a[k, t].T @ y[k]
-        for row in range(end, m, step):
-            a[row : row + step, t] -= x[:, row - end : row - end + step].T @ a[k, t]
-        a[k, t] = x  # the block's row of the factors, for the back-substitution
-    for top in reversed(range(0, m, step)):
-        k, t = slice(top, top + step), slice(top + step, m)
-        y[k] -= a[k, t] @ y[t]
-    b = a.reshape(-1)[: m * system.sinks.size].reshape(m, system.sinks.size)
-    b[:] = 0.0
-    rows, cols, vals = system.b
-    b[rows, cols] = vals  # one edge per (node, absorber) pair
-    return y.T @ b, y.sum(axis=0)
+    starts, sinks, f, _, warnings = _solve(net, direction, lambda s, _: np.eye(s.size))
+    return _dense(net, direction, starts, sinks, f, warnings)
 
 
 def _focal_solve(
@@ -529,10 +508,10 @@ def _focal_solve(
     and G the forward and backward shares and D_S and D_P the consumers'
     and producers' ``|delta_s|``. ``reconstruction`` maps each direction to
     the largest relative error of its absorbers' ``|delta_s|`` rebuilt
-    from unclipped shares. Each direction makes one ``_row_totals`` solve,
-    for ``|delta|``, ``|delta| u`` and ``|delta| v`` on its starts and, in
-    ``direction``, the focal start's unit vector. A focal start that
-    cannot reach an absorber raises ``NoConvergenceError``.
+    from unclipped shares. Each direction makes one ``_solve``, weighted by
+    ``|delta|``, ``|delta| u`` and ``|delta| v`` on its starts and, in
+    ``direction``, the focal start's unit vector. A focal start that cannot
+    reach an absorber raises ``NoConvergenceError`` before the elimination.
     """
     # probes in [1/2, 1) from the Weyl sequences k / phi and k (sqrt(2) - 1)
     # mod 1: a formula keeps runs byte-identical and numpy.random unloaded,
@@ -544,17 +523,18 @@ def _focal_solve(
     focal_idx = _start(net, focal, direction)
     sums, reconstruction, warnings = {}, {}, {}
     for d in DIRECTIONS:
-        system = _system(net, d)
-        starts, sinks = system.starts, system.sinks
-        mass = size[starts]
-        weights = [mass, mass * u[starts], mass * v[starts]]
-        if d == direction:
-            if focal_idx not in starts[system.solved]:
-                raise NoConvergenceError(f"{focal} cannot reach any absorber")
-            weights.append(starts == focal_idx)
-        totals, hops = _row_totals(system, np.array(weights, dtype=float))
-        warnings.update(dict.fromkeys(system.warnings))
-        del system  # free this direction's B entries before the next A is built
+        def weigh(starts, solved):
+            mass = size[starts]
+            weights = [mass, mass * u[starts], mass * v[starts]]
+            if d == direction:
+                if focal_idx not in starts[solved]:
+                    raise NoConvergenceError(
+                        f"{net.countries[focal_idx]} cannot reach any absorber")
+                weights.append(starts == focal_idx)
+            return np.array(weights, dtype=float)
+
+        _, sinks, totals, hops, found = _solve(net, d, weigh)
+        warnings.update(dict.fromkeys(found))
         reconstruction[d] = float(np.max(np.abs(totals[0] - size[sinks]) / size[sinks]))
         sums[d] = (totals[1] @ v[sinks], totals[2] @ u[sinks])
         if d == direction:

@@ -1,5 +1,7 @@
+import ast
 import io
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from helpers import (
     dense_fundamental,
     random_network,
     reference_walk,
+    system_size,
     traced_peak,
 )
 from tradeflux import diffusion
@@ -23,9 +26,8 @@ from tradeflux.diffusion import (
     WalkConfig,
     _focal_solve,
     _hop_table,
-    _row_totals,
+    _solve,
     _start,
-    _system,
     _walk,
     backward_walk_mc,
     detailed_balance_check,
@@ -80,10 +82,17 @@ def test_fixture_detailed_balance_and_reconstruction(net3):
 
 def test_absorption_probability_rules(net3):
     assert net3.countries == ("A", "B", "S")
-    # forward walkers are absorbed by producers with probability delta_s / s_in
-    np.testing.assert_allclose(_walk(net3, "forward")[2], [0.5, 1.0, 0.0])
+    # forward walkers start at consumers and are absorbed by producers with
+    # probability delta_s / s_in
+    _, is_start, is_sink, absorb_p, _ = _walk(net3, "forward")
+    np.testing.assert_array_equal(is_start, [False, False, True])
+    np.testing.assert_array_equal(is_sink, [True, True, False])
+    np.testing.assert_allclose(absorb_p, [0.5, 1.0, 0.0])
     # backward walks run over the in-edges, with the roles swapped: S absorbs
-    np.testing.assert_allclose(_walk(net3, "backward")[2], [0.0, 0.0, 1.0])
+    _, is_start, is_sink, absorb_p, _ = _walk(net3, "backward")
+    np.testing.assert_array_equal(is_start, [True, True, False])
+    np.testing.assert_array_equal(is_sink, [False, False, True])
+    np.testing.assert_allclose(absorb_p, [0.0, 0.0, 1.0])
 
 
 def test_walk_config_validation():
@@ -141,6 +150,24 @@ def test_mc_start_validation(net3):
     neutral = ImbalanceNetwork.from_edges([("A", "B", 2.0), ("B", "C", 2.0)])
     with pytest.raises(ValueError, match="net consumer"):
         forward_walk_mc(neutral, "B")
+
+
+def test_a_start_index_must_name_a_node():
+    # A -> B <- C: -1 once walked from C, 2.7 from C too, and 3 raised a bare
+    # IndexError; each is now refused as an unknown node or a non-integer
+    net = ImbalanceNetwork.from_edges([("A", "B", 1.0), ("C", "B", 1.0)])
+    assert _start(net, 2, "forward") == _start(net, np.int64(2), "forward") == 2
+    for index in (-1, 3):
+        message = f"^'unknown country index {index}'$"
+        with pytest.raises(KeyError, match=message):
+            _start(net, index, "forward")
+        with pytest.raises(KeyError, match=message):
+            forward_walk_mc(net, index, WalkConfig(n_walkers=10))
+        with pytest.raises(KeyError, match=message):
+            _focal_solve(net, index, "forward")
+    for call in (_start, _focal_solve):
+        with pytest.raises(TypeError, match="^start must be an integer, got 2.7$"):
+            call(net, 2.7, "forward")
 
 
 def test_an_unknown_direction_is_refused_before_the_start_is_judged(net3):
@@ -235,18 +262,16 @@ def test_focal_solve_matches_full_solves():
         accounts = node_accounts(net)
         for direction in DIRECTIONS:
             full = exact_absorption(net, direction)
-            system = _system(net, direction)
+            starts, sinks, _, solved_hops, _ = _solve(net, direction, lambda s, _: np.eye(s.size))
             fundamental, b = dense_fundamental(net, direction)
-            shares = (fundamental @ b)[np.ix_(system.starts, system.sinks)]
-            hops = fundamental.sum(axis=1)[system.starts]
+            shares = (fundamental @ b)[np.ix_(starts, sinks)]
+            hops = fundamental.sum(axis=1)[starts]
             np.testing.assert_allclose(full.shares, shares, rtol=0, atol=1e-12)
-            _, solved_hops = _row_totals(system, np.eye(system.starts.size))
             np.testing.assert_allclose(solved_hops, hops, rtol=1e-12)
 
             recon = imbalance_reconstruction(full, accounts)
-            mass = np.abs(net.delta_s[system.starts])
-            # the first solve consumed the system's A, so build it again
-            (solved_recon,), _ = _row_totals(_system(net, direction), mass[None, :])
+            mass = np.abs(net.delta_s[starts])
+            _, _, (solved_recon,), _, _ = _solve(net, direction, lambda s, _: mass[None, :])
             np.testing.assert_allclose(solved_recon, list(recon.values()), rtol=1e-12)
             worst = max(abs(t - abs(net.delta_s[net.index[c]])) / abs(net.delta_s[net.index[c]])
                         for c, t in recon.items())
@@ -273,23 +298,29 @@ def test_balance_probe_catches_one_wrong_backward_share(monkeypatch):
     wrong = backward.shares.copy()
     wrong[j, i] *= 1.0 + 1e-6
 
-    solve = diffusion._row_totals
+    solve = diffusion._solve
 
-    def mutant(system, weights):
-        totals, hops = solve(system, weights)
-        if (net.delta_s[system.starts] > 0).all():  # backward walks start at producers
-            totals = weights @ wrong
-        return totals, hops
+    def mutant(net, direction, weigh):
+        kept = []
+
+        def keep(starts, solved):
+            kept.append(weigh(starts, solved))
+            return kept[0]
+
+        starts, sinks, totals, hops, warnings = solve(net, direction, keep)
+        if direction == "backward":
+            totals = kept[0] @ wrong
+        return starts, sinks, totals, hops, warnings
 
     assert _focal_solve(net, focal, "forward")[1] < 1e-12 * flux
-    monkeypatch.setattr(diffusion, "_row_totals", mutant)
+    monkeypatch.setattr(diffusion, "_solve", mutant)
     assert _focal_solve(net, focal, "forward")[1] > 1e-9 * flux
 
 
 def test_focal_solve_holds_one_system_matrix():
     net = random_network(np.random.default_rng(53), n=600, density=0.02)
     focal = net.countries[int(np.argmin(net.delta_s))]
-    m = max(_system(net, d).a.shape[0] for d in DIRECTIONS)
+    m = max(system_size(net, d) for d in DIRECTIONS)
     # one m x m matrix, plus a few dozen doubles per edge for both walks' edge entries
     bound = 8 * (m * m + 32 * net.n_edges)
     _, focal_peak = traced_peak(lambda: _focal_solve(net, focal, "forward"))
@@ -297,21 +328,36 @@ def test_focal_solve_holds_one_system_matrix():
     assert focal_peak < bound < full_peak
 
 
-def test_system_holds_no_edge_arrays_beside_its_matrix():
+def test_solve_holds_its_matrix_edge_entries_and_a_few_blocks():
     net = random_network(np.random.default_rng(59), n=1000, density=0.1)
     for direction in DIRECTIONS:
-        system, peak = traced_peak(lambda: _system(net, direction))
-        # B's entries, 24 bytes for each edge into an absorber, and one block's temporaries
-        assert peak - system.a.nbytes < 8 * (4 * net.n_edges + 16 * _BLOCK)
+        m = system_size(net, direction)
+        _, peak = traced_peak(lambda: _solve(net, direction, lambda s, _: np.ones((4, s.size))))
+        # A; B's entries, 24 bytes for each edge into an absorber; one fill block's
+        # temporaries; then a few _SOLVE_BLOCK x m blocks of the elimination. A
+        # copy of A, 8 m^2 bytes, would not fit beside them
+        blocks = 4 * diffusion._SOLVE_BLOCK * m
+        assert peak - 8 * m * m < 8 * (4 * net.n_edges + 16 * _BLOCK + blocks)
 
 
-def test_a_solved_system_cannot_be_solved_again(net3):
-    system = _system(net3, "forward")
-    (shares,), _ = _row_totals(system, np.eye(1))
-    np.testing.assert_allclose(shares, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-    assert system.a is None  # its storage now holds the factors, then B
-    with pytest.raises(RuntimeError, match="^this system was already solved; build it again$"):
-        _row_totals(system, np.eye(1))
+def test_the_exact_solve_is_the_only_linear_solve_in_the_package():
+    # ROADMAP aim 2's one exact-solve path: no other function of the package
+    # solves, inverts or least-squares a matrix, or imports a linalg module
+    def is_solve(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "linalg" in ast.unparse(node)
+        return (isinstance(node, ast.Attribute) and node.attr in {"solve", "inv", "lstsq"}
+                and "linalg" in ast.unparse(node.value))
+
+    uses = set()
+    for path in sorted(Path(diffusion.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
+        for node in filter(is_solve, ast.walk(tree)):
+            # ast.walk meets an enclosing def before the defs nested in it
+            inside = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            uses.add((path.stem, inside[-1] if inside else None))
+    assert uses == {("diffusion", "_solve")}
 
 
 def test_block_solve_matches_dense_reference():
@@ -320,19 +366,24 @@ def test_block_solve_matches_dense_reference():
 
 
 def test_a_singular_later_block_raises(monkeypatch):
-    # nodes 2 and 3 pass every walker to each other and never exit, so A's
-    # second block [[1, -1], [-1, 1]] is singular while its first is I
-    a = np.eye(6)
-    a[2, 3] = a[3, 2] = -1.0
-    system = diffusion._System(
-        starts=np.array([0]), sinks=np.array([5]), solved=np.array([True]),
-        start_rows=np.array([0]), a=a, b=(np.array([4]), np.array([0]), np.array([1.0])),
-        warnings=(),
+    # once the one absorber B keeps nothing, walkers from A circle B -> C -> D
+    # for ever: A's first block, on A and B, is nonsingular, and eliminating it
+    # leaves C and D the 2-cycle block [[1, -1], [-1, 1]], which is singular
+    net = ImbalanceNetwork.from_edges(
+        [("A", "B", 1.0), ("B", "C", 1.0), ("C", "D", 1.0), ("D", "B", 1.0)]
     )
+    walk = diffusion._walk
+
+    def keeps_nothing(net, direction):
+        ptr, is_start, is_sink, absorb_p, edges = walk(net, direction)
+        return ptr, is_start, is_sink, np.zeros_like(absorb_p), edges
+
+    assert _solve(net, "forward", lambda s, _: np.eye(s.size))[2][0, 0] == 1.0
+    monkeypatch.setattr(diffusion, "_walk", keeps_nothing)
     monkeypatch.setattr(diffusion, "_SOLVE_BLOCK", 2)
     with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
         with pytest.raises(NoConvergenceError, match="^absorbing system is singular: "):
-            _row_totals(system, np.ones((1, 1)))
+            _solve(net, "forward", lambda s, _: np.eye(s.size))
     assert spy.call_count == 2
 
 
@@ -491,7 +542,7 @@ def test_hop_table_reproduces_hop_shares(rows):
     for direction in DIRECTIONS:
         forward = direction == "forward"
         k_out, s_out = (net.k_out, net.s_out) if forward else (net.k_in, net.s_in)
-        ptr, _, _, edges = _walk(net, direction)
+        ptr, *_, edges = _walk(net, direction)
         share, target = _hop_table(ptr, edges)
         assert share.shape == target.shape == (net.n_nodes, k_out.max())
         with mock.patch.object(diffusion, "_BLOCK", 1):  # a block per row
