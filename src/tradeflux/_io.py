@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
 import re
 from itertools import chain, repeat
@@ -51,7 +52,7 @@ def code_fault(code: str) -> str | None:
 
 def _undecodable_line(raw) -> int | None:
     """The number of the first line of the binary file ``raw`` that is not
-    UTF-8, with lines ended at ``\\r`` too, as ``newline=""`` ends them."""
+    UTF-8, with lines ended at ``\\r`` too, as ``line_chunks`` ends them."""
     raw.seek(0)
     line_no = 0
     for line in raw:
@@ -67,7 +68,7 @@ def opened(file, mode: str = "r"):
     """Yield ``file`` unchanged if it is a file object, else open it as a path.
 
     Text modes use UTF-8: reading skips a byte-order mark and leaves line ends
-    untranslated, as the csv module expects; writing emits ``\\n`` line ends.
+    as they are, for ``line_chunks`` to split; writing emits ``\\n`` line ends.
     Text that is not UTF-8 raises ``ValueError`` naming the path, if any, and
     the line. Binary modes (``"rb"``, ``"wb"``) open the path as bytes. A path
     opened here is closed on exit; a file object passed in is left open.
@@ -90,6 +91,26 @@ def opened(file, mode: str = "r"):
             if line_no := raw is not None and raw.seekable() and _undecodable_line(raw):
                 where.append(f"line {line_no}")
             raise ValueError(": ".join([*where, "not UTF-8 text"])) from None
+
+
+def line_chunks(stream, size: int):
+    """The readers' one line rule: the text file ``stream`` in chunks of about
+    ``size`` characters, each as its whole lines, line ends kept, and their
+    joined text. A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, whatever
+    newline setting ``stream`` was opened with."""
+    held = ""
+    while lines := stream.readlines(size):
+        text = held + "".join(lines)
+        # with no \r, a stream that splits lines at \r or \r\n only ends one at EOF
+        if "\r" in text or lines[-1].find("\n", 0, -1) >= 0:
+            lines = io.StringIO(text, newline="").readlines()
+            # a closing \r may be the first half of a \r\n
+            held = lines.pop() if text[-1] == "\r" else ""
+            text = text.removesuffix(held)
+        if lines:
+            yield lines, text
+    if held:
+        yield [held], held
 
 
 def blocks(n: int) -> list[slice]:

@@ -238,7 +238,12 @@ def _cmd_dollar(args) -> int:
         return 2
     except ValueError as exc:
         other = "backward" if args.direction == "forward" else "forward"
-        _err(f"{exc}. Try --direction {other}.")
+        hint = f" Try --direction {other}."
+        try:
+            dif._start(net, focal, other)
+        except ValueError:  # a neutral node starts no walk
+            hint = ""
+        _err(f"{exc}.{hint}")
         return 2
 
     diagnostics = {"focal": focal, "direction": args.direction}

@@ -440,6 +440,7 @@ def _solve(net: ImbalanceNetwork, direction: str, weigh) -> tuple:
     m, step = a.shape[0], _SOLVE_BLOCK
     y = np.zeros((m, len(weights)))
     y[pos[starts[solved]]] = np.transpose(weights)[solved]
+    del weights  # y holds them now
     # with M = A^T, held transposed in a, block k takes X = M_kk^-1 [M_kt | Y_k],
     # then M_tt -= M_tk X and Y_t -= M_tk Y_k
     for top in range(0, m, step):

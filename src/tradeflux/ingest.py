@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
@@ -24,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._io import EMPTY, SPACED, CodeNumbers, _append, blocks, code_fault, opened
+from ._io import EMPTY, SPACED, CodeNumbers, _append, blocks, code_fault, line_chunks, opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -361,26 +360,13 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     return kept, dropped
 
 
-def _universal_lines(texts):
-    """The lines of the concatenated ``texts``, each ending at ``\\n``,
-    ``\\r\\n`` or ``\\r`` as in a file opened with ``newline=""``."""
-    held = ""
-    for text in texts:
-        lines = io.StringIO(held + text, newline="").readlines()
-        # a closing \r may be the first half of a \r\n
-        held = lines.pop() if text.endswith("\r") else ""
-        yield from lines
-    if held:
-        yield held
-
-
 #: Characters of records text read and parsed at a time, in whole lines.
 _PARSE_CHUNK = 1 << 18
 
 
 def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
-    """Records from ``chunks``, lists of whole lines, the first holding the
-    header."""
+    """Records from ``chunks``, as ``line_chunks`` gives them, the first
+    line the header."""
     number = CodeNumbers()
     kept = [np.empty(0, dtype) for dtype in (np.int64, np.intp, np.intp, float, float)]
     dropped = []
@@ -392,15 +378,14 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
         _append(kept, part)
         dropped.extend(part_dropped)
 
-    for lines in chunks:
-        text = "".join(lines)
-        if '"' in text or "\r" in text and text.count("\r") != text.count("\r\n"):
+    for lines, text in chunks:
+        if header is None:
+            header = _header(lines[0], columns)
+            lines, text, line_no = lines[1:], text[len(lines[0]):], line_no + 1
+        if '"' in text:
             # a quoted field may span lines: one csv reader reads the rest
-            rest = _universal_lines(chain([text], map("".join, chunks)))
-            if header is None:
-                header = _header(next(rest), columns)
-                line_no += 1
-            reader = csv.reader(rest, delimiter=header[0])
+            rest = chain.from_iterable(more for more, _ in chunks)
+            reader = csv.reader(chain(lines, rest), delimiter=header[0])
             first, rows, starts, read = line_no, [], [], 0
             for row in reader:  # each row numbered by the line it starts at
                 rows.append(row)
@@ -412,25 +397,19 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
                     rows, starts, read = [], [], 0
             check(starts, rows)
             break
-        text = text.replace("\r\n", "\n") if "\r" in text else text
-        if header is None:
-            header_line, _, text = text.partition("\n")
-            header = _header(header_line, columns)
-            line_no += 1
         delimiter, _, positions = header
-        body = text.removesuffix("\n")
-        lines = body.split("\n") if body else []
         widths = set(map(str.count, lines, repeat(delimiter)))
         width = widths.pop() + 1 if len(widths) == 1 else 0
-        line_nos = range(line_no, line_no + len(lines))
+        line_nos, line_no = range(line_no, line_no + len(lines)), line_no + len(lines)
         if width > max(positions.values()):
             # the rows are of one width, wide enough for the columns: one split
-            del lines
-            check(line_nos, fields=body.replace("\n", delimiter).split(delimiter), width=width)
+            lines.clear()  # the lines' strings are not held beside the fields
+            text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+            check(line_nos, fields=text.removesuffix("\n").replace("\n", delimiter).split(delimiter),
+                  width=width)
         elif lines:
             # ragged rows, or a blank line: each row split alone
-            check(line_nos, [line.split(delimiter) for line in lines])
-        line_no += text.count("\n")
+            check(line_nos, [line.rstrip("\r\n").split(delimiter) for line in lines])
     if header is None:
         return ParseResult()
     return ParseResult(DyadicTable(number.renumber(kept[1:3]), *kept), dropped)
@@ -445,19 +424,15 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     ``ParseResult.dropped`` with its line number and the reason of the first
     column check it fails (see ``_parse_columns``), never silently skipped.
 
-    The file is read in chunks of whole lines, about ``_PARSE_CHUNK``
-    characters each, so it is never held whole, and every row goes through
-    one checker, which checks a chunk's rows a column at a time. Only how a
-    chunk is split into fields depends on the input: ``str.split`` splits
-    the whole chunk when its rows are of one width, or each line alone when
-    they are ragged or one is blank; from the first chunk holding a ``"``
-    or a carriage return outside a ``\\r\\n`` line end, since a quoted field
-    may span lines, one ``csv`` reader reads the rest of the file and hands
-    on its rows a chunk's worth at a time. A row is numbered by the line it
-    starts at. Each country code is checked once per call, and a chunk's
-    kept rows are appended in place to the result's columns, so a parse
-    holds the table and a few chunks' worth of strings, never the table
-    twice.
+    The file is read by ``line_chunks``, which splits lines alike from paths
+    and streams, about ``_PARSE_CHUNK`` characters at a time, and one checker
+    checks each chunk's rows a column at a time. ``str.split`` splits a chunk
+    into fields, whole when its rows are of one width, else line by line;
+    from the first chunk holding a ``"``, since a quoted field may span
+    lines, one ``csv`` reader reads the rest. A row is numbered by the line
+    it starts at. Each code is checked once per call, and kept rows are
+    appended in place to the result's columns, so a parse holds the table
+    and a few chunks' worth of strings, never the table twice.
 
     Raises :class:`ConfigurationError` when a required column named by
     ``columns`` is absent from the header.
@@ -465,8 +440,7 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     columns = columns or ColumnMap()
     with opened(stream) as stream:
         try:
-            chunks = iter(functools.partial(stream.readlines, _PARSE_CHUNK), [])
-            return _parse_chunks(chunks, columns)
+            return _parse_chunks(line_chunks(stream, _PARSE_CHUNK), columns)
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from None
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import (CodeNumbers, _append, _control, _not_xml, code_fault, opened,
-                  row_texts, write_text)
+from ._io import (CodeNumbers, _append, _control, _not_xml, code_fault, line_chunks,
+                  opened, row_texts, write_text)
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -319,15 +319,14 @@ def _edge_columns(stream) -> tuple:
     number = CodeNumbers()
     columns = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
     line_no = 0
-    while lines := stream.readlines(_READ_CHUNK):
+    for lines, text in line_chunks(stream, _READ_CHUNK):
         data, start = lines, 0
         header = lines[0].split() if line_no == 0 else ()
         if len(header) == 3 and header[0][0] != "#":
             try:
                 float(header[2])
             except ValueError:  # a header row
-                data, start = lines[1:], 1
-        text = "".join(data)
+                data, start, text = lines[1:], 1, text[len(lines[0]):]
         listed = []
         if "#" in text:
             for line in data:
@@ -359,10 +358,9 @@ def read_edge_list(stream) -> ImbalanceNetwork:
 
     Each line is ``src dst weight``; blank lines and other lines starting
     with ``#`` are skipped, and so is a first line whose weight is not a
-    number.
-    The text is read, split and converted in chunks of whole lines, its
-    codes numbered and its columns grown in place as the records' are; a
-    bad line raises ``ValueError`` naming the first one.
+    number. The text is read by ``line_chunks``, as records are, and split
+    and converted a chunk at a time; a bad line raises ``ValueError``
+    naming the first one.
     """
     with opened(stream) as stream:  # the chunks' text is freed before the network is built
         return ImbalanceNetwork(*_edge_columns(stream))

@@ -12,17 +12,20 @@ numpy reachability search against the scipy ``csgraph`` one it replaced,
 and the blocked exact solve against a dense matrix inverse.
 """
 
+import ast
 import csv
 import io
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 from scipy import integrate
 from scipy.sparse import csgraph
 
+import tradeflux
 from tradeflux.disparity import (
     DIRECTIONS,
     DisparityPoint,
@@ -51,6 +54,21 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def package_uses(matches) -> set:
+    """``(module, function)`` for each node of ``src/tradeflux/*.py`` that
+    ``matches(node)`` accepts, naming the innermost function it lies in
+    (``None`` outside any)."""
+    uses = set()
+    for path in sorted(Path(tradeflux.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
+        for node in filter(matches, ast.walk(tree)):
+            # ast.walk meets an enclosing def before the defs nested in it
+            inside = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            uses.add((path.stem, inside[-1] if inside else None))
+    return uses
 
 
 def dense_fundamental(net: ImbalanceNetwork, direction: str):

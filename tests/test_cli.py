@@ -411,6 +411,23 @@ def test_dollar_misclassified_focal(net3_file, tmp_path, capsys):
     assert "net consumer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("direction, starts", [("forward", "consumers"),
+                                               ("backward", "producers")])
+def test_dollar_hints_no_direction_a_neutral_start_cannot_take(
+    direction, starts, tmp_path, capsys
+):
+    # A, named on the #countries line, has no edge, so no walk starts there
+    path = tmp_path / "network.tsv"
+    path.write_text("src\tdst\tweight\n#countries\tA\tB\tC\nB\tC\t1.0\n")
+    code = main(["dollar", str(path), "--from", "A", "--direction", direction,
+                 "-o", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"tradeflux: A is a net neutral (delta_s = 0.0); {direction} walks start at "
+        f"net {starts}.\n"
+    )
+
+
 def test_dollar_unknown_country(net3_file, tmp_path, capsys):
     assert main(["dollar", net3_file, "--from", "NOPE", "-o", str(tmp_path)]) == 2
     assert "unknown country" in capsys.readouterr().err

@@ -1,7 +1,6 @@
 import ast
 import io
 import re
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,7 @@ from helpers import (
     check_block_solve,
     csgraph_reaches,
     dense_fundamental,
+    package_uses,
     random_network,
     reference_walk,
     system_size,
@@ -340,6 +340,18 @@ def test_solve_holds_its_matrix_edge_entries_and_a_few_blocks():
         assert peak - 8 * m * m < 8 * (4 * net.n_edges + 16 * _BLOCK + blocks)
 
 
+def test_exact_absorption_frees_its_identity_weights_once_the_solve_holds_them():
+    net = random_network(np.random.default_rng(59), n=1000, density=0.1)
+    step = diffusion._SOLVE_BLOCK
+    for direction in DIRECTIONS:
+        m, s = system_size(net, direction), np.count_nonzero(diffusion._walk(net, direction)[1])
+        _, peak = traced_peak(lambda: exact_absorption(net, direction))
+        # A, y (m x s), and the first block's factors and update of y; what is
+        # left, B's entries and the reach arrays, is less than the s x s identity
+        held = 8 * (m * m + m * s + (m - step) * s + step * (m - step + s))
+        assert peak - held < 8 * s * s
+
+
 def test_the_exact_solve_is_the_only_linear_solve_in_the_package():
     # ROADMAP aim 2's one exact-solve path: no other function of the package
     # solves, inverts or least-squares a matrix, or imports a linalg module
@@ -349,15 +361,7 @@ def test_the_exact_solve_is_the_only_linear_solve_in_the_package():
         return (isinstance(node, ast.Attribute) and node.attr in {"solve", "inv", "lstsq"}
                 and "linalg" in ast.unparse(node.value))
 
-    uses = set()
-    for path in sorted(Path(diffusion.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        defs = [d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
-        for node in filter(is_solve, ast.walk(tree)):
-            # ast.walk meets an enclosing def before the defs nested in it
-            inside = [d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno]
-            uses.add((path.stem, inside[-1] if inside else None))
-    assert uses == {("diffusion", "_solve")}
+    assert package_uses(is_solve) == {("diffusion", "_solve")}
 
 
 def test_block_solve_matches_dense_reference():

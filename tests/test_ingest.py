@@ -1,4 +1,6 @@
+import ast
 import collections
+import csv
 import io
 import math
 import sys
@@ -10,7 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dict_loop_reconcile, rowwise_parse_dyadic_records, traced_peak
+from helpers import (
+    dict_loop_reconcile,
+    package_uses,
+    rowwise_parse_dyadic_records,
+    traced_peak,
+)
 from tradeflux import _io, ingest
 from tradeflux._io import code_fault
 from tradeflux.errors import ConfigurationError
@@ -628,6 +635,48 @@ def test_parse_splits_lines_alike_whatever_the_stream_splits_them_at(tmp_path, n
         parsed = parse_dyadic_records(stream)
     assert repr(parsed.records) == repr(records)
     assert parsed.dropped == dropped
+
+
+def test_an_unquoted_bare_cr_file_is_split_without_the_csv_reader(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"year,reporter,partner,exports,imports\r2000,A,B,1,2\r"
+                     b"2000,B,C,x,4\r2000,C,A,5,6\r")
+    with mock.patch.object(ingest.csv, "reader", wraps=csv.reader) as spy:
+        parsed = parse_dyadic_records(path)
+    # the header's row alone goes through csv
+    assert [call.args[0] for call in spy.call_args_list] == [
+        ["year,reporter,partner,exports,imports\r"]
+    ]
+    records, dropped = rowwise_parse_dyadic_records(path, None)
+    assert parsed.dropped == dropped == [("line 3", "non-numeric export value 'x'")]
+    assert repr(parsed.records) == repr(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("ab\r\n", max_size=40), st.sampled_from(["", None, "\n", "\r", "\r\n"]),
+       st.integers(1, 8))
+def test_line_chunks_end_lines_at_every_line_end_whatever_the_newline_setting(
+    text, newline, size
+):
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+    chunks = list(_io.line_chunks(stream, size))
+    assert all(lines and chunk == "".join(lines) for lines, chunk in chunks)
+    lines = [line for lines, _ in chunks for line in lines]
+    if newline is None:  # the stream ends every line in \n
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    assert lines == io.StringIO(text, newline="").readlines()
+
+
+def test_lines_are_split_by_one_generator():
+    # ROADMAP aim 2's one reader rule: no function of the package but
+    # _io.line_chunks reads lines or splits text into lines of its own
+    def splits_lines(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "readlines"
+        return (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("StringIO")
+                and any(keyword.arg == "newline" for keyword in node.keywords))
+
+    assert package_uses(splits_lines) == {("_io", "line_chunks")}
 
 
 # --- matrix validation and file format ------------------------------------

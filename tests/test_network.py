@@ -255,6 +255,26 @@ def test_edge_list_reader_skips_a_byte_order_mark(tmp_path, text):
     assert list(net.iter_edges()) == list(expected.iter_edges())
 
 
+@pytest.mark.parametrize("newline", ["", None, "\n", "\r", "\r\n"])
+def test_edge_list_splits_lines_alike_whatever_the_stream_splits_them_at(newline):
+    lines = ["src\tdst\tweight", "A\tB\t1.5", "", "#countries\tA\tB\tC\tD", "B\tC\t2.0",
+             "C\tD\t0.25"]
+
+    def read(lines, ends):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+        # 8 characters a chunk: a stream ending lines at \r alone cuts \r\n in two
+        with mock.patch.object(network, "_READ_CHUNK", 8):
+            return read_edge_list(stream)
+
+    for ends in ["\n"] * 8, ["\r\n"] * 8, ["\r"] * 8, ["\r", "\r\n", "\n"] * 3:
+        net = read(lines, ends)
+        assert net.countries == ("A", "B", "C", "D")
+        assert list(net.iter_edges()) == [(0, 1, 1.5), (1, 2, 2.0), (2, 3, 0.25)]
+        with pytest.raises(ValueError, match="^line 7: expected 'src dst weight'$"):
+            read([*lines, "D\tA", "A\tC\t3"], ends)
+
+
 def test_edge_list_text_that_is_not_utf8_is_named_by_its_line(tmp_path):
     path = tmp_path / "network.tsv"
     path.write_bytes(b"A\tB\t1.0\r\n" * 5000 + b"B\tC\t2.0\r" + b"C\t\xffD\t3\n")
