@@ -31,7 +31,6 @@ _NAMES = {
     "disparity": (
         "DisparityPoint", "DisparityProfile", "ScalingFit", "disparity_points",
         "disparity_profile", "fit_scaling_exponent", "null_model_moments",
-        "null_model_sample", "null_model_shares",
     ),
     "errors": ("ConfigurationError", "InsufficientDataError", "NoConvergenceError"),
     "ingest": (

@@ -3,14 +3,13 @@
 A file argument is either an open file object, used as given, or a path
 (``str`` or ``os.PathLike``), opened here. A string is never file content.
 ``code_fault`` states the one rule for country codes, which both readers,
-``DyadicRecord`` and every ``ImbalanceNetwork`` apply, so that every file
-format the pipeline writes can carry every code it holds.
+``DyadicTable.from_records`` and every ``ImbalanceNetwork`` apply, so that
+every file format the pipeline writes can carry every code it holds.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import os
 import re
@@ -28,13 +27,11 @@ _control = re.compile("[\x00-\x1f]").search
 _not_xml = re.compile("[\ud800-\udfff\ufffe\uffff]").search
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def code_fault(code: str) -> str | None:
     """The rule ``code`` breaks, worded to follow "must not", or ``None``.
 
     This is the one rule for country codes: each part keeps the code
-    readable in some output. Records built in bulk name each country many
-    times, so the faults of the last few thousand codes are cached."""
+    readable in some output."""
     if not code:  # an edge-list line would lose a field
         return EMPTY
     if code.split() != [code]:  # the edge-list reader splits a line at whitespace

@@ -77,29 +77,6 @@ def null_model_moments(k: int) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
-def null_model_shares(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` random partitions of 1 into k shares, shape (size, k).
-
-    Shares are the gaps between k - 1 sorted uniform points, so each row
-    sums to one by construction.
-    """
-    if k < 1:
-        raise ValueError("degree must be >= 1")
-    if k == 1:
-        return np.ones((size, 1))
-    cuts = np.sort(rng.random((size, k - 1)), axis=1)
-    bounds = np.concatenate(
-        [np.zeros((size, 1)), cuts, np.ones((size, 1))], axis=1
-    )
-    return np.diff(bounds, axis=1)
-
-
-def null_model_sample(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` values of kY under the random-partition null."""
-    shares = null_model_shares(k, size, rng)
-    return k * np.sum(shares**2, axis=1)
-
-
 @dataclass(frozen=True)
 class DisparityPoint:
     """Observed concentration of one node against its null moments."""

@@ -43,7 +43,8 @@ class DyadicRecord:
     ``exports`` is the reporter's claim about its own exports to the partner;
     ``imports`` is the reporter's claim about its imports from the partner
     (i.e. the partner's exports to the reporter). Either may be ``None`` when
-    the reporter stayed silent on that side.
+    the reporter stayed silent on that side. A record is checked when it
+    becomes a table, by ``DyadicTable.from_records``.
     """
 
     year: int
@@ -51,21 +52,6 @@ class DyadicRecord:
     partner: str
     exports: float | None
     imports: float | None
-
-    def __post_init__(self):
-        # the parser's order: export flow, import flow, self-trade, codes
-        for name in ("exports", "imports"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
-        if self.reporter == self.partner:
-            raise ValueError(f"self-trade record for {self.reporter!r}")
-        if code_fault(self.reporter) or code_fault(self.partner):
-            raise ValueError(_codes_fault(self.reporter, self.partner))
 
 
 def _codes_fault(reporter: str, partner: str) -> str:
@@ -78,6 +64,30 @@ def _codes_fault(reporter: str, partner: str) -> str:
     if SPACED in faults:
         return "country codes must be whitespace-free tokens"
     return f"country codes must not {faults[0] or faults[1]}"
+
+
+def _row_checks(exports, imports, reporter, partner, token, codes, before=()):
+    """The one rule for records rows: the mask of the rows that fail a check,
+    and for each such row, in order, its index and the reason of the first
+    check it fails, as a function of the index. The checks are ``before``,
+    pairs of a mask and a reason, then export flow, import flow, self-trade
+    and country codes.
+
+    ``exports`` and ``imports`` hold NaN where a flow is missing and -inf
+    where it is not a number; ``reporter`` and ``partner`` hold the codes'
+    numbers in a ``CodeNumbers``. ``token(i, name)`` is the text of row
+    ``i``'s ``name`` flow, and ``codes(i)`` its reporter and partner."""
+    checks = (
+        *before,
+        (np.isinf(exports) | (exports < 0), lambda i: _flow_fault(token(i, "exports"), "export")),
+        (np.isinf(imports) | (imports < 0), lambda i: _flow_fault(token(i, "imports"), "import")),
+        (reporter == partner, lambda i: "self-trade"),
+        ((reporter < 0) | (partner < 0), lambda i: _codes_fault(*codes(i))),
+    )
+    bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+    at = np.flatnonzero(bad)
+    first = np.argmax([mask[at] for mask, _ in checks], axis=0)
+    return bad, [(i, checks[check][1]) for i, check in zip(at.tolist(), first.tolist())]
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ class TradeMatrix:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of parsing, reconciliation, or matrix validation.
+    """Outcome of reconciliation or of matrix validation.
 
     ``dropped`` holds (identifier, reason) pairs for inputs that were set
     aside rather than silently ignored. ``violations`` names broken matrix
@@ -169,7 +179,8 @@ class DyadicTable:
 
     ``reporter`` and ``partner`` index ``codes``, which is sorted and free
     of repeats; ``exports`` and ``imports`` hold NaN where the reporter
-    stayed silent on that side. Every row satisfies ``DyadicRecord``'s checks.
+    stayed silent on that side. Every row passes the records-row checks
+    (``_row_checks``), whether the parser or ``from_records`` made it.
     Tables compare by identity; compare their ``records()`` instead.
     """
 
@@ -182,16 +193,27 @@ class DyadicTable:
 
     @classmethod
     def from_records(cls, records) -> "DyadicTable":
-        """The table of a ``DyadicRecord`` sequence."""
+        """The table of a ``DyadicRecord`` sequence, checked by the parser's
+        ``_row_checks``, each distinct code once. The first record refused
+        raises ``ValueError("record <i>: <reason>")``, a flow's token its ``repr``."""
         number, n = CodeNumbers(), len(records)
         ends = number.of([r.reporter for r in records] + [r.partner for r in records])
+        exports, imports = (
+            np.fromiter(map(_record_flow, map(attrgetter(name), records)), float, n)
+            for name in ("exports", "imports")
+        )
+        _, failures = _row_checks(
+            exports, imports, ends[:n], ends[n:],
+            lambda i, name: repr(getattr(records[i], name)),
+            lambda i: (records[i].reporter, records[i].partner),
+        )
+        if failures:
+            i, reason = failures[0]
+            raise ValueError(f"record {i}: {reason(i)}")
         return cls(
             number.renumber([ends]),
             np.array(list(map(attrgetter("year"), records))),
-            ends[:n], ends[n:],
-            # None becomes NaN
-            np.array(list(map(attrgetter("exports"), records)), dtype=float),
-            np.array(list(map(attrgetter("imports"), records)), dtype=float),
+            ends[:n], ends[n:], exports, imports,
         )
 
     def __len__(self) -> int:
@@ -224,8 +246,9 @@ class DyadicTable:
 class ParseResult:
     """Well-formed records plus the rows that could not be used.
 
-    ``table`` holds the records as columns; ``records`` builds the same
-    records as ``DyadicRecord`` objects on first use.
+    ``table`` holds the records as columns, each row checked by
+    ``_parse_columns``; ``records`` builds the same records as
+    ``DyadicRecord`` objects on first use.
     """
 
     table: DyadicTable = field(default_factory=lambda: DyadicTable.from_records([]))
@@ -244,23 +267,34 @@ def _flow_or_flag(token: str) -> float:
         return math.nan if token.strip().lower() in MISSING_TOKENS else -math.inf
 
 
-def _flow_column(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Values of one flow column, NaN where missing, and the rows whose
-    token is not a flow: unreadable, infinite or negative (``_flow_fault`` says which)."""
+def _record_flow(value) -> float:
+    """A record's flow as a flow column holds it: NaN for ``None``, and -inf,
+    which the flow check refuses, for NaN and for what ``math`` cannot read
+    as a real number; unlike ``float``, ``math`` reads no text as one."""
+    if value is None:
+        return math.nan
     try:
-        values = np.fromiter(map(float, tokens), float, len(tokens))
+        return float(value) if math.isfinite(value) else -math.inf
+    except (TypeError, OverflowError):
+        return -math.inf
+
+
+def _flow_column(tokens: list[str]) -> np.ndarray:
+    """Values of one flow column: NaN where missing, -inf where unreadable."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
-        values = np.fromiter(map(_flow_or_flag, tokens), float, len(tokens))
-    return values, np.isinf(values) | (values < 0)
+        return np.fromiter(map(_flow_or_flag, tokens), float, len(tokens))
 
 
 def _flow_fault(token: str, name: str) -> str:
-    """Why ``_flow_column`` rejects ``token``, a value of the ``name`` flow."""
+    """Why the flow check refuses ``token``, a value of the ``name`` flow:
+    unreadable, not finite, or negative."""
     try:
         value = float(token)
     except ValueError:
         return f"non-numeric {name} value {token!r}"
-    return f"{'non-finite' if math.isinf(value) else 'negative'} {name} value {token!r}"
+    return f"{'negative' if math.isfinite(value) else 'non-finite'} {name} value {token!r}"
 
 
 def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
@@ -334,28 +368,21 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     ends = number.of(stripped)[inverse]  # equal where the stripped codes are
     reporter, partner = ends[:n], ends[n:]
 
-    exports, bad_exports = _flow_column(column("exports"))
-    imports, bad_imports = _flow_column(column("imports"))
+    exports, imports = _flow_column(column("exports")), _flow_column(column("imports"))
 
-    checks = (  # each check's mask and its reason for row i, first to last
-        (short, lambda i: f"expected {len(names)} columns, got {len(rows[i])}"),
-        (unread, lambda i: years[year_at[i]]),
-        (bad_exports, lambda i: _flow_fault(field(i, "exports"), "export")),
-        (bad_imports, lambda i: _flow_fault(field(i, "imports"), "import")),
-        (reporter == partner, lambda i: "self-trade"),
-        ((reporter < 0) | (partner < 0),
-         lambda i: _codes_fault(field(i, "reporter").strip(), field(i, "partner").strip())),
+    bad, failures = _row_checks(
+        exports, imports, reporter, partner, field,
+        lambda i: (field(i, "reporter").strip(), field(i, "partner").strip()),
+        before=((short, lambda i: f"expected {len(names)} columns, got {len(rows[i])}"),
+                (unread, lambda i: years[year_at[i]])),
     )
-    bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
     kept = (year, reporter, partner, exports, imports)
     dropped = []
-    if bad.any():
-        at = np.flatnonzero(bad)
-        first = np.argmax([mask[at] for mask, _ in checks], axis=0)
-        for i, check in zip(at.tolist(), first.tolist()):
-            row = fields[i * width:(i + 1) * width] if rows is None else rows[i]
-            if any(map(str.strip, row)):  # a row blank as read is skipped
-                dropped.append((f"line {line_nos[i]}", checks[check][1](i)))
+    for i, reason in failures:
+        row = fields[i * width:(i + 1) * width] if rows is None else rows[i]
+        if any(map(str.strip, row)):  # a row blank as read is skipped
+            dropped.append((f"line {line_nos[i]}", reason(i)))
+    if failures:
         kept = tuple(values[~bad] for values in kept)
     return kept, dropped
 
@@ -468,7 +495,8 @@ def reconcile_flows(
     """Merge double-reported flows into a single export matrix.
 
     ``records`` is a :class:`DyadicTable` or a sequence of
-    :class:`DyadicRecord`, all of ``year``.
+    :class:`DyadicRecord`, all of ``year``; a sequence is checked by
+    :meth:`DyadicTable.from_records`.
     For the flow A->B there are up to two claims: A's export report and B's
     import report. ``policy`` picks the resolution (``average``,
     ``prefer-importer``, ``prefer-exporter``, ``max``); a single claim is
@@ -481,9 +509,7 @@ def reconcile_flows(
         raise ConfigurationError(
             f"unknown reconcile policy {policy!r}; expected one of {RECONCILE_POLICIES}"
         )
-    table = records
-    if not isinstance(table, DyadicTable):
-        table = DyadicTable.from_records(records)
+    table = records if isinstance(records, DyadicTable) else DyadicTable.from_records(records)
     wrong = np.flatnonzero(table.year != year)
     if wrong.size:
         raise ValueError(

@@ -9,7 +9,8 @@ reconciliation against a dict loop over the claims, the columnar
 readers against the row-at-a-time readers they replaced, the
 per-degree-class concentration kernel against a per-node loop, the
 numpy reachability search against the scipy ``csgraph`` one it replaced,
-and the blocked exact solve against a dense matrix inverse.
+the blocked exact solve against a dense matrix inverse, and the closed-form
+null moments against random partitions drawn by breaking a stick.
 """
 
 import ast
@@ -406,9 +407,23 @@ def _parse_flow(token: str, name: str) -> float | None:
     return value
 
 
+def _rowwise_codes_fault(reporter: str, partner: str) -> str | None:
+    """Why a row naming ``reporter`` and ``partner`` is dropped for its
+    codes, or ``None``: an empty code first, then whitespace, then the
+    reporter's fault, then the partner's."""
+    if "" in (reporter, partner):
+        return "country codes must be non-empty"
+    if any(c.isspace() for c in reporter + partner):
+        return "country codes must be whitespace-free tokens"
+    for code in (reporter, partner):
+        if fault := _linewise_code_fault(code):
+            return f"country codes must not {fault}"
+    return None
+
+
 def rowwise_parse_dyadic_records(path, columns):
-    """Records parsed one ``csv`` row at a time, each validated as a
-    ``DyadicRecord``; returns ``(records, dropped)``."""
+    """Records parsed one ``csv`` row at a time, each row's flows and codes
+    checked here; returns ``(records, dropped)``."""
     columns = columns or ColumnMap()
     with open(path, encoding="utf-8", newline="") as stream:
         header_line = stream.readline()
@@ -449,11 +464,12 @@ def rowwise_parse_dyadic_records(path, columns):
                 imports = _parse_flow(row[positions["imports"]], "import")
                 if reporter == partner:
                     raise ValueError("self-trade")
-                record = DyadicRecord(year, reporter, partner, exports, imports)
+                if fault := _rowwise_codes_fault(reporter, partner):
+                    raise ValueError(fault)
             except ValueError as exc:
                 dropped.append((where, str(exc)))
                 continue
-            records.append(record)
+            records.append(DyadicRecord(year, reporter, partner, exports, imports))
         return records, dropped
 
 
@@ -504,6 +520,29 @@ def linewise_read_edge_list(path) -> ImbalanceNetwork:
             edges.append((parts[0], parts[1], w))
     countries = sorted({*listed, *(code for s, d, _ in edges for code in (s, d))})
     return ImbalanceNetwork.from_edges(edges, countries)
+
+
+def null_model_shares(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` random partitions of 1 into k shares, shape (size, k).
+
+    Shares are the gaps between k - 1 sorted uniform points, so each row
+    sums to one by construction.
+    """
+    if k < 1:
+        raise ValueError("degree must be >= 1")
+    if k == 1:
+        return np.ones((size, 1))
+    cuts = np.sort(rng.random((size, k - 1)), axis=1)
+    bounds = np.concatenate(
+        [np.zeros((size, 1)), cuts, np.ones((size, 1))], axis=1
+    )
+    return np.diff(bounds, axis=1)
+
+
+def null_model_sample(k: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` values of kY under the random-partition null."""
+    shares = null_model_shares(k, size, rng)
+    return k * np.sum(shares**2, axis=1)
 
 
 def pernode_disparity_points(net: ImbalanceNetwork, direction: str) -> list:

@@ -15,7 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import quadrature_significance, random_network
+from helpers import (
+    null_model_sample,
+    null_model_shares,
+    quadrature_significance,
+    random_network,
+)
 from tradeflux.backbone import backbone_stats, extract_backbone
 from tradeflux.diffusion import WalkConfig, exact_absorption, forward_walk_mc
 from tradeflux.disparity import (
@@ -24,8 +29,6 @@ from tradeflux.disparity import (
     disparity_profile,
     fit_scaling_exponent,
     null_model_moments,
-    null_model_sample,
-    null_model_shares,
 )
 from tradeflux.ingest import ColumnMap, parse_dyadic_records, reconcile_flows
 from tradeflux.network import (

@@ -654,7 +654,7 @@ EXPORTED = (
     "detailed_balance_check diffusion disparity disparity_points disparity_profile "
     "errors exact_absorption extract_backbone "
     "fit_scaling_exponent forward_walk_mc imbalance_reconstruction ingest network "
-    "node_accounts null_model_moments null_model_sample null_model_shares "
+    "node_accounts null_model_moments "
     "parse_dyadic_records rank_partners read_edge_list reconcile_flows total_flux "
     "validate_trade_matrix write_edge_list write_graphml"
 ).split()

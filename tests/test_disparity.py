@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pernode_disparity_points, pernode_profile_rows
+from helpers import (
+    null_model_sample,
+    null_model_shares,
+    pernode_disparity_points,
+    pernode_profile_rows,
+)
 from tradeflux.disparity import (
     DIRECTIONS,
     DisparityProfile,
@@ -16,8 +21,6 @@ from tradeflux.disparity import (
     disparity_profile,
     fit_scaling_exponent,
     null_model_moments,
-    null_model_sample,
-    null_model_shares,
     write_fit_json,
     write_profile_csv,
 )

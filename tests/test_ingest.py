@@ -221,26 +221,37 @@ def test_parse_empty_input():
     assert result.records == [] and result.dropped == []
 
 
+def _refused(*records) -> str:
+    """What ``reconcile_flows`` raises for a good record followed by one
+    record made of each of ``records``, tuples of fields after the year."""
+    listed = [DyadicRecord(2000, "C", "D", 1.0, 2.0)]
+    listed += [DyadicRecord(2000, *fields) for fields in records]
+    with pytest.raises(ValueError) as caught:
+        reconcile_flows(listed, 2000)
+    return str(caught.value)
+
+
 def test_record_validation():
-    with pytest.raises(ValueError, match="self-trade"):
-        DyadicRecord(2000, "A", "A", 1.0, None)
-    with pytest.raises(ValueError, match="non-negative"):
-        DyadicRecord(2000, "A", "B", -1.0, None)
-    with pytest.raises(ValueError, match="finite"):
-        DyadicRecord(2000, "A", "B", math.inf, None)
-    with pytest.raises(ValueError, match="whitespace"):
-        DyadicRecord(2000, "A B", "C", 1.0, None)
-    with pytest.raises(ValueError, match="non-empty"):
-        DyadicRecord(2000, "", "C", 1.0, None)
-    with pytest.raises(ValueError, match="control characters"):
-        DyadicRecord(2000, "A", "\x07", 1.0, None)
+    # a record is checked when its list becomes a table, as the parser checks a row
+    assert _refused(("A", "A", 1.0, None)) == "record 1: self-trade"
+    assert _refused(("A", "B", -1.0, None)) == "record 1: negative export value '-1.0'"
+    assert _refused(("A", "B", math.inf, None)) == "record 1: non-finite export value 'inf'"
+    assert _refused(("A B", "C", 1.0, None)) == \
+        "record 1: country codes must be whitespace-free tokens"
+    assert _refused(("", "C", 1.0, None)) == "record 1: country codes must be non-empty"
+    assert _refused(("A", "\x07", 1.0, None)) == \
+        "record 1: country codes must not contain control characters"
     # the parser's order: export flow, import flow, self-trade, then codes
-    with pytest.raises(ValueError, match="self-trade"):
-        DyadicRecord(2000, "A B", "A B", 1.0, None)
-    with pytest.raises(ValueError, match="non-negative"):
-        DyadicRecord(2000, "A", "A", -1.0, None)
-    with pytest.raises(ValueError, match="finite"):
-        DyadicRecord(2000, "", "", math.inf, None)
+    assert _refused(("A B", "A B", 1.0, None)) == "record 1: self-trade"
+    assert _refused(("A", "A", -1.0, None)) == "record 1: negative export value '-1.0'"
+    assert _refused(("", "", math.inf, None)) == "record 1: non-finite export value 'inf'"
+    # NaN and text are not flows, though float() reads both
+    assert _refused(("A", "B", math.nan, None)) == "record 1: non-finite export value 'nan'"
+    assert _refused(("A", "B", 1.0, "1.0")) == \
+        "record 1: non-numeric import value \"'1.0'\""
+    # the first record refused is named, whichever check refuses a later one
+    assert _refused(("A", "\x07", 1.0, None), ("A", "B", -1.0, None)) == \
+        "record 1: country codes must not contain control characters"
 
 
 @pytest.mark.parametrize("reporter, partner, reason", [
@@ -252,11 +263,91 @@ def test_record_validation():
 ])
 def test_record_code_faults_keep_their_order(reporter, partner, reason):
     with pytest.raises(ValueError) as caught:
-        DyadicRecord(2000, reporter, partner, 1.0, None)
-    assert str(caught.value) == f"country codes must {reason}"
+        reconcile_flows([DyadicRecord(2000, reporter, partner, 1.0, None)], 2000)
+    assert str(caught.value) == f"record 0: country codes must {reason}"
     # a records row naming the same codes is dropped for the same reason
     text = f"{_HEADER}2000,{reporter},{partner},1,\n"
-    assert parse_dyadic_records(io.StringIO(text)).dropped == [("line 2", str(caught.value))]
+    assert parse_dyadic_records(io.StringIO(text)).dropped == [
+        ("line 2", f"country codes must {reason}")
+    ]
+
+
+def test_records_check_each_code_once():
+    # each distinct code once per table, as the parser checks it, not twice a record
+    checked = collections.Counter()
+
+    def counted_code_fault(code):
+        checked[code] += 1
+        return code_fault(code)
+
+    with mock.patch.object(_io, "code_fault", counted_code_fault), \
+            mock.patch.object(ingest, "code_fault", counted_code_fault):
+        records = [DyadicRecord(2000, f"R{i % 37}", f"P{i % 41}", i + 0.5, None)
+                   for i in range(3000)]
+        matrix, report = reconcile_flows(records, 2000)
+    assert len(matrix.countries) == 78 and len(report.dropped) == 3000 - 37 * 41
+    codes = [f"R{i}" for i in range(37)] + [f"P{i}" for i in range(41)]
+    assert checked == collections.Counter(codes)
+
+
+# codes and flows a tab-separated file carries as they are: no NaN flow, and
+# no code with whitespace around it or a line end in it
+_tsv_codes = st.one_of(
+    st.sampled_from(["A", "B", "C", "", "A B", "#A", "B\x00", 'A"B', "C\uffff"]),
+    st.text('AB #,"\x00\x07\x0b\x1c é\uffff\ud800', max_size=3).filter(
+        lambda code: code == code.strip()),
+)
+_tsv_flows = st.one_of(
+    st.none(), st.floats(min_value=0.0, allow_infinity=False), st.floats(allow_nan=False),
+    st.integers(-3, 10**400), st.sampled_from(["1.0", "nan", "", "NA"]),
+)
+_tsv_records = st.builds(
+    DyadicRecord, st.integers(-2**63, 2**63 - 1), _tsv_codes, _tsv_codes, _tsv_flows,
+    _tsv_flows,
+)
+
+
+def _as_tsv(records) -> str:
+    """The text of ``records``, a flow written as its ``repr``."""
+    text = io.StringIO()
+    writer = csv.writer(text, delimiter="\t", lineterminator="\n")
+    writer.writerow(["year", "reporter", "partner", "exports", "imports"])
+    for r in records:
+        flows = ("" if flow is None else repr(flow) for flow in (r.exports, r.imports))
+        writer.writerow([r.year, r.reporter, r.partner, *flows])
+    return text.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_tsv_records, min_size=1, max_size=8))
+@example([DyadicRecord(2000, "A", "B", "1.0", None)])
+@example([DyadicRecord(2000, "A", "B", 10**400, None)])
+@example([DyadicRecord(2000, "#A", "B\x00", 1.0, None)])
+def test_records_are_refused_as_their_rows_are_dropped(records):
+    parsed = parse_dyadic_records(io.StringIO(_as_tsv(records)))
+    if parsed.dropped:
+        line, reason = parsed.dropped[0]
+        with pytest.raises(ValueError) as caught:
+            DyadicTable.from_records(records)
+        assert str(caught.value) == f"record {int(line.removeprefix('line ')) - 2}: {reason}"
+        return
+    table = DyadicTable.from_records(records)
+    assert table.codes == parsed.table.codes
+    for name in ("year", "reporter", "partner", "exports", "imports"):
+        column, expected = getattr(table, name), getattr(parsed.table, name)
+        assert (column.dtype, column.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+def test_records_rows_are_checked_by_one_function():
+    # ROADMAP aim 2's one records-row rule: the parser and from_records share
+    # _row_checks, the only function that words a flow or a code fault
+    def words_a_fault(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("_flow_fault", "_codes_fault"))
+
+    assert package_uses(words_a_fault) == {("ingest", "_row_checks")}
+    assert "__post_init__" not in vars(DyadicRecord)
+    assert not hasattr(code_fault, "cache_info")
 
 
 # --- reconciliation -------------------------------------------------------
