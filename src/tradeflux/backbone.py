@@ -73,7 +73,6 @@ class BackboneNetwork:
             self.base.src[self.edge_index],
             self.base.dst[self.edge_index],
             self.base.weight[self.edge_index],
-            validate=False,
         )
 
 

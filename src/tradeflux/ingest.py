@@ -195,16 +195,21 @@ class DyadicTable:
     def from_records(cls, records) -> "DyadicTable":
         """The table of a ``DyadicRecord`` sequence, checked by the parser's
         ``_row_checks``, each distinct code once. The first record refused
-        raises ``ValueError("record <i>: <reason>")``, a flow's token its ``repr``."""
+        raises ``ValueError("record <i>: <reason>")``, a flow's token the ``repr``
+        of the Python value it holds (a numpy scalar's ``item()``)."""
         number, n = CodeNumbers(), len(records)
         ends = number.of([r.reporter for r in records] + [r.partner for r in records])
         exports, imports = (
             np.fromiter(map(_record_flow, map(attrgetter(name), records)), float, n)
             for name in ("exports", "imports")
         )
+
+        def token(i, name):
+            value = getattr(records[i], name)
+            return repr(value.item() if isinstance(value, np.generic) else value)
+
         _, failures = _row_checks(
-            exports, imports, ends[:n], ends[n:],
-            lambda i, name: repr(getattr(records[i], name)),
+            exports, imports, ends[:n], ends[n:], token,
             lambda i: (records[i].reporter, records[i].partner),
         )
         if failures:
@@ -246,12 +251,12 @@ class DyadicTable:
 class ParseResult:
     """Well-formed records plus the rows that could not be used.
 
-    ``table`` holds the records as columns, each row checked by
-    ``_parse_columns``; ``records`` builds the same records as
-    ``DyadicRecord`` objects on first use.
+    ``table`` holds the records as columns, each row checked by ``_parse_columns``;
+    an empty file, like a header-only one, gives no codes and empty typed columns.
+    ``records`` builds the same records as ``DyadicRecord`` objects on first use.
     """
 
-    table: DyadicTable = field(default_factory=lambda: DyadicTable.from_records([]))
+    table: DyadicTable
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
     @functools.cached_property
@@ -437,8 +442,6 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
         elif lines:
             # ragged rows, or a blank line: each row split alone
             check(line_nos, [line.rstrip("\r\n").split(delimiter) for line in lines])
-    if header is None:
-        return ParseResult()
     return ParseResult(DyadicTable(number.renumber(kept[1:3]), *kept), dropped)
 
 

@@ -40,13 +40,13 @@ class ImbalanceNetwork:
     At most one direction may exist per unordered pair, weights must be
     strictly positive and finite, and self-loops are rejected. Strengths
     must be finite too: weights summing past the float range are rejected.
-    Every country code must pass ``_io.code_fault``, whatever ``validate``
-    says, so that every file the pipeline writes can carry the network.
+    Every network, however made, is checked: its codes by ``_io.code_fault``, so
+    that every file the pipeline writes can carry them, then its edges and strengths.
     Edge arrays given in canonical order and in the stored dtypes are kept,
     not copied, so they must not be changed afterwards.
     """
 
-    def __init__(self, countries, src, dst, weight, validate: bool = True):
+    def __init__(self, countries, src, dst, weight):
         self.countries: tuple[str, ...] = tuple(countries)
         n = len(self.countries)
         src = np.asarray(src, dtype=np.int64)
@@ -65,8 +65,7 @@ class ImbalanceNetwork:
         for code in self.countries:
             if fault := code_fault(code):
                 raise ValueError(f"country code {code!r} must not {fault}")
-        if validate:
-            self._check_invariants(keys)
+        self._check_invariants(keys)
         del keys
 
         self.k_in = np.bincount(self.dst, minlength=n)
@@ -187,10 +186,8 @@ class ImbalanceNetwork:
         """The same network with every edge flipped (weights kept)."""
         # by target, then source: the flipped edges' canonical order
         order = self._in_order
-        return ImbalanceNetwork(
-            self.countries, self.dst[order], self.src[order], self.weight[order],
-            validate=False,
-        )
+        return ImbalanceNetwork(self.countries, self.dst[order], self.src[order],
+                                self.weight[order])
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
         np.fill_diagonal(edge[:, rows], False)
         src, dst = np.nonzero(edge)
         _append(edges, (src + start, dst, flow[edge]))
-    return ImbalanceNetwork(tm.countries, *edges, validate=False)
+    return ImbalanceNetwork(tm.countries, *edges)
 
 
 def node_accounts(net: ImbalanceNetwork) -> list[NodeAccount]:

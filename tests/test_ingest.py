@@ -219,6 +219,11 @@ def test_parse_words_each_dropped_row_by_its_first_fault(case, way):
 def test_parse_empty_input():
     result = parse_dyadic_records(io.StringIO(""))
     assert result.records == [] and result.dropped == []
+    # the table a header-only file gives, with the same typed empty columns
+    header_only = parse_dyadic_records(io.StringIO(_HEADER)).table
+    assert result.table.codes == header_only.codes == ()
+    for name in ("year", "reporter", "partner", "exports", "imports"):
+        assert getattr(result.table, name).dtype == getattr(header_only, name).dtype, name
 
 
 def _refused(*records) -> str:
@@ -249,6 +254,11 @@ def test_record_validation():
     assert _refused(("A", "B", math.nan, None)) == "record 1: non-finite export value 'nan'"
     assert _refused(("A", "B", 1.0, "1.0")) == \
         "record 1: non-numeric import value \"'1.0'\""
+    # a numpy scalar is named by the Python value it holds, not by its repr
+    assert _refused(("A", "B", np.float64(-1.0), None)) == \
+        "record 1: negative export value '-1.0'"
+    assert _refused(("A", "B", np.float64(math.nan), None)) == \
+        "record 1: non-finite export value 'nan'"
     # the first record refused is named, whichever check refuses a later one
     assert _refused(("A", "\x07", 1.0, None), ("A", "B", -1.0, None)) == \
         "record 1: country codes must not contain control characters"

@@ -1,5 +1,8 @@
+import ast
 import csv
+import inspect
 import io
+import itertools
 import os
 import re
 import warnings
@@ -16,6 +19,7 @@ from helpers import (
     elementtree_graphml,
     first_pair_violation,
     linewise_read_edge_list,
+    package_uses,
     random_network,
     random_trade_matrix,
     traced_peak,
@@ -176,22 +180,25 @@ def test_canonical_edge_order():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    st.lists(st.tuples(st.sampled_from(list(itertools.combinations(range(n), 2))), st.booleans()),
+             unique_by=lambda drawn: drawn[0], max_size=40),
     st.booleans(),
 )))
 def test_canonical_order_is_lexsorts(case):
-    # random, presorted and repeated pairs all land where lexsort puts them;
-    # distinct weights show the whole permutation, ties included
-    n, pairs, presort = case
+    # valid edge sets (distinct pairs, no self-loops, one random direction
+    # each), shuffled or presorted, land where lexsort puts them; distinct
+    # weights show the whole permutation
+    n, drawn, presort = case
+    pairs = [(j, i) if flip else (i, j) for (i, j), flip in drawn]
     if presort:
         pairs = sorted(pairs)
     src = np.array([i for i, _ in pairs], dtype=np.int64)
     dst = np.array([j for _, j in pairs], dtype=np.int64)
     weight = np.arange(1.0, len(pairs) + 1)
     order = np.lexsort((dst, src))
-    net = ImbalanceNetwork([f"C{i}" for i in range(n)], src, dst, weight, validate=False)
+    net = ImbalanceNetwork([f"C{i}" for i in range(n)], src, dst, weight)
     np.testing.assert_array_equal(net.src, src[order])
     np.testing.assert_array_equal(net.dst, dst[order])
     np.testing.assert_array_equal(net.weight, weight[order])
@@ -200,6 +207,26 @@ def test_canonical_order_is_lexsorts(case):
     np.testing.assert_array_equal(rev.src, net.dst[back])
     np.testing.assert_array_equal(rev.dst, net.src[back])
     np.testing.assert_array_equal(rev.weight, net.weight[back])
+
+
+def test_every_network_is_checked(net3):
+    # one way to make a network: no switch skips the edge checks, and each
+    # network the package makes from another is checked like any other
+    assert list(inspect.signature(ImbalanceNetwork).parameters) == [
+        "countries", "src", "dst", "weight"]
+
+    def passes_validate(node):
+        return isinstance(node, ast.Call) and any(k.arg == "validate" for k in node.keywords)
+
+    assert package_uses(passes_validate) == set()
+    matrix = random_trade_matrix(np.random.default_rng(5))
+    backbone = extract_backbone(net3, 1.0)
+    with mock.patch.object(ImbalanceNetwork, "_check_invariants", autospec=True,
+                           side_effect=ImbalanceNetwork._check_invariants) as check:
+        for make in (lambda: build_imbalance_network(matrix), net3.reverse, backbone.as_network):
+            check.reset_mock()
+            made = make()
+            assert check.call_count == 1 and check.call_args.args[0] is made
 
 
 def test_total_flux(net3):
