@@ -95,9 +95,10 @@ class TradeMatrix:
     """Reconciled export matrix for one year.
 
     ``exports[i, j]`` is the resolved exports of ``countries[i]`` to
-    ``countries[j]`` in millions of USD. Construction checks shape only;
-    value-level invariants are checked by :func:`validate_trade_matrix` so
-    that defective matrices can be built and then reported on.
+    ``countries[j]`` in millions of USD. Every matrix is checked when made: a
+    ``ValueError`` names its first nonzero diagonal cell, else its first
+    non-finite cell, else its first negative one, in row-major order. A float
+    array is kept, not copied, so it must not be changed afterwards.
     """
 
     year: int
@@ -114,6 +115,15 @@ class TradeMatrix:
             )
         if len(set(self.countries)) != n:
             raise ValueError("duplicate country codes")
+        diagonal = np.flatnonzero(np.diagonal(matrix))
+        if diagonal.size:
+            raise ValueError(f"nonzero diagonal at {self.countries[diagonal[0]]}")
+        # no n x n temporary unless a cell is bad, which a NaN is to both tests
+        if not (matrix.min(initial=0.0) >= 0 and np.isfinite(matrix.max(initial=0.0))):
+            bad = ~np.isfinite(matrix)
+            kind, bad = ("non-finite", bad) if bad.any() else ("negative", matrix < 0)
+            i, j = divmod(int(np.argmax(bad)), n)
+            raise ValueError(f"{kind} entry at {self.countries[i]}->{self.countries[j]}")
         object.__setattr__(self, "exports", matrix)
 
 
@@ -122,8 +132,8 @@ class ValidationReport:
     """Outcome of reconciliation or of matrix validation.
 
     ``dropped`` holds (identifier, reason) pairs for inputs that were set
-    aside rather than silently ignored. ``violations`` names broken matrix
-    invariants; ``isolated`` lists countries with zero total trade.
+    aside rather than silently ignored. ``isolated`` lists countries with zero
+    total trade. ``violations`` stays empty: a ``TradeMatrix`` is checked when made.
     """
 
     n_records: int
@@ -154,7 +164,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ColumnMap:
-    """Names of the header columns carrying each dyadic field."""
+    """Names of the header columns carrying each dyadic field, each a ``str`` when made."""
 
     year: str = "year"
     reporter: str = "reporter"
@@ -162,12 +172,17 @@ class ColumnMap:
     exports: str = "exports"
     imports: str = "imports"
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, str):
+                raise ConfigurationError(f"column name for {name} must be a string, not {value!r}")
+
     @classmethod
     def from_dict(cls, mapping: dict) -> "ColumnMap":
         """The map given by a parsed JSON object of field names to column names."""
-        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        if not isinstance(mapping, dict):
             raise ConfigurationError(f"not a JSON object of column names: {mapping!r}")
-        unknown = set(mapping) - {"year", "reporter", "partner", "exports", "imports"}
+        unknown = set(mapping).difference(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown format-map keys: {sorted(unknown)}")
         return cls(**mapping)
@@ -319,19 +334,22 @@ def _year(token: str) -> int | str:
 
 
 def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]:
-    """Delimiter, header cells, and the position of each required column."""
+    """Delimiter, header cells, and the position of each required column, no two alike."""
     delimiter = "\t" if "\t" in header_line else ","
     header = next(csv.reader([header_line], delimiter=delimiter))
     lowered = [h.strip().lower() for h in header]
     positions = {}
-    for name in ("year", "reporter", "partner", "exports", "imports"):
-        wanted = getattr(columns, name)
+    for name, wanted in vars(columns).items():
         if wanted in header:
             positions[name] = header.index(wanted)
         elif wanted.lower() in lowered:
             positions[name] = lowered.index(wanted.lower())
         else:
             raise ConfigurationError(f"required column {wanted!r} not found in header {header}")
+    for name, at in positions.items():
+        other = next(known for known, place in positions.items() if place == at)
+        if other != name:
+            raise ConfigurationError(f"fields {other} and {name} both read column {header[at]!r}")
     return delimiter, header, positions
 
 
@@ -465,7 +483,7 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     and a few chunks' worth of strings, never the table twice.
 
     Raises :class:`ConfigurationError` when a required column named by
-    ``columns`` is absent from the header.
+    ``columns`` is absent from the header or found by another field too.
     """
     columns = columns or ColumnMap()
     with opened(stream) as stream:
@@ -587,33 +605,14 @@ def reconcile_flows(
 
 
 def validate_trade_matrix(tm: TradeMatrix) -> ValidationReport:
-    """Check matrix invariants and report isolated countries.
-
-    Purely a reporting operation: violations (nonzero diagonal, negative or
-    non-finite entries) are listed by cell, not raised.
+    """Report a matrix's nonzero cells, as ``n_records``, and its isolated
+    countries. The matrix rules were checked when ``tm`` was made, so the
+    report lists no violations.
     """
-    violations = []
     matrix = tm.exports
-    diag = np.flatnonzero(np.diag(matrix) != 0.0)
-    for i in diag:
-        violations.append(f"nonzero diagonal at {tm.countries[i]}")
-    bad = ~np.isfinite(matrix)
-    for i, j in zip(*np.nonzero(bad)):
-        violations.append(
-            f"non-finite entry at {tm.countries[i]}->{tm.countries[j]}"
-        )
-    negative = matrix < 0
-    for i, j in zip(*np.nonzero(negative)):
-        violations.append(
-            f"negative entry at {tm.countries[i]}->{tm.countries[j]}"
-        )
-
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         totals = matrix.sum(axis=0) + matrix.sum(axis=1)
-    isolated = tuple(
-        tm.countries[i] for i in range(len(tm.countries)) if totals[i] == 0.0
-    )
-    nonzero = int(np.count_nonzero(matrix))
     return ValidationReport(
-        n_records=nonzero, violations=tuple(violations), isolated=isolated
+        n_records=int(np.count_nonzero(matrix)),
+        isolated=tuple(compress(tm.countries, totals == 0.0)),
     )

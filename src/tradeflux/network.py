@@ -217,9 +217,10 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
     For each pair the net flow is ``exports[i, j] - exports[j, i]``; the pair
     contributes a single edge from the deficit side to the surplus side
     carrying the absolute difference, or no edge when balanced within
-    ``ZERO_IMBALANCE_RTOL`` relative to the larger gross flow.
+    ``ZERO_IMBALANCE_RTOL`` relative to the larger gross flow. ``tm`` is a
+    ``TradeMatrix``, checked when made; its ``exports`` must not change after.
     """
-    exports = np.asarray(tm.exports, dtype=float)
+    exports = tm.exports
     n = len(exports)
     edges = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
     # a block of rows i at a time, about 2**16 cells: the edges i -> j, which
@@ -231,7 +232,6 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
         # j has the surplus of the pair when it sells i more than it buys
         flow = back - out
         edge = flow > ZERO_IMBALANCE_RTOL * np.maximum(out, back)
-        np.fill_diagonal(edge[:, rows], False)
         src, dst = np.nonzero(edge)
         _append(edges, (src + start, dst, flow[edge]))
     return ImbalanceNetwork(tm.countries, *edges)

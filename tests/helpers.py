@@ -5,7 +5,8 @@ builder is checked against a quadratic double loop, the significance
 closed form against adaptive quadrature, the vectorised walker
 against a one-walker-at-a-time Python loop, the streamed GraphML writer
 against an ElementTree build of the same document, the vectorised
-reconciliation against a dict loop over the claims, the columnar
+reconciliation against a dict loop over the claims, the matrix check
+against the per-cell loops it replaced, the columnar
 readers against the row-at-a-time readers they replaced, the
 per-degree-class concentration kernel against a per-node loop, the
 numpy reachability search against the scipy ``csgraph`` one it replaced,
@@ -139,6 +140,22 @@ def random_trade_matrix(rng, n=20, density=0.4, year=2000) -> TradeMatrix:
     np.fill_diagonal(mask, False)
     exports = np.where(mask, rng.lognormal(3.0, 1.0, (n, n)), 0.0)
     return TradeMatrix(year, codes, exports)
+
+
+def matrix_violations(countries, exports) -> list[str]:
+    """Every matrix rule ``exports`` breaks, as the per-cell loops that
+    ``TradeMatrix``'s check replaced listed them: each nonzero diagonal
+    cell, then each non-finite cell, then each negative cell, each kind in
+    row-major order."""
+    matrix = np.asarray(exports, dtype=float)
+    violations = []
+    for i in np.flatnonzero(np.diag(matrix) != 0.0):
+        violations.append(f"nonzero diagonal at {countries[i]}")
+    for i, j in zip(*np.nonzero(~np.isfinite(matrix))):
+        violations.append(f"non-finite entry at {countries[i]}->{countries[j]}")
+    for i, j in zip(*np.nonzero(matrix < 0)):
+        violations.append(f"negative entry at {countries[i]}->{countries[j]}")
+    return violations
 
 
 def random_network(rng, n=20, density=0.4) -> ImbalanceNetwork:

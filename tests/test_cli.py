@@ -197,6 +197,22 @@ def test_build_bad_format_map_is_usage_error(tmp_path, capsys, mapping):
     assert err.startswith("tradeflux: bad --format-map: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ('{"imports": "imported"}',
+     "required column 'imported' not found in header "
+     "['year', 'reporter', 'partner', 'exports', 'imports']"),
+    ('{"exports": "imports"}', "fields exports and imports both read column 'imports'"),
+], ids=["missing", "shared"])
+def test_build_refuses_a_map_the_header_cannot_serve(tmp_path, capsys, mapping, message):
+    src = tmp_path / "records.csv"
+    src.write_text(TWO_COUNTRY)
+    out = tmp_path / "out"
+    code = main(["build", str(src), "--year", "2000", "--format-map", mapping, "-o", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"tradeflux: {message}\n"
+    assert not out.exists()
+
+
 def test_build_filters_by_year(tmp_path, capsys):
     src = tmp_path / "records.csv"
     src.write_text(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     dict_loop_reconcile,
+    matrix_violations,
     package_uses,
     rowwise_parse_dyadic_records,
     traced_peak,
@@ -120,6 +121,25 @@ def test_parse_unknown_map_key_rejected():
 def test_parse_missing_column_raises():
     with pytest.raises(ConfigurationError, match="'imports' not found"):
         parse_dyadic_records(io.StringIO("year,reporter,partner,exports\n2000,A,B,1\n"))
+
+
+@pytest.mark.parametrize("value", [5, None, ["a"], b"yr"])
+def test_column_map_refuses_a_column_name_that_is_not_text(value):
+    for make in (lambda: ColumnMap(year=value), lambda: ColumnMap.from_dict({"year": value})):
+        with pytest.raises(ConfigurationError) as caught:
+            make()
+        assert str(caught.value) == f"column name for year must be a string, not {value!r}"
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"exports": "imports"}, "fields exports and imports both read column 'imports'"),
+    ({"exports": "IMPORTS"}, "fields exports and imports both read column 'imports'"),
+    ({"imports": "Year"}, "fields year and imports both read column 'year'"),
+], ids=["same-name", "case-insensitive", "year"])
+def test_parse_refuses_two_fields_reading_one_column(mapping, message):
+    with pytest.raises(ConfigurationError) as caught:
+        parse_dyadic_records(io.StringIO(CSV), ColumnMap(**mapping))
+    assert str(caught.value) == message
 
 
 def test_parse_missing_value_tokens_become_none():
@@ -604,8 +624,8 @@ def test_parse_and_reconcile_match_the_row_loop(tmp_path_factory, case):
         assert tm.exports.tobytes() == ref_tm.exports.tobytes()
         assert report == ref_report
         assert validate_trade_matrix(tm) == validate_trade_matrix(ref_tm)
-        # the guarantee that lets build skip validate_trade_matrix
-        assert validate_trade_matrix(tm).ok
+        # reconcile_flows makes only matrices that TradeMatrix's check passes
+        assert not matrix_violations(tm.countries, tm.exports)
 
 
 @settings(max_examples=300, deadline=None)
@@ -783,17 +803,56 @@ def test_lines_are_split_by_one_generator():
 # --- matrix validation and file format ------------------------------------
 
 
-def test_validate_flags_each_violation():
-    tm = TradeMatrix(2000, ("A", "B", "C"), np.array([
-        [1.0, 2.0, 0.0],
-        [-3.0, 0.0, 0.0],
-        [np.inf, 0.0, 0.0],
-    ]))
-    report = validate_trade_matrix(tm)
-    assert not report.ok
-    assert any("nonzero diagonal at A" in v for v in report.violations)
-    assert any("negative entry at B->A" in v for v in report.violations)
-    assert any("non-finite entry at C->A" in v for v in report.violations)
+def test_trade_matrix_refuses_each_violation():
+    for cells, message in [
+        ({(0, 1): 2.0, (0, 0): 1.0}, "nonzero diagonal at A"),
+        ({(2, 2): math.nan}, "nonzero diagonal at C"),
+        ({(0, 1): math.nan}, "non-finite entry at A->B"),
+        ({(1, 0): math.inf}, "non-finite entry at B->A"),
+        ({(2, 1): -math.inf}, "non-finite entry at C->B"),
+        ({(1, 0): -3.0}, "negative entry at B->A"),
+        # precedence: the diagonal, then non-finite, then negative cells, and
+        # within a kind the first cell in row-major order
+        ({(0, 0): 1.0, (0, 1): math.nan, (1, 0): -3.0}, "nonzero diagonal at A"),
+        ({(1, 1): 1.0, (2, 2): -1.0, (0, 1): math.inf}, "nonzero diagonal at B"),
+        ({(0, 1): -3.0, (2, 0): math.inf}, "non-finite entry at C->A"),
+        ({(2, 0): -1.0, (1, 2): -math.inf}, "non-finite entry at B->C"),
+        ({(2, 0): -1.0, (1, 2): -2.0}, "negative entry at B->C"),
+    ]:
+        exports = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for cell, value in cells.items():
+            exports[cell] = value
+        with pytest.raises(ValueError) as caught:
+            TradeMatrix(2000, ("A", "B", "C"), exports)
+        assert str(caught.value) == message == matrix_violations(("A", "B", "C"), exports)[0]
+
+
+def test_trade_matrix_refuses_a_matrix_that_built_a_wrong_network():
+    # NaN, negative and diagonal cells once built C->A 3.0 and C->B 2.0
+    with pytest.raises(ValueError, match="^nonzero diagonal at C$"):
+        TradeMatrix(2000, ("A", "B", "C"), np.array([[0, np.nan, 3], [1, 0, 0], [0, -2, 5]]))
+
+
+def test_trade_matrix_check_matches_the_per_cell_loops():
+    rng = np.random.default_rng(35)
+    bad_values = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0]
+    for _ in range(500):
+        n = int(rng.integers(0, 6))
+        countries = tuple(f"C{i}" for i in range(n))
+        exports = np.where(rng.random((n, n)) < 0.5, rng.lognormal(0.0, 1.0, (n, n)), 0.0)
+        np.fill_diagonal(exports, 0.0)
+        if n:
+            for _ in range(int(rng.integers(0, 3))):
+                exports[tuple(rng.integers(0, n, 2))] = bad_values[rng.integers(len(bad_values))]
+            i = int(rng.integers(n))
+            exports[i, i] = rng.choice([0.0, 0.0, 0.0, 1.0, math.nan, -0.0])
+        violations = matrix_violations(countries, exports)
+        if violations:
+            with pytest.raises(ValueError) as caught:
+                TradeMatrix(2000, countries, exports)
+            assert str(caught.value) == violations[0]
+        else:
+            assert TradeMatrix(2000, countries, exports).exports is exports
 
 
 def test_validate_reports_isolated_countries():
