@@ -1,10 +1,10 @@
 """Command-line pipeline: build, disparity, backbone, dollar, export.
 
 Each stage reads and writes plain files so runs can be scripted and
-diffed. All outputs are written atomically (temp file + rename) and all
-randomness flows from an explicit --seed, so a repeated invocation is
-byte-identical. Usage errors exit 2; data errors and unreadable paths exit 1
-with a one-line message.
+diffed. A step replaces all of its outputs or none (``_write_outputs``),
+and all randomness flows from an explicit --seed, so a repeated invocation
+is byte-identical. Usage errors exit 2; data errors and unreadable paths
+exit 1 with a one-line message.
 """
 
 from __future__ import annotations
@@ -25,32 +25,26 @@ from .errors import ConfigurationError, InsufficientDataError, NoConvergenceErro
 DEFAULT_ALPHAS = (0.2, 0.1, 0.05, 0.01)
 
 
-def _atomic_write(path: str, writer) -> None:
-    """Run ``writer(temp_path)`` on a temp file, then rename it over ``path``."""
-    _atomic_writes([path], lambda tmps: writer(*tmps))
-
-
-def _atomic_writes(paths: list[str], writer) -> None:
-    """Run ``writer(temp_paths)`` on one temp file per path, then rename each
-    over its path.
-
-    Each temp file is created private; before the rename it gets the mode a
-    plain ``open`` would have given it, ``0o666`` less the umask.
-    """
+def _write_outputs(out: str, names: list[str], writer) -> None:
+    """Make ``out`` and run ``writer(*temp_paths)`` once, on one private temp
+    file in it per name; only then give each the mode a plain ``open`` gives,
+    ``0o666`` less the umask, and rename it over ``out/<name>``. If the
+    writer raises, every temp file is removed and no output is touched. The
+    renames run one after another, so only a failure inside the writer is
+    sure to leave every old file in place."""
+    os.makedirs(out, exist_ok=True)
     tmps = []
     try:
-        for path in paths:
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path) or ".", prefix=".tmp.", suffix="~"
-            )
+        for _ in names:
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=".tmp.", suffix="~")
             os.close(fd)
             tmps.append(tmp)
-        writer(tmps)
+        writer(*tmps)
         umask = os.umask(0)
         os.umask(umask)
-        for tmp, path in zip(tmps, paths):
+        for tmp, name in zip(tmps, names):
             os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
+            os.replace(tmp, os.path.join(out, name))
     except BaseException:
         for tmp in tmps:
             try:
@@ -58,11 +52,6 @@ def _atomic_writes(paths: list[str], writer) -> None:
             except OSError:
                 pass
         raise
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def _err(message: str) -> None:
@@ -111,14 +100,12 @@ def _cmd_build(args) -> int:
     net = nw.build_imbalance_network(matrix)
     del matrix
     accounts = nw.node_accounts(net)
-    out = _outdir(args)
 
-    _atomic_write(
-        os.path.join(out, "network.tsv"), lambda tmp: nw.write_edge_list(net, tmp)
-    )
-    _atomic_write(
-        os.path.join(out, "accounts.csv"), lambda tmp: nw.write_accounts_csv(accounts, tmp)
-    )
+    def write(edges, table):
+        nw.write_edge_list(net, edges)
+        nw.write_accounts_csv(accounts, table)
+
+    _write_outputs(args.out, ["network.tsv", "accounts.csv"], write)
     _err(
         f"built network: {net.n_nodes} countries, {net.n_edges} edges, "
         f"total flux {nw.total_flux(net)!r}"
@@ -149,14 +136,11 @@ def _cmd_disparity(args) -> int:
         fits.append(fit)
         _err(f"{direction}: beta = {fit.beta:.4f} (r^2 = {fit.r_squared:.4f})")
 
-    out = _outdir(args)
-    _atomic_write(
-        os.path.join(out, "disparity_profile.csv"),
-        lambda tmp: disp.write_profile_csv(profiles.values(), tmp),
-    )
-    _atomic_write(
-        os.path.join(out, "scaling_fit.json"), lambda tmp: disp.write_fit_json(fits, tmp)
-    )
+    def write(profile_csv, fit_json):
+        disp.write_profile_csv(profiles.values(), profile_csv)
+        disp.write_fit_json(fits, fit_json)
+
+    _write_outputs(args.out, ["disparity_profile.csv", "scaling_fit.json"], write)
     return 0
 
 
@@ -190,24 +174,24 @@ def _cmd_backbone(args) -> int:
         return 2
     net = nw.read_edge_list(args.network)
     results = bb.backbone_sweep(net, alphas)
-    out = _outdir(args)
     backbones = [backbone for backbone, _ in results]
     # repr, as in backbone_stats.csv: distinct thresholds get distinct files
-    paths = [os.path.join(out, f"backbone_a{b.threshold!r}.{args.format}") for b in backbones]
-    if args.format == "graphml":
-        for backbone, path in zip(backbones, paths):
-            _atomic_write(path, lambda tmp, b=backbone: bb.write_backbone_graphml(b, tmp))
-    else:
-        _atomic_writes(paths, lambda tmps: bb.write_backbone_tsvs(backbones, tmps))
+    names = [f"backbone_a{b.threshold!r}.{args.format}" for b in backbones]
+
+    def write(stats_csv, *files):
+        if args.format == "graphml":
+            for backbone, tmp in zip(backbones, files):
+                bb.write_backbone_graphml(backbone, tmp)
+        else:
+            bb.write_backbone_tsvs(backbones, files)
+        bb.write_stats_csv([s for _, s in results], stats_csv)
+
+    _write_outputs(args.out, ["backbone_stats.csv", *names], write)
     for backbone, stats in results:
         _err(
             f"alpha {backbone.threshold!r}: kept {stats.pct_edges:.1f}% edges, "
             f"{stats.pct_nodes:.1f}% nodes, {stats.pct_flux:.1f}% flux"
         )
-    _atomic_write(
-        os.path.join(out, "backbone_stats.csv"),
-        lambda tmp: bb.write_stats_csv([s for _, s in results], tmp),
-    )
     return 0
 
 
@@ -275,14 +259,14 @@ def _cmd_dollar(args) -> int:
     diagnostics["warnings"] = list(matrix.warnings)
 
     ranking = dif.rank_partners(net, matrix, focal, top=args.top)
-    out = _outdir(args)
-    name = f"ranking_{_safe_token(focal)}_{args.direction}.csv"
-    _atomic_write(
-        os.path.join(out, name), lambda tmp: dif.write_ranking_csv(ranking, tmp)
-    )
-
     text = json.dumps(diagnostics, indent=2) + "\n"
-    _atomic_write(os.path.join(out, "dollar_diagnostics.json"), lambda tmp: write_text(tmp, text))
+
+    def write(ranking_csv, diagnostics_json):
+        dif.write_ranking_csv(ranking, ranking_csv)
+        write_text(diagnostics_json, text)
+
+    name = f"ranking_{_safe_token(focal)}_{args.direction}.csv"
+    _write_outputs(args.out, [name, "dollar_diagnostics.json"], write)
     for r in ranking:
         mark = "direct" if r.direct else "indirect"
         _err(
@@ -299,14 +283,10 @@ def _cmd_dollar(args) -> int:
 
 def _cmd_export(args) -> int:
     net = nw.read_edge_list(args.network)
-    out = _outdir(args)
-    if args.format == "graphml":
-        path = os.path.join(out, "network.graphml")
-        _atomic_write(path, lambda tmp: nw.write_graphml(net, tmp))
-    else:
-        path = os.path.join(out, "network.tsv")
-        _atomic_write(path, lambda tmp: nw.write_edge_list(net, tmp))
-    _err(f"wrote {path}")
+    name = f"network.{args.format}"
+    write = nw.write_graphml if args.format == "graphml" else nw.write_edge_list
+    _write_outputs(args.out, [name], lambda tmp: write(net, tmp))
+    _err(f"wrote {os.path.join(args.out, name)}")
     return 0
 
 

@@ -175,16 +175,24 @@ class ColumnMap:
     def __post_init__(self):
         for name, value in vars(self).items():
             if not isinstance(value, str):
-                raise ConfigurationError(f"column name for {name} must be a string, not {value!r}")
+                raise ConfigurationError(
+                    f"column name for {name} must be a string, not {type(value).__name__}"
+                )
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ColumnMap":
-        """The map given by a parsed JSON object of field names to column names."""
+        """The map given by a parsed JSON object of field names to column names.
+
+        A refusal names a value's type, never the value, and at most 5
+        unknown keys, however many entries the mapping holds."""
         if not isinstance(mapping, dict):
-            raise ConfigurationError(f"not a JSON object of column names: {mapping!r}")
-        unknown = set(mapping).difference(cls.__dataclass_fields__)
+            raise ConfigurationError(
+                f"not a JSON object of column names: a {type(mapping).__name__}"
+            )
+        unknown = sorted(set(mapping).difference(cls.__dataclass_fields__))
         if unknown:
-            raise ConfigurationError(f"unknown format-map keys: {sorted(unknown)}")
+            more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
+            raise ConfigurationError(f"unknown format-map keys: {unknown[:5]}{more}")
         return cls(**mapping)
 
 

@@ -1,3 +1,6 @@
+import ast
+import errno
+import importlib
 import json
 import os
 import stat
@@ -14,7 +17,7 @@ import pytest
 import tradeflux
 from helpers import random_network, random_trade_matrix
 from tradeflux import diffusion, ingest
-from tradeflux.cli import _atomic_writes, main
+from tradeflux.cli import _write_outputs, main
 from tradeflux.network import (
     ImbalanceNetwork,
     build_imbalance_network,
@@ -36,19 +39,84 @@ def net3_file(tmp_path, net3):
     return str(path)
 
 
-def test_atomic_writes_leave_no_temp_file_when_the_writer_fails(tmp_path):
+def test_write_outputs_leave_no_temp_file_when_the_writer_fails(tmp_path):
     old = tmp_path / "network.tsv"
     old.write_bytes(b"src\tdst\tweight\n")
 
-    def writer(tmps):
+    def writer(*tmps):
         for tmp in tmps:
             Path(tmp).write_text("partial")
         raise RuntimeError("writer failed")
 
     with pytest.raises(RuntimeError, match="writer failed"):
-        _atomic_writes([str(old), str(tmp_path / "accounts.csv")], writer)
+        _write_outputs(str(tmp_path), ["network.tsv", "accounts.csv"], writer)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["network.tsv"]
     assert old.read_bytes() == b"src\tdst\tweight\n"
+
+
+@pytest.mark.parametrize("argv, module, writer, failing_call, stderr_before", [
+    (["build", "{records}", "--year", "2000"], "network", "write_accounts_csv", 1,
+     "tradeflux: 2 records, 0 conflicts, max relative conflict 0\n"),
+    (["backbone", "{network}", "--alpha", "0.9,0.5", "--format", "graphml"],
+     "backbone", "write_backbone_graphml", 2, ""),
+    (["backbone", "{network}"], "backbone", "write_stats_csv", 1, ""),
+    (["dollar", "{network}", "--from", "S", "--exact"], "cli", "write_text", 1, ""),
+], ids=["build", "backbone-graphml", "backbone-tsv", "dollar-exact"])
+def test_a_step_that_fails_while_writing_replaces_no_output(
+    argv, module, writer, failing_call, stderr_before, net3_file, tmp_path, capsys, monkeypatch
+):
+    records = tmp_path / "records.csv"
+    records.write_text(TWO_COUNTRY)
+    argv = [arg.format(records=records, network=net3_file) for arg in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 0
+    old = {path.name: f"older {path.name}\n".encode() for path in out.iterdir()}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    capsys.readouterr()
+
+    module = importlib.import_module(f"tradeflux.{module}")
+    real, calls = getattr(module, writer), []
+    disk_full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fails_on_a_full_disk(*args):
+        calls.append(args)
+        if len(calls) < failing_call:
+            return real(*args)
+        raise disk_full
+
+    monkeypatch.setattr(module, writer, fails_on_a_full_disk)
+    assert main([*argv, "-o", str(out)]) == 1
+    assert len(calls) == failing_call
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == old
+    # the lines that follow a write, such as backbone's "alpha ...: kept", are not printed
+    assert capsys.readouterr().err == f"{stderr_before}tradeflux: {disk_full}\n"
+
+
+def _uses_by_function(tree):
+    """(top-level function or ``None``, what is used) for every call, as
+    ``call <callee>``, and every name or attribute named ``stderr``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield owner, f"call {ast.unparse(node.func)}"
+            elif getattr(node, "attr", getattr(node, "id", None)) == "stderr":
+                yield owner, "stderr"
+
+
+def test_one_function_writes_the_outputs_and_one_writes_to_stderr():
+    tree = ast.parse(Path(tradeflux.cli.__file__).read_text(encoding="utf-8"))
+    uses = list(_uses_by_function(tree))
+    writes = {"call tempfile.mkstemp", "call os.replace", "call os.rename",
+              "call os.makedirs", "call os.chmod", "call os.umask"}
+    assert {owner for owner, use in uses if use in writes} == {"_write_outputs"}
+    assert {owner for owner, use in uses if use in {"stderr", "call print"}} == {"_err"}
+    steps = [top.name for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name.startswith("_cmd_")]
+    assert len(steps) == 5
+    calls = [owner for owner, use in uses if use == "call _write_outputs"]
+    assert sorted(calls) == sorted(steps)
 
 
 def test_build_two_country_sample(tmp_path, capsys):
@@ -182,7 +250,11 @@ def test_build_format_map_inline_and_file(tmp_path):
 @pytest.mark.parametrize("mapping", [
     '{"bogus": "x"}', '{"year": 5}', '{"year": null}', '{"reporter": ["a"]}', '["year"]',
     '{"year": ' + "[" * 100_000 + "]" * 100_000 + "}",
-], ids=["unknown-key", "number", "null", "array-value", "array", "too-deep"])
+    json.dumps([f"column {i}" for i in range(50_000)]),
+    json.dumps({f"column {i}": "x" for i in range(50_000)}),
+    json.dumps({"year": [f"column {i}" for i in range(50_000)]}),
+], ids=["unknown-key", "number", "null", "array-value", "array", "too-deep",
+        "long-array", "many-unknown-keys", "long-array-value"])
 def test_build_bad_format_map_is_usage_error(tmp_path, capsys, mapping):
     src = tmp_path / "records.csv"
     src.write_text(TWO_COUNTRY)
@@ -195,6 +267,7 @@ def test_build_bad_format_map_is_usage_error(tmp_path, capsys, mapping):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("tradeflux: bad --format-map: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 300
 
 
 @pytest.mark.parametrize("mapping, message", [

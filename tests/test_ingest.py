@@ -128,7 +128,21 @@ def test_column_map_refuses_a_column_name_that_is_not_text(value):
     for make in (lambda: ColumnMap(year=value), lambda: ColumnMap.from_dict({"year": value})):
         with pytest.raises(ConfigurationError) as caught:
             make()
-        assert str(caught.value) == f"column name for year must be a string, not {value!r}"
+        assert str(caught.value) == (
+            f"column name for year must be a string, not {type(value).__name__}"
+        )
+
+
+@pytest.mark.parametrize("mapping, message", [
+    (["year"], "not a JSON object of column names: a list"),
+    ({key: "x" for key in "edcba"}, "unknown format-map keys: ['a', 'b', 'c', 'd', 'e']"),
+    ({key: "x" for key in "gfedcba"},
+     "unknown format-map keys: ['a', 'b', 'c', 'd', 'e'] and 2 more"),
+], ids=["array", "five-unknown", "seven-unknown"])
+def test_column_map_names_a_type_and_at_most_five_unknown_keys(mapping, message):
+    with pytest.raises(ConfigurationError) as caught:
+        ColumnMap.from_dict(mapping)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("mapping, message", [
