@@ -3,8 +3,8 @@
 A file argument is either an open file object, used as given, or a path
 (``str`` or ``os.PathLike``), opened here. A string is never file content.
 ``code_fault`` states the one rule for country codes, which both readers,
-``DyadicTable.from_records`` and every ``ImbalanceNetwork`` apply, so that
-every file format the pipeline writes can carry every code it holds.
+``DyadicTable.from_records`` and every ``ImbalanceNetwork`` apply, and
+``code_refusal`` words its refusal, so every output can carry every code.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import contextlib
 import io
 import os
 import re
+import reprlib
 from itertools import chain, repeat
 
 import numpy as np
@@ -20,22 +21,19 @@ import numpy as np
 #: Rows reconciled, renumbered or written at a time.
 _BLOCK = 1 << 13
 
-#: The faults ``ingest._codes_fault`` words its own way, and ranks above the rest.
-EMPTY, SPACED = "be empty", "contain whitespace"
-
 _control = re.compile("[\x00-\x1f]").search
 _not_xml = re.compile("[\ud800-\udfff\ufffe\uffff]").search
 
 
 def code_fault(code: str) -> str | None:
-    """The rule ``code`` breaks, worded to follow "must not", or ``None``.
+    """The first part ``code`` breaks, to follow "must not" in ``code_refusal``, or ``None``.
 
     This is the one rule for country codes: each part keeps the code
     readable in some output."""
     if not code:  # an edge-list line would lose a field
-        return EMPTY
+        return "be empty"
     if code.split() != [code]:  # the edge-list reader splits a line at whitespace
-        return SPACED
+        return "contain whitespace"
     if _control(code):  # no XML 1.0 document, so no GraphML, can carry these
         return "contain control characters"
     if code[0] == "#":  # the edge list would read the line as a comment
@@ -45,6 +43,12 @@ def code_fault(code: str) -> str | None:
     if _not_xml(code):  # nor these, none of which is an XML 1.0 character
         return "contain U+FFFE, U+FFFF or a surrogate"
     return None
+
+
+def code_refusal(code: str) -> str | None:
+    """The one wording of a refused ``code``, clipped by ``reprlib.repr``, or ``None``."""
+    fault = code_fault(code)
+    return fault and f"country code {reprlib.repr(code)} must not {fault}"
 
 
 def _undecodable_line(raw) -> int | None:
@@ -94,16 +98,18 @@ def line_chunks(stream, size: int):
     """The readers' one line rule: the text file ``stream`` in chunks of about
     ``size`` characters, each as its whole lines, line ends kept, and their
     joined text. A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, whatever
-    newline setting ``stream`` was opened with."""
+    newline setting ``stream`` was opened with, since lines are split here."""
     held = ""
-    while lines := stream.readlines(size):
-        text = held + "".join(lines)
-        # with no \r, a stream that splits lines at \r or \r\n only ends one at EOF
-        if "\r" in text or lines[-1].find("\n", 0, -1) >= 0:
+    while more := stream.read(max(size, len(held))):  # reads double on a long line
+        text = held + more
+        # a closing \r is held: it may be the first half of a \r\n
+        end = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        text, held = text[:end], text[end:]
+        # splitlines ends lines at these too, StringIO(newline="") only at \n, \r\n and \r
+        if any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")):
             lines = io.StringIO(text, newline="").readlines()
-            # a closing \r may be the first half of a \r\n
-            held = lines.pop() if text[-1] == "\r" else ""
-            text = text.removesuffix(held)
+        else:
+            lines = text.splitlines(True)
         if lines:
             yield lines, text
     if held:

@@ -17,13 +17,14 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import attrgetter
 
 import numpy as np
 
-from ._io import EMPTY, SPACED, CodeNumbers, _append, blocks, code_fault, line_chunks, opened
+from ._io import CodeNumbers, _append, blocks, code_refusal, line_chunks, opened
 from .errors import ConfigurationError
 
 #: Relative disagreement between the two reports of one flow above which the
@@ -54,24 +55,12 @@ class DyadicRecord:
     imports: float | None
 
 
-def _codes_fault(reporter: str, partner: str) -> str:
-    """Why a record naming ``reporter`` and ``partner``, one of which breaks
-    ``code_fault``, is refused: an empty code first, then whitespace, then
-    the reporter's fault, then the partner's."""
-    faults = code_fault(reporter), code_fault(partner)
-    if EMPTY in faults:
-        return "country codes must be non-empty"
-    if SPACED in faults:
-        return "country codes must be whitespace-free tokens"
-    return f"country codes must not {faults[0] or faults[1]}"
-
-
 def _row_checks(exports, imports, reporter, partner, token, codes, before=()):
     """The one rule for records rows: the mask of the rows that fail a check,
     and for each such row, in order, its index and the reason of the first
     check it fails, as a function of the index. The checks are ``before``,
     pairs of a mask and a reason, then export flow, import flow, self-trade
-    and country codes.
+    and country codes (``code_refusal``'s, the reporter's before the partner's).
 
     ``exports`` and ``imports`` hold NaN where a flow is missing and -inf
     where it is not a number; ``reporter`` and ``partner`` hold the codes'
@@ -82,7 +71,7 @@ def _row_checks(exports, imports, reporter, partner, token, codes, before=()):
         (np.isinf(exports) | (exports < 0), lambda i: _flow_fault(token(i, "exports"), "export")),
         (np.isinf(imports) | (imports < 0), lambda i: _flow_fault(token(i, "imports"), "import")),
         (reporter == partner, lambda i: "self-trade"),
-        ((reporter < 0) | (partner < 0), lambda i: _codes_fault(*codes(i))),
+        ((reporter < 0) | (partner < 0), lambda i: next(filter(None, map(code_refusal, codes(i))))),
     )
     bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
     at = np.flatnonzero(bad)
@@ -192,7 +181,7 @@ class ColumnMap:
         unknown = sorted(set(mapping).difference(cls.__dataclass_fields__))
         if unknown:
             more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
-            raise ConfigurationError(f"unknown format-map keys: {unknown[:5]}{more}")
+            raise ConfigurationError(f"unknown format-map keys: {reprlib.repr(unknown[:5])}{more}")
         return cls(**mapping)
 
 
@@ -319,10 +308,10 @@ def _flow_fault(token: str, name: str) -> str:
     """Why the flow check refuses ``token``, a value of the ``name`` flow:
     unreadable, not finite, or negative."""
     try:
-        value = float(token)
+        kind = "negative" if math.isfinite(float(token)) else "non-finite"
     except ValueError:
-        return f"non-numeric {name} value {token!r}"
-    return f"{'negative' if math.isfinite(value) else 'non-finite'} {name} value {token!r}"
+        kind = "non-numeric"
+    return f"{kind} {name} value {reprlib.repr(token)}"
 
 
 def _by_distinct(tokens: list, convert) -> tuple[list, np.ndarray]:
@@ -353,11 +342,13 @@ def _header(header_line: str, columns: ColumnMap) -> tuple[str, list[str], dict]
         elif wanted.lower() in lowered:
             positions[name] = lowered.index(wanted.lower())
         else:
-            raise ConfigurationError(f"required column {wanted!r} not found in header {header}")
+            raise ConfigurationError(f"required column {reprlib.repr(wanted)} not found in "
+                                     f"header {reprlib.repr(header)}")
     for name, at in positions.items():
         other = next(known for known, place in positions.items() if place == at)
         if other != name:
-            raise ConfigurationError(f"fields {other} and {name} both read column {header[at]!r}")
+            raise ConfigurationError(f"fields {other} and {name} both read column "
+                                     f"{reprlib.repr(header[at])}")
     return delimiter, header, positions
 
 

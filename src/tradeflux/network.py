@@ -13,11 +13,12 @@ read-only and safe to share across threads.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import (CodeNumbers, _append, _control, _not_xml, code_fault, line_chunks,
+from ._io import (CodeNumbers, _append, _control, _not_xml, code_refusal, line_chunks,
                   opened, row_texts, write_text)
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
@@ -40,7 +41,7 @@ class ImbalanceNetwork:
     At most one direction may exist per unordered pair, weights must be
     strictly positive and finite, and self-loops are rejected. Strengths
     must be finite too: weights summing past the float range are rejected.
-    Every network, however made, is checked: its codes by ``_io.code_fault``, so
+    Every network, however made, is checked: its codes by ``_io.code_refusal``, so
     that every file the pipeline writes can carry them, then its edges and strengths.
     Edge arrays given in canonical order and in the stored dtypes are kept,
     not copied, so they must not be changed afterwards.
@@ -63,8 +64,8 @@ class ImbalanceNetwork:
         if len(self.index) != len(self.countries):
             raise ValueError("duplicate country codes")
         for code in self.countries:
-            if fault := code_fault(code):
-                raise ValueError(f"country code {code!r} must not {fault}")
+            if refusal := code_refusal(code):
+                raise ValueError(refusal)
         self._check_invariants(keys)
         del keys
 
@@ -303,11 +304,11 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
             try:
                 float(parts[2])
             except ValueError:
-                return ValueError(f"line {line_no}: bad weight {parts[2]!r}")
+                return ValueError(f"line {line_no}: bad weight {reprlib.repr(parts[2])}")
             codes = parts[:2]
         for code in codes:
-            if fault := code_fault(code):
-                return ValueError(f"line {line_no}: country code {code!r} must not {fault}")
+            if refusal := code_refusal(code):
+                return ValueError(f"line {line_no}: {refusal}")
     raise AssertionError("no bad line")
 
 

@@ -18,6 +18,7 @@ import ast
 import csv
 import io
 import math
+import reprlib
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -56,6 +57,15 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def read_as(read, path, newline):
+    """``read(path)``, or, unless ``newline`` is None, ``read`` of a text
+    stream opened on ``path`` with that ``newline``."""
+    if newline is None:
+        return read(path)
+    with open(path, encoding="utf-8", newline=newline) as stream:
+        return read(stream)
 
 
 def package_uses(matches) -> set:
@@ -414,27 +424,29 @@ def _parse_flow(token: str, name: str) -> float | None:
     try:
         value = float(token)
     except ValueError:
-        raise ValueError(f"non-numeric {name} value {token!r}") from None
+        raise ValueError(f"non-numeric {name} value {reprlib.repr(token)}") from None
     if math.isnan(value):
         return None
     if not math.isfinite(value):
-        raise ValueError(f"non-finite {name} value {token!r}")
+        raise ValueError(f"non-finite {name} value {reprlib.repr(token)}")
     if value < 0:
-        raise ValueError(f"negative {name} value {token!r}")
+        raise ValueError(f"negative {name} value {reprlib.repr(token)}")
     return value
 
 
 def _rowwise_codes_fault(reporter: str, partner: str) -> str | None:
     """Why a row naming ``reporter`` and ``partner`` is dropped for its
-    codes, or ``None``: an empty code first, then whitespace, then the
-    reporter's fault, then the partner's."""
-    if "" in (reporter, partner):
-        return "country codes must be non-empty"
-    if any(c.isspace() for c in reporter + partner):
-        return "country codes must be whitespace-free tokens"
+    codes, or ``None``: the reporter's fault, then the partner's, each the
+    first of empty, whitespace, then the edge-list reader's faults."""
     for code in (reporter, partner):
-        if fault := _linewise_code_fault(code):
-            return f"country codes must not {fault}"
+        if not code:
+            fault = "be empty"
+        elif any(c.isspace() for c in code):
+            fault = "contain whitespace"
+        else:
+            fault = _linewise_code_fault(code)
+        if fault:
+            return f"country code {reprlib.repr(code)} must not {fault}"
     return None
 
 
@@ -459,7 +471,8 @@ def rowwise_parse_dyadic_records(path, columns):
                     positions[name] = lowered.index(wanted.lower())
                 else:
                     raise ConfigurationError(
-                        f"required column {wanted!r} not found in header {header}"
+                        f"required column {reprlib.repr(wanted)} not found in header "
+                        f"{reprlib.repr(header)}"
                     ) from None
 
         records, dropped = [], []
@@ -518,7 +531,8 @@ def linewise_read_edge_list(path) -> ImbalanceNetwork:
             if parts[:1] == ["#countries"]:
                 for code in parts[1:]:
                     if fault := _linewise_code_fault(code):
-                        raise ValueError(f"line {line_no}: country code {code!r} must not {fault}")
+                        raise ValueError(
+                            f"line {line_no}: country code {reprlib.repr(code)} must not {fault}")
                 listed += parts[1:]
                 continue
             if not parts or line.lstrip().startswith("#"):
@@ -530,10 +544,11 @@ def linewise_read_edge_list(path) -> ImbalanceNetwork:
             except ValueError:
                 if line_no == 1:
                     continue  # header row
-                raise ValueError(f"line {line_no}: bad weight {parts[2]!r}") from None
+                raise ValueError(f"line {line_no}: bad weight {reprlib.repr(parts[2])}") from None
             for code in parts[:2]:
                 if fault := _linewise_code_fault(code):
-                    raise ValueError(f"line {line_no}: country code {code!r} must not {fault}")
+                    raise ValueError(
+                        f"line {line_no}: country code {reprlib.repr(code)} must not {fault}")
             edges.append((parts[0], parts[1], w))
     countries = sorted({*listed, *(code for s, d, _ in edges for code in (s, d))})
     return ImbalanceNetwork.from_edges(edges, countries)

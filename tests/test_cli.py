@@ -143,8 +143,8 @@ def test_build_drops_codes_a_later_file_cannot_carry(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "tradeflux: dropped line 2: country codes must not start with '#'\n" in err
-    assert "tradeflux: dropped line 3: country codes must not contain ',' or '\"'\n" in err
+    assert "tradeflux: dropped line 2: country code '#A' must not start with '#'\n" in err
+    assert "tradeflux: dropped line 3: country code 'A,B' must not contain ',' or '\"'\n" in err
     export = ["export", str(out / "network.tsv"), "--format", "tsv", "-o", str(out / "x")]
     assert main(export) == 0
     assert (out / "x" / "network.tsv").read_bytes() == (out / "network.tsv").read_bytes()
@@ -153,13 +153,15 @@ def test_build_drops_codes_a_later_file_cannot_carry(tmp_path, capsys):
 
 def test_build_drops_a_code_graphml_cannot_carry(tmp_path, capsys):
     src = tmp_path / "records.csv"
+    code = "A\uffffB"
     src.write_text("year,reporter,partner,exports,imports\n"
-                   "2000,A\uffffB,C,1,0\n2000,C,D,3,0\n2000,D,E,1,0\n", encoding="utf-8")
+                   f"2000,{code},C,1,0\n2000,C,D,3,0\n2000,D,E,1,0\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["build", str(src), "--year", "2000", "-o", str(out)]) == 0
     dropped = [line for line in capsys.readouterr().err.splitlines() if "dropped" in line]
     assert dropped == [
-        "tradeflux: dropped line 2: country codes must not contain U+FFFE, U+FFFF or a surrogate"
+        f"tradeflux: dropped line 2: country code {code!r} must not contain U+FFFE, U+FFFF or a "
+        "surrogate"
     ]
     assert main(["export", str(out / "network.tsv"), "-o", str(out)]) == 0
     ET.parse(out / "network.graphml")
@@ -253,8 +255,9 @@ def test_build_format_map_inline_and_file(tmp_path):
     json.dumps([f"column {i}" for i in range(50_000)]),
     json.dumps({f"column {i}": "x" for i in range(50_000)}),
     json.dumps({"year": [f"column {i}" for i in range(50_000)]}),
+    json.dumps({"k" * 400_000: "x"}),
 ], ids=["unknown-key", "number", "null", "array-value", "array", "too-deep",
-        "long-array", "many-unknown-keys", "long-array-value"])
+        "long-array", "many-unknown-keys", "long-array-value", "long-unknown-key"])
 def test_build_bad_format_map_is_usage_error(tmp_path, capsys, mapping):
     src = tmp_path / "records.csv"
     src.write_text(TWO_COUNTRY)
@@ -788,6 +791,9 @@ HOSTILE_RECORDS = {
     "header-only": _HEADER,
     "empty": b"",
     "no-such-column": b"yr,a,b\n2000,A,B\n",
+    "long-flow": _HEADER + b"2000,A,B," + b"x" * 1_000_000 + b",1\n2000,B,C,1,2\n",
+    "long-header": b",".join([b"year", b"reporter", b"partner", b"exports",
+                              *(b"column %d" % i for i in range(50_000))]) + b"\n",
 }
 #: Edge lists, with one ordinary file among them.
 HOSTILE_EDGES = {
@@ -806,6 +812,8 @@ HOSTILE_EDGES = {
     "self-loop": b"S S 1\n",
     "header-only": b"src\tdst\tweight\n",
     "empty": b"",
+    "long-weight": b"S\tA\t1.0\nS\tB\t" + b"1" * 1_000_000 + b"x\n",
+    "long-code": b"S\t" + b"A" * 1_000_000 + b",\t1.0\n",
 }
 _EDGE_STEPS = (
     ["disparity"], ["backbone"], ["backbone", "--format", "graphml"],
@@ -816,7 +824,7 @@ _EDGE_STEPS = (
 
 
 def _fuzz_run(argv, out, capsys):
-    """Run ``main`` once; what a user sees must be tradeflux lines and an exit code."""
+    """Run ``main`` once; what a user sees must be short tradeflux lines and an exit code."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv + ["-o", str(out)])
@@ -825,6 +833,7 @@ def _fuzz_run(argv, out, capsys):
     assert code in (0, 1, 2)
     lines = err.rstrip("\n").split("\n") if err else []
     assert all(line.startswith("tradeflux: ") for line in lines), err
+    assert all(len(line.encode()) <= 300 for line in lines), [len(line) for line in lines]
     if code:
         assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
     return code

@@ -3,6 +3,7 @@ import collections
 import csv
 import io
 import math
+import re
 import sys
 import warnings
 from unittest import mock
@@ -16,6 +17,7 @@ from helpers import (
     dict_loop_reconcile,
     matrix_violations,
     package_uses,
+    read_as,
     rowwise_parse_dyadic_records,
     traced_peak,
 )
@@ -187,7 +189,7 @@ def test_parse_drops_codes_with_control_characters():
     text = "year,reporter,partner,exports,imports\n2000,A\x00,B,1,2\n2000,A,B,1,2\n"
     result = parse_dyadic_records(io.StringIO(text))
     assert result.dropped == [
-        ("line 2", "country codes must not contain control characters")
+        ("line 2", "country code 'A\\x00' must not contain control characters")
     ]
     assert result.records == [DyadicRecord(2000, "A", "B", 1.0, 2.0)]
 
@@ -203,7 +205,8 @@ def test_parse_drops_codes_an_output_cannot_carry(delimiter, reporter, fault):
             ["2000", reporter, "C", "1", "2"], ["2000", "A", "B", "1", "2"]]
     text = "".join(delimiter.join(row) + "\n" for row in rows)
     result = parse_dyadic_records(io.StringIO(text))
-    assert result.dropped == [("line 2", f"country codes must not {fault}")]
+    code = next(csv.reader([reporter], delimiter=delimiter))[0]  # the field as read
+    assert result.dropped == [("line 2", f"country code {code!r} must not {fault}")]
     assert result.records == [DyadicRecord(2000, "A", "B", 1.0, 2.0)]
 
 
@@ -228,7 +231,7 @@ _DROPS = {
     "empty codes": ("2000,,,1,2", "self-trade"),
     "same faulty codes": ("2000,A\x00,A\x00,1,2", "self-trade"),
     "same stripped codes": ("2000, A ,A,1,2", "self-trade"),
-    "spaced codes": ("2000,A B,C D,1,2", "country codes must be whitespace-free tokens"),
+    "spaced codes": ("2000,A B,C D,1,2", "country code 'A B' must not contain whitespace"),
     "blank": (" , , , , ", None),
 }
 
@@ -276,10 +279,10 @@ def test_record_validation():
     assert _refused(("A", "B", -1.0, None)) == "record 1: negative export value '-1.0'"
     assert _refused(("A", "B", math.inf, None)) == "record 1: non-finite export value 'inf'"
     assert _refused(("A B", "C", 1.0, None)) == \
-        "record 1: country codes must be whitespace-free tokens"
-    assert _refused(("", "C", 1.0, None)) == "record 1: country codes must be non-empty"
+        "record 1: country code 'A B' must not contain whitespace"
+    assert _refused(("", "C", 1.0, None)) == "record 1: country code '' must not be empty"
     assert _refused(("A", "\x07", 1.0, None)) == \
-        "record 1: country codes must not contain control characters"
+        "record 1: country code '\\x07' must not contain control characters"
     # the parser's order: export flow, import flow, self-trade, then codes
     assert _refused(("A B", "A B", 1.0, None)) == "record 1: self-trade"
     assert _refused(("A", "A", -1.0, None)) == "record 1: negative export value '-1.0'"
@@ -295,25 +298,35 @@ def test_record_validation():
         "record 1: non-finite export value 'nan'"
     # the first record refused is named, whichever check refuses a later one
     assert _refused(("A", "\x07", 1.0, None), ("A", "B", -1.0, None)) == \
-        "record 1: country codes must not contain control characters"
+        "record 1: country code '\\x07' must not contain control characters"
 
 
 @pytest.mark.parametrize("reporter, partner, reason", [
-    # an empty code first, then whitespace, then the reporter's fault, then the partner's
-    ("", "A B", "be non-empty"), ("A\x00", "", "be non-empty"),
-    ("A\x00", "B C", "be whitespace-free tokens"), ("A\tB", "C", "be whitespace-free tokens"),
+    # the reporter's fault before the partner's, each the first part of the rule it breaks
+    ("", "A B", "not be empty"), ("A\x00", "", "not contain control characters"),
+    ("A\x00", "B C", "not contain control characters"), ("A\tB", "C", "not contain whitespace"),
     ("A\x00", "#B", "not contain control characters"), ("#A", "B\x00", "not start with '#'"),
-    ("A", "B\uffff", "not contain U+FFFE, U+FFFF or a surrogate"),
+    ("A", "B\uffff", "not contain U+FFFE, U+FFFF or a surrogate"), ("A", "", "not be empty"),
 ])
 def test_record_code_faults_keep_their_order(reporter, partner, reason):
+    refused = partner if reporter == "A" else reporter  # every reporter but A breaks the rule
+    message = f"country code {refused!r} must {reason}"
     with pytest.raises(ValueError) as caught:
         reconcile_flows([DyadicRecord(2000, reporter, partner, 1.0, None)], 2000)
-    assert str(caught.value) == f"record 0: country codes must {reason}"
+    assert str(caught.value) == f"record 0: {message}"
     # a records row naming the same codes is dropped for the same reason
     text = f"{_HEADER}2000,{reporter},{partner},1,\n"
-    assert parse_dyadic_records(io.StringIO(text)).dropped == [
-        ("line 2", f"country codes must {reason}")
-    ]
+    assert parse_dyadic_records(io.StringIO(text)).dropped == [("line 2", message)]
+
+
+def test_one_function_words_a_refused_code():
+    # ROADMAP aim 2: the readers and the network constructor refuse a
+    # country code in the one wording of _io.code_refusal
+    def words_a_code(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.search(r"country codes? (must|$)", node.value) is not None)
+
+    assert package_uses(words_a_code) == {("_io", "code_refusal")}
 
 
 def test_records_check_each_code_once():
@@ -324,8 +337,8 @@ def test_records_check_each_code_once():
         checked[code] += 1
         return code_fault(code)
 
-    with mock.patch.object(_io, "code_fault", counted_code_fault), \
-            mock.patch.object(ingest, "code_fault", counted_code_fault):
+    # code_refusal, which words a refused code, looks code_fault up in _io
+    with mock.patch.object(_io, "code_fault", counted_code_fault):
         records = [DyadicRecord(2000, f"R{i % 37}", f"P{i % 41}", i + 0.5, None)
                    for i in range(3000)]
         matrix, report = reconcile_flows(records, 2000)
@@ -666,11 +679,11 @@ class _ChunkedReadsOnly(io.StringIO):
 
     def read(self, size=-1):
         assert size is not None and size >= 0, "unbounded read()"
+        self.chunks += 1
         return super().read(size)
 
     def readlines(self, hint=-1):
         assert hint is not None and hint > 0, "unbounded readlines()"
-        self.chunks += 1
         return super().readlines(hint)
 
 
@@ -728,10 +741,14 @@ def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path, first_row):
     rows[0] = first_row
     path = tmp_path / "records.csv"
     path.write_text("year,reporter,partner,exports,imports\n" + "\n".join(rows) + "\n")
-    with mock.patch.object(ingest, "_PARSE_CHUNK", 1 << 14):
-        parsed, peak = traced_peak(lambda: parse_dyadic_records(path))
-        assert peak <= _nbytes(parsed.table) + 64 * ingest._PARSE_CHUNK
-    assert len(parsed.table) == len(rows) and not parsed.dropped
+
+    # a stream that ends lines at \r or \r\n alone finds no line end in this
+    # \n-ended text, and is still read a chunk at a time
+    for newline in (None, "\r", "\r\n"):
+        with mock.patch.object(ingest, "_PARSE_CHUNK", 1 << 14):
+            parsed, peak = traced_peak(lambda: read_as(parse_dyadic_records, path, newline))
+            assert peak <= _nbytes(parsed.table) + 64 * ingest._PARSE_CHUNK, newline
+        assert len(parsed.table) == len(rows) and not parsed.dropped
 
 
 def test_reconcile_holds_the_matrix_and_at_most_a_table_more():
@@ -807,11 +824,12 @@ def test_lines_are_split_by_one_generator():
     # _io.line_chunks reads lines or splits text into lines of its own
     def splits_lines(node):
         if isinstance(node, ast.Attribute):
-            return node.attr == "readlines"
+            return node.attr in ("readlines", "splitlines")
         return (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("StringIO")
                 and any(keyword.arg == "newline" for keyword in node.keywords))
 
-    assert package_uses(splits_lines) == {("_io", "line_chunks")}
+    # _undecodable_line only counts the lines of bytes, to name the one not UTF-8
+    assert package_uses(splits_lines) == {("_io", "line_chunks"), ("_io", "_undecodable_line")}
 
 
 # --- matrix validation and file format ------------------------------------
