@@ -21,6 +21,9 @@ import numpy as np
 #: Rows reconciled, renumbered or written at a time.
 _BLOCK = 1 << 13
 
+#: Characters of text that either reader reads, splits and converts at a time.
+_CHUNK = 1 << 16
+
 _control = re.compile("[\x00-\x1f]").search
 _not_xml = re.compile("[\ud800-\udfff\ufffe\uffff]").search
 
@@ -131,9 +134,9 @@ class CodeNumbers(dict):
         self[code] = number = ~len(self) if code_fault(code) else len(self)
         return number
 
-    def of(self, codes: list[str]) -> np.ndarray:
-        """The numbers of ``codes``."""
-        return np.fromiter(map(self.__getitem__, codes), np.intp, len(codes))
+    def of(self, codes: list[str], dtype=np.intp) -> np.ndarray:
+        """The numbers of ``codes``, as ``dtype``."""
+        return np.fromiter(map(self.__getitem__, codes), dtype, len(codes))
 
     def renumber(self, columns) -> tuple[str, ...]:
         """The codes that passed, sorted; each of ``columns``, arrays of their

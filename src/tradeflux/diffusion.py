@@ -69,7 +69,7 @@ NON_ABSORBED_WARNING = 0.01
 MAX_WALKERS = 2**63 - 1
 
 #: Unknowns per block of the exact solve: LAPACK sees one diagonal block at a
-#: time, and every temporary of the elimination is a few blocks of rows.
+#: time, once, and no temporary of the elimination is larger than one block row.
 _SOLVE_BLOCK = 128
 
 
@@ -401,10 +401,11 @@ def _solve(net: ImbalanceNetwork, direction: str, weigh) -> tuple:
     ``A^T Y = W^T`` gives both results, as ``Y^T B`` and ``Y^T 1``.
 
     The solve is a block elimination in A's own storage, ``_SOLVE_BLOCK``
-    unknowns at a time: LAPACK solves each diagonal block for the block's
-    row of ``A^T`` and the carried weights, GEMMs on ``_SOLVE_BLOCK`` rows at
-    a time update the trailing matrix and weights, and a block
-    back-substitution follows. ``A^T`` is column diagonally dominant (Q >= 0,
+    unknowns at a time: LAPACK inverts each diagonal block once, and GEMMs
+    on ``_SOLVE_BLOCK`` rows at a time apply that inverse to the block's
+    column of A, which then holds the factors, and to the carried weights,
+    and update the trailing matrix and weights; a block back-substitution
+    follows. ``A^T`` is column diagonally dominant (Q >= 0,
     zero diagonal, row sums <= 1), so this is the order partial pivoting
     picks, and A, a nonsingular M-matrix, has no singular diagonal block. B,
     m x sinks with sinks within the reach set, is then written into A's
@@ -439,29 +440,35 @@ def _solve(net: ImbalanceNetwork, direction: str, weigh) -> tuple:
     weights = weigh(starts, solved)
     m, step = a.shape[0], _SOLVE_BLOCK
     y = np.zeros((m, len(weights)))
-    y[pos[starts[solved]]] = np.transpose(weights)[solved]
-    del weights  # y holds them now
-    # with M = A^T, held transposed in a, block k takes X = M_kk^-1 [M_kt | Y_k],
-    # then M_tt -= M_tk X and Y_t -= M_tk Y_k
+    at = pos[starts[solved]]
+    for column in range(len(weights)):  # a row at a time: no copy of them all
+        y[at, column] = weights[column, solved]
+    del weights, at  # y holds them now
+    # with M = A^T, held transposed in a, block k takes Y_k = M_kk^-1 Y_k and
+    # X = M_kk^-1 M_kt, then M_tt -= M_tk X and Y_t -= M_tk Y_k. With
+    # F = A_kk^-1 = (M_kk^-1)^T, X^T = a[t, k] F replaces the block's column
+    # in a, _SOLVE_BLOCK rows at a time, for the back-substitution
     for top in range(0, m, step):
         end = min(top + step, m)
         k, t = slice(top, end), slice(end, m)
         try:
-            x = np.linalg.solve(a[k, k].T, np.concatenate((a[t, k].T, y[k]), axis=1))
+            factor = np.linalg.inv(a[k, k])
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"absorbing system is singular: {exc}") from exc
-        x, y[k] = np.split(x, [m - end], axis=1)
-        y[t] -= a[k, t].T @ y[k]
+        y[k] = factor.T @ y[k]
         for row in range(end, m, step):
-            a[row : row + step, t] -= x[:, row - end : row - end + step].T @ a[k, t]
-        a[k, t] = x  # the block's row of the factors, for the back-substitution
+            r = slice(row, row + step)
+            a[r, k] = a[r, k] @ factor
+            a[r, t] -= a[r, k] @ a[k, t]
+            y[r] -= a[k, r].T @ y[k]
     for top in reversed(range(0, m, step)):
         k, t = slice(top, top + step), slice(top + step, m)
-        y[k] -= a[k, t] @ y[t]
+        y[k] -= a[t, k].T @ y[t]
     b = a.reshape(-1)[: m * sinks.size].reshape(m, sinks.size)
     b[:] = 0.0
     rows, cols, vals = entries
     b[rows, cols] = vals  # one edge per (node, absorber) pair
+    del entries, rows, cols, vals  # b holds them now
     return starts, sinks, y.T @ b, y.sum(axis=0), warnings
 
 

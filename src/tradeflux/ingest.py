@@ -24,6 +24,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import _io
 from ._io import CodeNumbers, _append, blocks, code_refusal, line_chunks, opened
 from .errors import ConfigurationError
 
@@ -189,8 +190,8 @@ class ColumnMap:
 class DyadicTable:
     """Dyadic records as columns, one entry per record in input order.
 
-    ``reporter`` and ``partner`` index ``codes``, which is sorted and free
-    of repeats; ``exports`` and ``imports`` hold NaN where the reporter
+    ``reporter`` and ``partner``, int32, index ``codes``, which is sorted and
+    free of repeats; ``exports`` and ``imports`` hold NaN where the reporter
     stayed silent on that side. Every row passes the records-row checks
     (``_row_checks``), whether the parser or ``from_records`` made it.
     Tables compare by identity; compare their ``records()`` instead.
@@ -210,7 +211,8 @@ class DyadicTable:
         raises ``ValueError("record <i>: <reason>")``, a flow's token the ``repr``
         of the Python value it holds (a numpy scalar's ``item()``)."""
         number, n = CodeNumbers(), len(records)
-        ends = number.of([r.reporter for r in records] + [r.partner for r in records])
+        ends = number.of([r.reporter for r in records] + [r.partner for r in records],
+                         np.int32)
         exports, imports = (
             np.fromiter(map(_record_flow, map(attrgetter(name), records)), float, n)
             for name in ("exports", "imports")
@@ -365,7 +367,8 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     year, export flow, import flow, self-trade, country codes. A row blank
     as read is skipped, unlisted.
 
-    The reporter and partner columns hold the codes' numbers in ``number``.
+    The reporter and partner columns hold the codes' numbers in ``number``,
+    as int32.
     """
     _, names, positions = header
     if fields is None:  # each row padded with empty fields or cut to the header's width
@@ -387,7 +390,7 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     year = np.array([0 if isinstance(y, str) else y for y in years])[year_at]
 
     stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
-    ends = number.of(stripped)[inverse]  # equal where the stripped codes are
+    ends = number.of(stripped, np.int32)[inverse]  # equal where the stripped codes are
     reporter, partner = ends[:n], ends[n:]
 
     exports, imports = _flow_column(column("exports")), _flow_column(column("imports"))
@@ -409,15 +412,11 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     return kept, dropped
 
 
-#: Characters of records text read and parsed at a time, in whole lines.
-_PARSE_CHUNK = 1 << 18
-
-
 def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
     """Records from ``chunks``, as ``line_chunks`` gives them, the first
     line the header."""
     number = CodeNumbers()
-    kept = [np.empty(0, dtype) for dtype in (np.int64, np.intp, np.intp, float, float)]
+    kept = [np.empty(0, dtype) for dtype in (np.int64, np.int32, np.int32, float, float)]
     dropped = []
     header = None
     line_no = 1  # of the next line to parse
@@ -441,7 +440,7 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
                 starts.append(line_no)
                 line_no = first + reader.line_num
                 read += sum(map(len, row))
-                if read >= _PARSE_CHUNK:  # about a chunk's characters
+                if read >= _io._CHUNK:  # about a chunk's characters
                     check(starts, rows)
                     rows, starts, read = [], [], 0
             check(starts, rows)
@@ -472,14 +471,15 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     column check it fails (see ``_parse_columns``), never silently skipped.
 
     The file is read by ``line_chunks``, which splits lines alike from paths
-    and streams, about ``_PARSE_CHUNK`` characters at a time, and one checker
-    checks each chunk's rows a column at a time. ``str.split`` splits a chunk
-    into fields, whole when its rows are of one width, else line by line;
-    from the first chunk holding a ``"``, since a quoted field may span
-    lines, one ``csv`` reader reads the rest. A row is numbered by the line
-    it starts at. Each code is checked once per call, and kept rows are
-    appended in place to the result's columns, so a parse holds the table
-    and a few chunks' worth of strings, never the table twice.
+    and streams, about ``_io._CHUNK`` characters at a time, as edge lists
+    are, and one checker checks each chunk's rows a column at a time.
+    ``str.split`` splits a chunk into fields, whole when its rows are of one
+    width, else line by line; from the first chunk holding a ``"``, since a
+    quoted field may span lines, one ``csv`` reader reads the rest. A row is
+    numbered by the line it starts at. Each code is checked once per call,
+    and kept rows are appended in place to the result's columns, the codes
+    as int32, so a parse holds the table and a few chunks' worth of
+    strings, never the table twice.
 
     Raises :class:`ConfigurationError` when a required column named by
     ``columns`` is absent from the header or found by another field too.
@@ -487,7 +487,7 @@ def parse_dyadic_records(stream, columns: ColumnMap | None = None) -> ParseResul
     columns = columns or ColumnMap()
     with opened(stream) as stream:
         try:
-            return _parse_chunks(line_chunks(stream, _PARSE_CHUNK), columns)
+            return _parse_chunks(line_chunks(stream, _io._CHUNK), columns)
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from None
 
@@ -567,23 +567,23 @@ def reconcile_flows(
     )
 
     # Claims about the flow a->b: the exporter side from a's first report,
-    # then the importer side from b's. A missing side is NaN; present values
-    # are finite by construction.
-    exports = np.zeros((n, n))
-    claimed = np.zeros(n * n, dtype=bool)  # the cells with an exporter claim
+    # then the importer side from b's. A missing side is NaN in the table;
+    # present values are finite by construction. A cell of the matrix is NaN
+    # until a claim sets it, so the matrix itself marks the exporter claims,
+    # and the cells that no claim sets are cleared last, a block at a time.
+    exports = np.full((n, n), np.nan)
     for rows in blocks(len(table)):
         keep = first[rows] & ~np.isnan(table.exports[rows])
-        at = flat_at(rows)[keep]
-        exports.flat[at] = table.exports[rows][keep]
-        claimed[at] = True
+        exports.flat[flat_at(rows)[keep]] = table.exports[rows][keep]
     n_conflicts, max_conflict = 0, 0.0
     for rows in blocks(len(table)):
         keep = first[rows] & ~np.isnan(table.imports[rows])
         importer, exporter = np.divmod(flat_at(rows)[keep], n)
         at = exporter * n + importer
         claims = table.imports[rows][keep]
-        both = claimed[at]
-        both_exp, both_imp = exports.flat[at[both]], claims[both]
+        both_exp = exports.flat[at]
+        both = ~np.isnan(both_exp)
+        both_exp, both_imp = both_exp[both], claims[both]
         claims[both] = _resolve(policy, both_exp, both_imp)
         exports.flat[at] = claims
 
@@ -593,6 +593,10 @@ def reconcile_flows(
         )
         n_conflicts += int(np.count_nonzero(rel > CONFLICT_TOLERANCE))
         max_conflict = max(max_conflict, float(rel.max(initial=0.0)))
+    cells = exports.reshape(-1)
+    for part in blocks(cells.size):
+        block = cells[part]
+        block[np.isnan(block)] = 0.0  # no claim, no flow
 
     report = ValidationReport(
         n_records=len(table),

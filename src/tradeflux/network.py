@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import (CodeNumbers, _append, _control, _not_xml, code_refusal, line_chunks,
-                  opened, row_texts, write_text)
+from . import _io
+from ._io import (CodeNumbers, _append, _control, _not_xml, blocks, code_refusal,
+                  line_chunks, opened, row_texts, write_text)
 
 #: Relative tolerance below which a pair's net flow is treated as exactly
 #: balanced (no edge), absorbing float noise from reconciliation arithmetic.
@@ -66,6 +67,11 @@ class ImbalanceNetwork:
         for code in self.countries:
             if refusal := code_refusal(code):
                 raise ValueError(refusal)
+        # incoming edges are indexed through a stable permutation: the
+        # targets' argsort, in the narrowest unsigned type that holds them,
+        # which numpy radix-sorts when that is 8 or 16 bits. A target out of
+        # range sorts wrongly, but _check_invariants refuses it first
+        self._in_order = np.argsort(dst.astype(np.min_scalar_type(n)), kind="stable")
         self._check_invariants(keys)
         del keys
 
@@ -83,13 +89,13 @@ class ImbalanceNetwork:
             )
 
         # CSR-style adjacency. Outgoing edges are contiguous in canonical
-        # order; incoming edges are indexed through a stable permutation.
+        # order; incoming edges are indexed through _in_order.
         self._out_ptr = np.searchsorted(self.src, np.arange(n + 1))
-        self._in_order = np.argsort(self.dst, kind="stable")
         self._in_ptr = np.searchsorted(self.dst[self._in_order], np.arange(n + 1))
 
     def _check_invariants(self, keys):
-        """Check the edges, in canonical order, whose keys ``src * n + dst`` are ``keys``."""
+        """Check the edges, in canonical order, whose keys ``src * n + dst`` are
+        ``keys`` and whose stable order by target is ``_in_order``."""
         n = len(self.countries)
         if self.src.size:
             if self.src.min() < 0 or self.src.max() >= n:
@@ -103,12 +109,19 @@ class ImbalanceNetwork:
         # Report the first edge, in canonical order, repeating an earlier
         # pair or reversing one. Keys sort like canonical order, so repeats
         # are adjacent and a reversal (j, i) precedes (i, j) exactly when j < i.
+        # The flipped keys dst * n + src, in _in_order's order, are sorted too,
+        # so their lookups, a block at a time, walk the keys once
         duplicate = np.zeros(keys.size, dtype=bool)
         duplicate[1:] = keys[1:] == keys[:-1]
-        low = np.flatnonzero(self.dst < self.src)
-        flipped = self.dst[low] * n + self.src[low]
-        at = np.minimum(np.searchsorted(keys, flipped), max(keys.size - 1, 0))
-        bad = np.concatenate([np.flatnonzero(duplicate)[:1], low[keys[at] == flipped][:1]])
+        reversing = [np.empty(0, np.intp)]
+        for rows in blocks(keys.size):
+            edge = self._in_order[rows]
+            tail, head = self.src[edge], self.dst[edge]
+            flipped = head * n + tail
+            at = np.minimum(np.searchsorted(keys, flipped), keys.size - 1)
+            reversing.append(edge[(keys[at] == flipped) & (head < tail)])
+        reversing = np.sort(np.concatenate(reversing))
+        bad = np.concatenate([np.flatnonzero(duplicate)[:1], reversing[:1]])
         if bad.size:
             e = bad.min()
             i, j = self.src[e], self.dst[e]
@@ -288,10 +301,6 @@ def write_edge_list(net: ImbalanceNetwork, stream) -> None:
     )))
 
 
-#: Characters of edge-list text read, split and converted at a time.
-_READ_CHUNK = 1 << 16
-
-
 def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
     """The error for the first bad line of ``lines``, which follow any header
     row and start at line ``line_no`` + 1 of the file, found one at a time."""
@@ -317,7 +326,7 @@ def _edge_columns(stream) -> tuple:
     number = CodeNumbers()
     columns = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
     line_no = 0
-    for lines, text in line_chunks(stream, _READ_CHUNK):
+    for lines, text in line_chunks(stream, _io._CHUNK):
         data, start = lines, 0
         header = lines[0].split() if line_no == 0 else ()
         if len(header) == 3 and header[0][0] != "#":

@@ -330,14 +330,18 @@ def test_focal_solve_holds_one_system_matrix():
 
 def test_solve_holds_its_matrix_edge_entries_and_a_few_blocks():
     net = random_network(np.random.default_rng(59), n=1000, density=0.1)
+    step = diffusion._SOLVE_BLOCK
     for direction in DIRECTIONS:
         m = system_size(net, direction)
+        _, _, is_sink, _, edges = diffusion._walk(net, direction)
+        into_absorbers = np.count_nonzero(is_sink[edges()[1]])
         _, peak = traced_peak(lambda: _solve(net, direction, lambda s, _: np.ones((4, s.size))))
-        # A; B's entries, 24 bytes for each edge into an absorber; one fill block's
-        # temporaries; then a few _SOLVE_BLOCK x m blocks of the elimination. A
-        # copy of A, 8 m^2 bytes, would not fit beside them
-        blocks = 4 * diffusion._SOLVE_BLOCK * m
-        assert peak - 8 * m * m < 8 * (4 * net.n_edges + 16 * _BLOCK + blocks)
+        # A and B's entries, 24 bytes for each edge into an absorber; then the
+        # larger of one fill block's temporaries and the elimination's: y, one
+        # _SOLVE_BLOCK x m block row and a few _SOLVE_BLOCK^2 blocks. A copy of
+        # A, 8 m^2 bytes, would not fit beside them, nor a second block row
+        work = max(16 * _BLOCK, 4 * m + step * m + 4 * step * step)
+        assert peak - 8 * m * m < 24 * into_absorbers + 8 * work
 
 
 def test_exact_absorption_frees_its_identity_weights_once_the_solve_holds_them():
@@ -346,9 +350,10 @@ def test_exact_absorption_frees_its_identity_weights_once_the_solve_holds_them()
     for direction in DIRECTIONS:
         m, s = system_size(net, direction), np.count_nonzero(diffusion._walk(net, direction)[1])
         _, peak = traced_peak(lambda: exact_absorption(net, direction))
-        # A, y (m x s), and the first block's factors and update of y; what is
-        # left, B's entries and the reach arrays, is less than the s x s identity
-        held = 8 * (m * m + m * s + (m - step) * s + step * (m - step + s))
+        # A, y (m x s), and the first block's factors and update of y, a block
+        # row; what is left, B's entries and the reach arrays, is less than the
+        # s x s identity
+        held = 8 * (m * m + m * s + step * (m - step + s))
         assert peak - held < 8 * s * s
 
 
@@ -385,7 +390,7 @@ def test_a_singular_later_block_raises(monkeypatch):
     assert _solve(net, "forward", lambda s, _: np.eye(s.size))[2][0, 0] == 1.0
     monkeypatch.setattr(diffusion, "_walk", keeps_nothing)
     monkeypatch.setattr(diffusion, "_SOLVE_BLOCK", 2)
-    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as spy:
+    with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as spy:
         with pytest.raises(NoConvergenceError, match="^absorbing system is singular: "):
             _solve(net, "forward", lambda s, _: np.eye(s.size))
     assert spy.call_count == 2

@@ -663,7 +663,7 @@ def test_parse_in_chunks_of_a_few_characters_matches_the_row_loop(
     # each file spans many chunks, so line ends, quotes, ragged and bad rows
     # fall on either side of a chunk boundary; rows are renumbered and
     # reconciled a few at a time too
-    with mock.patch.object(ingest, "_PARSE_CHUNK", chunk), \
+    with mock.patch.object(_io, "_CHUNK", chunk), \
             mock.patch.object(_io, "_BLOCK", chunk):
         test_parse_and_reconcile_match_the_row_loop.hypothesis.inner_test(
             tmp_path_factory, case
@@ -696,7 +696,7 @@ def test_parse_never_reads_the_file_whole(tmp_path, tail):
     path = tmp_path / "records.csv"
     path.write_text(text, newline="")
     stream = _ChunkedReadsOnly(text)
-    with mock.patch.object(ingest, "_PARSE_CHUNK", 4096):
+    with mock.patch.object(_io, "_CHUNK", 4096):
         parsed = parse_dyadic_records(stream)
     records, dropped = rowwise_parse_dyadic_records(path, None)
     assert stream.chunks > 10
@@ -716,7 +716,7 @@ def test_parse_checks_each_code_once(tmp_path):
         checked[code] += 1
         return code_fault(code)
 
-    with mock.patch.object(ingest, "_PARSE_CHUNK", 4096), \
+    with mock.patch.object(_io, "_CHUNK", 4096), \
             mock.patch.object(_io, "code_fault", counted_code_fault):
         parsed = parse_dyadic_records(stream)
     assert stream.chunks >= 8
@@ -745,10 +745,38 @@ def test_parse_holds_the_table_and_a_few_chunks_at_most(tmp_path, first_row):
     # a stream that ends lines at \r or \r\n alone finds no line end in this
     # \n-ended text, and is still read a chunk at a time
     for newline in (None, "\r", "\r\n"):
-        with mock.patch.object(ingest, "_PARSE_CHUNK", 1 << 14):
+        with mock.patch.object(_io, "_CHUNK", 1 << 14):
             parsed, peak = traced_peak(lambda: read_as(parse_dyadic_records, path, newline))
-            assert peak <= _nbytes(parsed.table) + 64 * ingest._PARSE_CHUNK, newline
+            assert peak <= _nbytes(parsed.table) + 64 * _io._CHUNK, newline
         assert len(parsed.table) == len(rows) and not parsed.dropped
+
+
+def test_a_parse_holds_its_table_and_a_few_default_chunks(tmp_path):
+    # 1.7 MB of records, many chunks; a chunk's text, lines and fields take
+    # ~15 bytes per character, so 2 MiB is two 64 KiB chunks' worth of them
+    rows = [f"2000,R{i % 97},P{i % 89},{i}.5,{i}.25" for i in range(60_000)]
+    path = tmp_path / "records.csv"
+    path.write_text("year,reporter,partner,exports,imports\n" + "\n".join(rows) + "\n")
+    parsed, peak = traced_peak(lambda: parse_dyadic_records(path))
+    assert len(parsed.table) == len(rows) and not parsed.dropped
+    assert peak <= _nbytes(parsed.table) + (2 << 20)
+
+
+def test_reconcile_holds_one_matrix_and_no_second_array_of_its_cells():
+    # 2.25M cells: a second array of a byte per cell would not fit in the bound
+    rng = np.random.default_rng(5)
+    n, rows = 1500, 20_000
+    reporter = rng.integers(0, n, rows)
+    partner = (reporter + rng.integers(1, n, rows)) % n
+    flows = rng.lognormal(size=(2, rows))
+    flows[rng.random(flows.shape) < 0.1] = np.nan
+    table = DyadicTable(tuple(f"C{i:04d}" for i in range(n)), np.full(rows, 2000),
+                        reporter.astype(np.int32), partner.astype(np.int32), *flows)
+    (matrix, report), peak = traced_peak(lambda: reconcile_flows(table, 2000))
+    assert len(matrix.countries) == n and report.dropped
+    # the matrix, a byte per row for each of two row masks, and a block's
+    # temporaries with the few duplicate reports' strings
+    assert peak <= matrix.exports.nbytes + 2 * len(table) + 16 * 8 * _io._BLOCK
 
 
 def test_reconcile_holds_the_matrix_and_at_most_a_table_more():
@@ -783,7 +811,7 @@ def test_parse_splits_lines_alike_whatever_the_stream_splits_them_at(tmp_path, n
     # rows are numbered by the physical line they start at
     assert [where for where, _ in dropped] == ["line 3", "line 6", "line 8"]
     stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
-    with mock.patch.object(ingest, "_PARSE_CHUNK", 8):
+    with mock.patch.object(_io, "_CHUNK", 8):
         parsed = parse_dyadic_records(stream)
     assert repr(parsed.records) == repr(records)
     assert parsed.dropped == dropped

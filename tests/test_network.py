@@ -26,7 +26,7 @@ from helpers import (
     read_as,
     traced_peak,
 )
-from tradeflux import network
+from tradeflux import _io, network
 from tradeflux.backbone import extract_backbone, write_backbone_tsv
 from tradeflux._io import _control, _not_xml, code_fault
 from tradeflux.ingest import TradeMatrix
@@ -293,7 +293,7 @@ def test_edge_list_splits_lines_alike_whatever_the_stream_splits_them_at(newline
         text = "".join(line + end for line, end in zip(lines, ends))
         stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
         # 8 characters a chunk: a stream ending lines at \r alone cuts \r\n in two
-        with mock.patch.object(network, "_READ_CHUNK", 8):
+        with mock.patch.object(_io, "_CHUNK", 8):
             return read_edge_list(stream)
 
     for ends in ["\n"] * 8, ["\r\n"] * 8, ["\r"] * 8, ["\r", "\r\n", "\n"] * 3:
@@ -353,7 +353,7 @@ def test_edge_list_reader_holds_the_network_and_a_few_chunks(networks_4x_apart, 
             back, peak = traced_peak(lambda: read_as(read_edge_list, path, newline))
             assert list(back.iter_edges())[-3:] == list(net.iter_edges())[-3:]
             arrays = sum(v.nbytes for v in vars(back).values() if isinstance(v, np.ndarray))
-            assert peak <= 2 * arrays + 6 * network._READ_CHUNK, (net.n_edges, newline, peak)
+            assert peak <= 2 * arrays + 6 * _io._CHUNK, (net.n_edges, newline, peak)
 
 
 def test_edge_list_round_trip_exact_weights():
@@ -608,7 +608,7 @@ _edge_line = st.one_of(
 @given(
     st.lists(_edge_line, max_size=8),
     st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=8, max_size=8),
-    st.sampled_from([1, 20, network._READ_CHUNK]),  # lines read at a time: 1, a few, all
+    st.sampled_from([1, 20, _io._CHUNK]),  # lines read at a time: 1, a few, all
 )
 def test_edge_list_reader_matches_line_loop(tmp_path_factory, lines, ends, chunk):
     path = tmp_path_factory.mktemp("edges") / "network.tsv"
@@ -621,5 +621,5 @@ def test_edge_list_reader_matches_line_loop(tmp_path_factory, lines, ends, chunk
             return str(exc)
         return net.countries, net.src.tolist(), net.dst.tolist(), net.weight.tobytes()
 
-    with mock.patch.object(network, "_READ_CHUNK", chunk):
+    with mock.patch.object(_io, "_CHUNK", chunk):
         assert outcome(read_edge_list) == outcome(linewise_read_edge_list)
