@@ -101,10 +101,13 @@ def line_chunks(stream, size: int):
     """The readers' one line rule: the text file ``stream`` in chunks of about
     ``size`` characters, each as its whole lines, line ends kept, and their
     joined text. A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, whatever
-    newline setting ``stream`` was opened with, since lines are split here."""
+    newline setting ``stream`` was opened with, since lines are split here. A
+    consumer holds one chunk at a time only if it drops its chunk, and what
+    it made of it, before asking for the next."""
     held = ""
     while more := stream.read(max(size, len(held))):  # reads double on a long line
         text = held + more
+        del more
         # a closing \r is held: it may be the first half of a \r\n
         end = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
         text, held = text[:end], text[end:]
@@ -115,6 +118,7 @@ def line_chunks(stream, size: int):
             lines = text.splitlines(True)
         if lines:
             yield lines, text
+        del lines, text
     if held:
         yield [held], held
 
@@ -134,9 +138,9 @@ class CodeNumbers(dict):
         self[code] = number = ~len(self) if code_fault(code) else len(self)
         return number
 
-    def of(self, codes: list[str], dtype=np.intp) -> np.ndarray:
-        """The numbers of ``codes``, as ``dtype``."""
-        return np.fromiter(map(self.__getitem__, codes), dtype, len(codes))
+    def of(self, codes: list[str]) -> np.ndarray:
+        """The numbers of ``codes``, as int32, the dtype of every index column read."""
+        return np.fromiter(map(self.__getitem__, codes), np.int32, len(codes))
 
     def renumber(self, columns) -> tuple[str, ...]:
         """The codes that passed, sorted; each of ``columns``, arrays of their

@@ -22,11 +22,12 @@ independently, so a node absorbs Binomial(a, p) of its a arrivals. The
 walker counts per node therefore follow the same law as those of walkers
 moved one hop at a time: an exact rewrite, not an approximation, and one
 that never consults the exact solve. The walk holds one int64 count per
-node and an n x k_max hop table (k_max the largest out-degree), within
-the n x n matrix the exact solve allocates, and its memory and time per
-step do not grow with the walker count. Each table row lists its node's
-edges heaviest first, so a step pays only for the prefix of each occupied
-row that its draw reaches before the row's walkers run out.
+node and an n x k_max hop table (k_max the largest out-degree) of float64
+shares and int32 targets, within the n x n matrix the exact solve
+allocates, and its memory and time per step do not grow with the walker
+count. Each table row lists its node's edges heaviest first, so a step
+pays only for the prefix of each occupied row that its draw reaches
+before the row's walkers run out.
 
 In exact arithmetic no walker is ever trapped: any set of nodes closed under
 outgoing edges has non-negative total imbalance, so once it holds a net
@@ -145,8 +146,8 @@ def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
     the walk's ``delta_s = s_in - s_out`` decides its sides: ``is_start`` marks
     where it is negative, ``is_sink`` the absorbers, where it is positive.
     ``absorb_p`` is ``delta_s / s_in`` on the absorbers, zero elsewhere;
-    ``edges(rows)`` gives the tails, heads and hop shares ``w / s_out`` of
-    the walk's edges ``rows``."""
+    ``edges(rows)`` gives the tails and heads, as intp, and hop shares
+    ``w / s_out`` of the walk's edges ``rows``."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     forward = direction == "forward"
@@ -154,9 +155,11 @@ def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
     ptr, delta_s = (net._out_ptr if forward else net._in_ptr), s_in - s_out
     is_sink = delta_s > 0
 
-    def edges(rows: slice = slice(None)) -> tuple:
-        at = rows if forward else net._in_order[rows]
-        tail, head = (net.src[at], net.dst[at]) if forward else (net.dst[at], net.src[at])
+    def edges(rows: slice) -> tuple:
+        # a block's int32 indices widened once: numpy widens an int32 index on every use
+        at = rows if forward else net._in_order[rows].astype(np.intp)
+        ends = (net.src, net.dst) if forward else (net.dst, net.src)
+        tail, head = (end[at].astype(np.intp) for end in ends)
         return tail, head, net.weight[at] / s_out[tail]
 
     # a node with delta_s > 0 has s_in > 0
@@ -167,26 +170,27 @@ def _walk(net: ImbalanceNetwork, direction: str) -> tuple:
 def _hop_table(ptr: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     """Every node's hop shares ``w / s_out`` and edge targets, one row per node.
 
-    Both arrays are n x k_max. Each row holds the node's edges of the walk
-    ``ptr, edges`` of ``_walk``, heaviest first, ties in the walk's order,
-    then zero padding. A multinomial draw fills its columns in order and
-    stops once the row's walkers are placed, so heavy edges first make that
-    prefix short. The draw leaves its rounding remainder on the last
-    column, so a row's last column, padding in a short row, targets the
-    row's last real edge. Rows of nodes without outgoing edges are all
-    padding.
+    Both arrays are n x k_max, the shares float64 and the targets int32.
+    Each row holds the node's edges of the walk ``ptr, edges`` of ``_walk``,
+    heaviest first, ties in the walk's order, then zero padding. A
+    multinomial draw fills its columns in order and stops once the row's
+    walkers are placed, so heavy edges first make that prefix short. The
+    draw leaves its rounding remainder on the last column, so a row's last
+    column, padding in a short row, targets the row's last real edge. Rows
+    of nodes without outgoing edges are all padding. The tables are filled
+    a ``_io._BLOCK`` of edges at a time, then sorted a block of rows at a
+    time, so no array of the walk's edges is held whole beside them.
     """
     degree = np.diff(ptr)
     shape = (degree.size, int(degree.max(initial=0)))
-    tail, head, hop = edges()
-    column = np.arange(tail.size) - ptr[tail]
     share = np.zeros(shape)
-    target = np.zeros(shape, dtype=np.int64)
-    share[tail, column] = hop
-    target[tail, column] = head
-    # the sort runs on blocks of rows of about _BLOCK entries, once the edge
-    # arrays are gone, so its temporaries add nothing to the walk's peak memory
-    del tail, head, hop, column
+    target = np.zeros(shape, dtype=np.int32)
+    for rows in blocks(int(ptr[-1])):
+        tail, head, hop = edges(rows)
+        column = np.arange(rows.start, rows.stop) - ptr[tail]
+        share[tail, column] = hop
+        target[tail, column] = head
+        del tail, head, hop, column  # not held through the sort
     step = _BLOCK // max(shape[1], 1) + 1
     for top in range(0, shape[0], step):
         rows = slice(top, top + step)
@@ -390,7 +394,8 @@ def _solve(net: ImbalanceNetwork, direction: str, weigh) -> tuple:
     warning. ``starts`` holds every start of the walk and ``sinks`` every
     absorber, one column of F each. Once the reach set sizes A, A is filled
     and B's entries collected one ``_io._BLOCK`` of edges at a time, so no
-    per-edge temporary lives beside A.
+    per-edge temporary lives beside A; an entry is an int32 row and column
+    and a float64 value, 16 bytes.
 
     ``weigh(starts, solved)`` gives the weight rows W over ``starts``;
     ``solved`` marks the starts that can reach an absorber, the rest being
@@ -423,10 +428,10 @@ def _solve(net: ImbalanceNetwork, direction: str, weigh) -> tuple:
         warnings = (f"excluded {trapped.size} node(s) unable to reach an absorber: {names}",)
 
     # the rows of A and columns of B, looked up for reached nodes and sinks only
-    pos, sink_pos = np.cumsum(reach) - 1, np.cumsum(is_sink) - 1
+    pos, sink_pos = (np.cumsum(mask, dtype=np.int32) - 1 for mask in (reach, is_sink))
 
     a = np.eye(np.count_nonzero(reach))
-    entries = [np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)]
+    entries = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]
     for rows in blocks(net.n_edges):
         tail, head, hop = edges(rows)
         into = reach[head]  # and then the tail reaches an absorber too

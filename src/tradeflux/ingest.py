@@ -211,8 +211,7 @@ class DyadicTable:
         raises ``ValueError("record <i>: <reason>")``, a flow's token the ``repr``
         of the Python value it holds (a numpy scalar's ``item()``)."""
         number, n = CodeNumbers(), len(records)
-        ends = number.of([r.reporter for r in records] + [r.partner for r in records],
-                         np.int32)
+        ends = number.of([r.reporter for r in records] + [r.partner for r in records])
         exports, imports = (
             np.fromiter(map(_record_flow, map(attrgetter(name), records)), float, n)
             for name in ("exports", "imports")
@@ -390,7 +389,7 @@ def _parse_columns(line_nos, header: tuple, number: CodeNumbers, rows=None, fiel
     year = np.array([0 if isinstance(y, str) else y for y in years])[year_at]
 
     stripped, inverse = _by_distinct(column("reporter") + column("partner"), str.strip)
-    ends = number.of(stripped, np.int32)[inverse]  # equal where the stripped codes are
+    ends = number.of(stripped)[inverse]  # equal where the stripped codes are
     reporter, partner = ends[:n], ends[n:]
 
     exports, imports = _flow_column(column("exports")), _flow_column(column("imports"))
@@ -458,6 +457,7 @@ def _parse_chunks(chunks, columns: ColumnMap) -> ParseResult:
         elif lines:
             # ragged rows, or a blank line: each row split alone
             check(line_nos, [line.rstrip("\r\n").split(delimiter) for line in lines])
+        del lines, text  # before line_chunks splits the next chunk
     return ParseResult(DyadicTable(number.renumber(kept[1:3]), *kept), dropped)
 
 

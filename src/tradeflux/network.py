@@ -44,34 +44,41 @@ class ImbalanceNetwork:
     must be finite too: weights summing past the float range are rejected.
     Every network, however made, is checked: its codes by ``_io.code_refusal``, so
     that every file the pipeline writes can carry them, then its edges and strengths.
-    Edge arrays given in canonical order and in the stored dtypes are kept,
-    not copied, so they must not be changed afterwards.
+    ``src``, ``dst`` and ``_in_order`` are stored as int32, and ``weight`` as
+    float64; an index of another dtype is range-checked before it is narrowed.
+    Edge arrays given in canonical order and in these dtypes are kept, not
+    copied, so they must not be changed afterwards.
     """
 
     def __init__(self, countries, src, dst, weight):
         self.countries: tuple[str, ...] = tuple(countries)
         n = len(self.countries)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = (ends if isinstance(ends, np.ndarray) and ends.dtype == np.int32
+                    else np.asarray(ends, dtype=np.int64) for ends in (src, dst))
         weight = np.asarray(weight, dtype=float)
-        # keys sort like (src, dst); every file the pipeline writes is in that
-        # order already, and then the arrays are kept as given
-        keys = src * n + dst
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            keys, src, dst, weight = keys[order], src[order], dst[order], weight[order]
-        self.src, self.dst, self.weight = src, dst, weight
         self.index = {code: i for i, code in enumerate(self.countries)}
         if len(self.index) != len(self.countries):
             raise ValueError("duplicate country codes")
         for code in self.countries:
             if refusal := code_refusal(code):
                 raise ValueError(refusal)
+        for ends, end in ((src, "source"), (dst, "target")):
+            if ends.size and (ends.min() < 0 or ends.max() >= n):
+                raise ValueError(f"edge {end} index out of range")
+        src, dst = src.astype(np.int32, copy=False), dst.astype(np.int32, copy=False)
+        # keys sort like (src, dst); every file the pipeline writes is in that
+        # order already, and then the arrays are kept as given
+        keys = np.multiply(src, n, dtype=np.int64) + dst
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, src, dst, weight = keys[order], src[order], dst[order], weight[order]
+            del order
+        self.src, self.dst, self.weight = src, dst, weight
         # incoming edges are indexed through a stable permutation: the
         # targets' argsort, in the narrowest unsigned type that holds them,
-        # which numpy radix-sorts when that is 8 or 16 bits. A target out of
-        # range sorts wrongly, but _check_invariants refuses it first
-        self._in_order = np.argsort(dst.astype(np.min_scalar_type(n)), kind="stable")
+        # which numpy radix-sorts when that is 8 or 16 bits
+        self._in_order = np.argsort(dst.astype(np.min_scalar_type(n)),
+                                    kind="stable").astype(np.int32)
         self._check_invariants(keys)
         del keys
 
@@ -90,18 +97,14 @@ class ImbalanceNetwork:
 
         # CSR-style adjacency. Outgoing edges are contiguous in canonical
         # order; incoming edges are indexed through _in_order.
-        self._out_ptr = np.searchsorted(self.src, np.arange(n + 1))
-        self._in_ptr = np.searchsorted(self.dst[self._in_order], np.arange(n + 1))
+        self._out_ptr = np.concatenate(([0], np.cumsum(self.k_out)))
+        self._in_ptr = np.concatenate(([0], np.cumsum(self.k_in)))
 
     def _check_invariants(self, keys):
-        """Check the edges, in canonical order, whose keys ``src * n + dst`` are
-        ``keys`` and whose stable order by target is ``_in_order``."""
+        """Check the edges, in canonical order and in range, whose keys
+        ``src * n + dst`` are ``keys`` and whose stable order by target is
+        ``_in_order``."""
         n = len(self.countries)
-        if self.src.size:
-            if self.src.min() < 0 or self.src.max() >= n:
-                raise ValueError("edge source index out of range")
-            if self.dst.min() < 0 or self.dst.max() >= n:
-                raise ValueError("edge target index out of range")
         if np.any(self.src == self.dst):
             raise ValueError("self-loops are not allowed")
         if not np.all(np.isfinite(self.weight)) or np.any(self.weight <= 0):
@@ -117,7 +120,7 @@ class ImbalanceNetwork:
         for rows in blocks(keys.size):
             edge = self._in_order[rows]
             tail, head = self.src[edge], self.dst[edge]
-            flipped = head * n + tail
+            flipped = np.multiply(head, n, dtype=np.int64) + tail
             at = np.minimum(np.searchsorted(keys, flipped), keys.size - 1)
             reversing.append(edge[(keys[at] == flipped) & (head < tail)])
         reversing = np.sort(np.concatenate(reversing))
@@ -236,7 +239,7 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
     """
     exports = tm.exports
     n = len(exports)
-    edges = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
+    edges = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]
     # a block of rows i at a time, about 2**16 cells: the edges i -> j, which
     # np.nonzero yields in canonical order
     step = max(1, (1 << 16) // max(n, 1))
@@ -247,7 +250,7 @@ def build_imbalance_network(tm) -> ImbalanceNetwork:
         flow = back - out
         edge = flow > ZERO_IMBALANCE_RTOL * np.maximum(out, back)
         src, dst = np.nonzero(edge)
-        _append(edges, (src + start, dst, flow[edge]))
+        _append(edges, ((src + start).astype(np.int32), dst.astype(np.int32), flow[edge]))
     return ImbalanceNetwork(tm.countries, *edges)
 
 
@@ -324,7 +327,7 @@ def _edge_list_error(lines: list[str], line_no: int) -> ValueError:
 def _edge_columns(stream) -> tuple:
     """The countries, then the src, dst and weight columns, of edge-list text."""
     number = CodeNumbers()
-    columns = [np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)]
+    columns = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)]
     line_no = 0
     for lines, text in line_chunks(stream, _io._CHUNK):
         data, start = lines, 0
@@ -353,6 +356,7 @@ def _edge_columns(stream) -> tuple:
             raise _edge_list_error(lines[start:], line_no + start) from None
         _append(columns, (ends[:m], ends[m:2 * m], weight))
         line_no += len(lines)
+        del lines, text, data, fields  # before line_chunks splits the next chunk
     return number.renumber(columns[:2]), *columns
 
 
@@ -366,8 +370,8 @@ def read_edge_list(stream) -> ImbalanceNetwork:
     Each line is ``src dst weight``; blank lines and other lines starting
     with ``#`` are skipped, and so is a first line whose weight is not a
     number. The text is read by ``line_chunks``, as records are, and split
-    and converted a chunk at a time; a bad line raises ``ValueError``
-    naming the first one.
+    and converted a chunk at a time, each chunk's strings dropped before the
+    next is read; a bad line raises ``ValueError`` naming the first one.
     """
     with opened(stream) as stream:  # the chunks' text is freed before the network is built
         return ImbalanceNetwork(*_edge_columns(stream))

@@ -334,14 +334,14 @@ def test_solve_holds_its_matrix_edge_entries_and_a_few_blocks():
     for direction in DIRECTIONS:
         m = system_size(net, direction)
         _, _, is_sink, _, edges = diffusion._walk(net, direction)
-        into_absorbers = np.count_nonzero(is_sink[edges()[1]])
+        into_absorbers = np.count_nonzero(is_sink[edges(slice(None))[1]])
         _, peak = traced_peak(lambda: _solve(net, direction, lambda s, _: np.ones((4, s.size))))
-        # A and B's entries, 24 bytes for each edge into an absorber; then the
+        # A and B's entries, 16 bytes for each edge into an absorber; then the
         # larger of one fill block's temporaries and the elimination's: y, one
         # _SOLVE_BLOCK x m block row and a few _SOLVE_BLOCK^2 blocks. A copy of
         # A, 8 m^2 bytes, would not fit beside them, nor a second block row
         work = max(16 * _BLOCK, 4 * m + step * m + 4 * step * step)
-        assert peak - 8 * m * m < 24 * into_absorbers + 8 * work
+        assert peak - 8 * m * m < 16 * into_absorbers + 8 * work
 
 
 def test_exact_absorption_frees_its_identity_weights_once_the_solve_holds_them():
@@ -573,6 +573,18 @@ def test_hop_table_reproduces_hop_shares(rows):
                 assert target[v, -1] == target[v, k - 1]
                 # numpy accepts the row: the shares before the last sum to at most 1
                 np.random.default_rng(0).multinomial(10**6, share[v])
+
+
+def test_hop_table_holds_its_two_tables_and_one_block_of_edges():
+    net = random_network(np.random.default_rng(59), n=1000, density=0.1)
+    for direction in DIRECTIONS:
+        ptr, *_, edges = _walk(net, direction)
+        (share, target), peak = traced_peak(lambda: _hop_table(ptr, edges))
+        assert (share.dtype, target.dtype) == (np.float64, np.int32)
+        # beyond the tables, a fill block's tails, heads, shares and columns
+        # with their temporaries, or a sort block's order and rows, under 64
+        # bytes a block entry; one array of the walk's ~95k edges would not fit
+        assert peak <= share.nbytes + target.nbytes + 64 * _BLOCK, (direction, peak)
 
 
 @st.composite

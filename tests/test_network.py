@@ -130,6 +130,23 @@ def test_from_edges_validation():
         ImbalanceNetwork(("A", "A"), [], [], [])
 
 
+@pytest.mark.parametrize("index", [2**32, -2**32 + 1, 2**31, -1])
+def test_an_index_outside_int32_is_refused_not_wrapped(index):
+    # int32 storage: an index is checked against the node range before it is
+    # narrowed, so 2**32 is not read as node 0, whether it comes as an int64
+    # array or as Python ints
+    for ends in ([index], np.array([index], dtype=np.int64)):
+        with pytest.raises(ValueError, match="edge source index out of range"):
+            ImbalanceNetwork(("A", "B"), ends, [1], [1.0])
+        with pytest.raises(ValueError, match="edge target index out of range"):
+            ImbalanceNetwork(("A", "B"), [0], ends, [1.0])
+        # the source is refused first, and a refused code before either
+        with pytest.raises(ValueError, match="edge source index out of range"):
+            ImbalanceNetwork(("A", "B"), ends, ends, [1.0])
+        with pytest.raises(ValueError, match="must not be empty"):
+            ImbalanceNetwork(("A", ""), ends, ends, [1.0])
+
+
 def test_pair_checks_report_the_same_edge_as_a_loop():
     rng = np.random.default_rng(17)
     countries = tuple(f"N{i}" for i in range(6))
@@ -223,12 +240,19 @@ def test_every_network_is_checked(net3):
     assert package_uses(passes_validate) == set()
     matrix = random_trade_matrix(np.random.default_rng(5))
     backbone = extract_backbone(net3, 1.0)
+    text = io.StringIO()
+    write_edge_list(net3, text)
     with mock.patch.object(ImbalanceNetwork, "_check_invariants", autospec=True,
                            side_effect=ImbalanceNetwork._check_invariants) as check:
-        for make in (lambda: build_imbalance_network(matrix), net3.reverse, backbone.as_network):
+        for make in (lambda: build_imbalance_network(matrix), net3.reverse, backbone.as_network,
+                     lambda: read_edge_list(io.StringIO(text.getvalue())),
+                     lambda: ImbalanceNetwork.from_edges([("A", "B", 1.0), ("C", "A", 2.0)])):
             check.reset_mock()
             made = make()
             assert check.call_count == 1 and check.call_args.args[0] is made
+            # and each holds its edge indices as int32, however it was made
+            for ends in (made.src, made.dst, made._in_order):
+                assert ends.dtype == np.int32 and ends.size == made.n_edges
 
 
 def test_total_flux(net3):
